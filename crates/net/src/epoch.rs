@@ -8,15 +8,16 @@
 //! receivers drop frames whose epoch does not match their own, and the driver
 //! additionally drains the transport between attempts.
 //!
-//! The header also carries an FNV-1a checksum over the op, attempt, and
+//! The header also carries a [`Sum64`] checksum over the op, attempt, and
 //! payload bytes. An in-process mesh cannot flip bits on its own, but the
 //! fault injector ([`crate::fault`]) can — and a corrupted `f64` would decode
 //! "successfully" into a wrong answer. The checksum turns every byte mutation
 //! into a typed [`NetError::Codec`] instead.
 
 use crate::bytebuf::ByteBuf;
-use crate::codec::{Decoder, Encoder};
+use crate::codec::Decoder;
 use crate::error::{NetError, NetResult};
+use crate::hash::Sum64;
 
 /// Frame magic: distinguishes epoch-wrapped collective frames from garbage.
 const MAGIC: u32 = 0x5350_4B31; // "SPK1"
@@ -56,30 +57,35 @@ pub fn split_namespaced(fenced: u32) -> (u32, u32) {
     (fenced >> ATTEMPT_BITS, fenced & ATTEMPT_MASK)
 }
 
-/// FNV-1a over the epoch fields and payload, the integrity check for
-/// collective frames (see [`crate::hash`] for the hash's constants).
-fn checksum(op: u64, attempt: u32, payload: &[u8]) -> u64 {
-    let mut h = crate::hash::Fnv1a::new();
-    h.update(&op.to_le_bytes());
-    h.update(&attempt.to_le_bytes());
-    h.update(payload);
-    h.finish()
+/// Offset of the checksum field, right after the magic.
+const SUM_AT: usize = 4;
+/// Header bytes before the payload: magic, checksum, op, attempt, length.
+const HEADER_LEN: usize = 4 + 8 + 8 + 4 + 8;
+
+/// The integrity check for collective frames: the epoch fields seed the
+/// digest the payload is folded into (see [`crate::hash`]).
+fn digest(op: u64, attempt: u32) -> Sum64 {
+    Sum64::seeded(op, attempt as u64)
 }
 
 /// Wraps `payload` in an epoch header for collective transmission.
 ///
 /// Layout: `magic u32 | checksum u64 | op u64 | attempt u32 | payload bytes`
-/// (the payload is length-prefixed via the codec's `put_bytes`). The header
+/// (the payload is length-prefixed as by the codec's `put_bytes`). The
+/// payload is checksummed while it is copied behind the header, and the
 /// buffer is drawn from the global [`crate::pool::FramePool`]: this runs
 /// once per collective send, so in steady state wrapping allocates nothing.
 pub fn wrap(op: u64, attempt: u32, payload: &ByteBuf) -> ByteBuf {
-    let mut enc = Encoder::pooled(crate::pool::global(), 4 + 8 + 8 + 4 + 8 + payload.len());
-    enc.put_u32(MAGIC);
-    enc.put_u64(checksum(op, attempt, payload));
-    enc.put_u64(op);
-    enc.put_u32(attempt);
-    enc.put_bytes(payload);
-    enc.finish()
+    let mut buf = crate::pool::global().acquire(HEADER_LEN + payload.len());
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&[0; 8]);
+    buf.extend_from_slice(&op.to_le_bytes());
+    buf.extend_from_slice(&attempt.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let mut sum = digest(op, attempt);
+    sum.copy_into(payload, &mut buf);
+    buf[SUM_AT..SUM_AT + 8].copy_from_slice(&sum.finish().to_le_bytes());
+    ByteBuf::from(buf)
 }
 
 /// Unwraps an epoch-fenced frame, returning `(op, attempt, payload)`.
@@ -104,7 +110,9 @@ pub fn unwrap(frame: ByteBuf) -> NetResult<(u64, u32, ByteBuf)> {
             dec.remaining()
         )));
     }
-    let want = checksum(op, attempt, &payload);
+    let mut want = digest(op, attempt);
+    want.update(&payload);
+    let want = want.finish();
     if sum != want {
         return Err(NetError::Codec(format!(
             "collective frame checksum mismatch: header {sum:#018x}, computed {want:#018x}"

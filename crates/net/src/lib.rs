@@ -41,15 +41,15 @@
 //!   reduction path (epoch wrapping, ring segment frames), with obs counters
 //!   for hits/misses/bytes-reused. Reuse is refcount-safe and can never leak
 //!   stale bytes (see the module docs and `tests/prop_pool.rs`).
-//! * [`epoch`] — the `(op, attempt)` epoch header plus FNV-1a checksum that
-//!   fences collective frames: stale-attempt frames are rejected by
+//! * [`epoch`] — the `(op, attempt)` epoch header plus checksum that fences
+//!   collective frames: stale-attempt frames are rejected by
 //!   receivers, corrupted frames fail as [`NetError::Codec`] instead of
 //!   decoding into a wrong answer.
 //! * [`topology`] — executor ranks, the parallel directed ring (PDR), and
 //!   topology-aware ordering (sort executors by hostname so that ring
 //!   neighbours land on the same node whenever possible).
-//! * [`hash`] — the streaming FNV-1a 64 hasher shared by the epoch and TCP
-//!   frame checksums.
+//! * [`hash`] — `sum64`, the word-wise checksum of the epoch and TCP frames,
+//!   computed inside the copy each layer already makes.
 //! * [`tcp`] — the real-socket [`Transport`]: multi-process TCP over
 //!   length-prefixed `SPKT` frames ([`tcp::frame`], normative spec in
 //!   DESIGN.md §5g) with pooled zero-allocation send/receive, plus the

@@ -13,18 +13,19 @@
 //! offset  size  field
 //! 0       4     magic     0x5350_4B54 ("SPKT")
 //! 4       4     len       bytes after this field = 16 + payload length
-//! 8       8     checksum  FNV-1a 64 over bytes [16, 8+len)  (from|channel|payload)
+//! 8       8     checksum  sum64 seeded with (from, channel) over the payload
 //! 16      4     from      sender rank
 //! 20      4     channel   logical channel index
 //! 24      len-16      payload
 //! ```
 //!
 //! The `(magic, len)` prefix lets a reader discover frame boundaries on a
-//! byte stream; the checksum turns any corruption *within* a frame into a
-//! typed [`NetError::Codec`]. A TCP stream cannot reorder or duplicate, so
-//! per-frame sequence numbers are unnecessary; collective-level staleness is
-//! handled one layer up by the epoch header ([`crate::epoch`]), which rides
-//! inside the payload.
+//! byte stream; the checksum ([`crate::hash`]) turns any corruption *within*
+//! a frame into a typed [`NetError::Codec`]. Both directions compute it while
+//! copying the payload, so a frame's bytes are walked once per side. A TCP
+//! stream cannot reorder or duplicate, so per-frame sequence numbers are
+//! unnecessary; collective-level staleness is handled one layer up by the
+//! epoch header ([`crate::epoch`]), which rides inside the payload.
 //!
 //! # Incremental decoding
 //!
@@ -59,7 +60,7 @@ use std::io::{ErrorKind, Read, Write};
 
 use crate::bytebuf::ByteBuf;
 use crate::error::{NetError, NetResult};
-use crate::hash::Fnv1a;
+use crate::hash::{le_u64, Sum64};
 use crate::pool::FramePool;
 
 /// Wire-frame magic: `"SPKT"` as a little-endian u32 (bytes `54 4B 50 53`).
@@ -104,13 +105,10 @@ pub struct DecodedFrame {
     pub payload: ByteBuf,
 }
 
-/// Checksum over the checksummed region: `from | channel | payload`.
-fn body_checksum(from: u32, channel: u32, payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(&from.to_le_bytes());
-    h.update(&channel.to_le_bytes());
-    h.update(payload);
-    h.finish()
+/// The frame digest before any payload: seeded with `from` and `channel`,
+/// so one checksum covers the whole body.
+fn body_digest(from: u32, channel: u32) -> Sum64 {
+    Sum64::seeded(from as u64, channel as u64)
 }
 
 /// Encodes one wire frame, drawing the buffer from `pool`.
@@ -133,19 +131,17 @@ pub fn encode_pooled(
     let mut buf = pool.acquire(HEADER_LEN + payload.len());
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&((BODY_FIXED + payload.len()) as u32).to_le_bytes());
-    buf.extend_from_slice(&body_checksum(from, channel, payload).to_le_bytes());
+    buf.extend_from_slice(&[0; 8]);
     buf.extend_from_slice(&from.to_le_bytes());
     buf.extend_from_slice(&channel.to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut sum = body_digest(from, channel);
+    sum.copy_into(payload, &mut buf);
+    buf[PREFIX_LEN..PREFIX_LEN + 8].copy_from_slice(&sum.finish().to_le_bytes());
     Ok(ByteBuf::from(buf))
 }
 
 fn read_u32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes[..4].try_into().unwrap())
-}
-
-fn read_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().unwrap())
+    le_u64(&bytes[..4]) as u32
 }
 
 /// Validates the 8-byte `(magic, len)` prefix, returning the body length.
@@ -170,22 +166,24 @@ fn parse_prefix(prefix: &[u8]) -> NetResult<usize> {
     Ok(len)
 }
 
-/// Validates a frame body (`checksum | from | channel | payload`) and copies
-/// the payload into a pooled buffer.
+/// Validates a frame body (`checksum | from | channel | payload`) while
+/// copying the payload into a pooled buffer.
 fn parse_body(body: &[u8], pool: &FramePool) -> NetResult<DecodedFrame> {
     debug_assert!(body.len() >= BODY_FIXED);
-    let sum = read_u64(&body[0..8]);
-    let computed = crate::hash::fnv1a(&body[8..]);
-    if sum != computed {
-        return Err(NetError::Codec(format!(
-            "tcp frame checksum mismatch: header {sum:#018x}, computed {computed:#018x}"
-        )));
-    }
+    let sum = le_u64(&body[0..8]);
     let from = read_u32(&body[8..12]);
     let channel = read_u32(&body[12..16]);
     let payload_bytes = &body[BODY_FIXED..];
     let mut payload = pool.acquire(payload_bytes.len());
-    payload.extend_from_slice(payload_bytes);
+    let mut computed = body_digest(from, channel);
+    computed.copy_into(payload_bytes, &mut payload);
+    let computed = computed.finish();
+    if sum != computed {
+        pool.recycle_vec(payload);
+        return Err(NetError::Codec(format!(
+            "tcp frame checksum mismatch: header {sum:#018x}, computed {computed:#018x}"
+        )));
+    }
     Ok(DecodedFrame { from, channel, payload: ByteBuf::from(payload) })
 }
 
@@ -325,7 +323,7 @@ mod tests {
         let expect: &[u8] = &[
             0x54, 0x4B, 0x50, 0x53, // magic "SPKT" (LE 0x53504B54)
             0x14, 0x00, 0x00, 0x00, // len = 20 (16 fixed + 4 payload)
-            0x2C, 0xC1, 0xF2, 0xA3, 0x5A, 0x25, 0xE5, 0x8F, // FNV-1a = 0x8FE5255AA3F2C12C
+            0xE6, 0xA8, 0xC3, 0xDC, 0xB0, 0x08, 0x9E, 0x49, // sum64 = 0x499E08B0DCC3A8E6
             0x02, 0x00, 0x00, 0x00, // from = 2
             0x01, 0x00, 0x00, 0x00, // channel = 1
             0x72, 0x69, 0x6E, 0x67, // "ring"
@@ -335,11 +333,9 @@ mod tests {
         assert_eq!(&frame[..8], &expect[..8], "prefix");
         assert_eq!(&frame[16..], &expect[16..], "body");
         // ...then the checksum itself against the documented constant.
-        assert_eq!(
-            read_u64(&frame[8..16]),
-            body_checksum(2, 1, b"ring"),
-            "self-consistency"
-        );
+        let mut sum = body_digest(2, 1);
+        sum.update(b"ring");
+        assert_eq!(le_u64(&frame[8..16]), sum.finish(), "self-consistency");
         assert_eq!(&frame[8..16], &expect[8..16], "documented checksum");
     }
 

@@ -127,7 +127,7 @@ impl Backend for EngineBackend {
             hint_bytes: (job.dim * 8) as u64,
             ..Default::default()
         };
-        let (value, _metrics) = split_aggregate(
+        let result = split_aggregate(
             cluster,
             rdd,
             vec![0.0f64; dim],
@@ -153,8 +153,14 @@ impl Backend for EngineBackend {
             },
             |segs: Vec<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
             opts,
-        )
-        .map_err(|e| e.to_string())?;
+        );
+        // Nobody reads a lane's history, so with tracing off its always-on
+        // stage and driver-phase spans would only accumulate in the global
+        // sink, one set per job. With tracing on they stay for the export.
+        if !sparker_obs::enabled() {
+            cluster.history().clear();
+        }
+        let (value, _metrics) = result.map_err(|e| e.to_string())?;
         Ok(value.0)
     }
 }

@@ -18,6 +18,13 @@
 //!   payload yields [`NetError::Codec`] (or, for length-field bits, a
 //!   benign "need more bytes" — the checksum catches the rest when they
 //!   arrive), never a panic, never a silently wrong frame.
+//! * **segment-sized frames** — at the bandwidth workloads' shape (512 KiB
+//!   plus a few bytes) a clean frame crosses a real `TcpTransport` pair
+//!   bit-exact, and damage in flight (one payload bit in the first checksum
+//!   word, anywhere, in the byte-wise tail; one header bit; the same mask on
+//!   a header field and on the payload beside it) is a typed
+//!   [`NetError::Codec`] at the receiver, never a payload and never a hang;
+//!   the same for `epoch::wrap`/`unwrap`.
 //!
 //! The heartbeat layer (§5h) rides the same framing on a reserved channel,
 //! so its obligations are pinned here too: beats roundtrip for any
@@ -27,6 +34,7 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
+use sparker_net::epoch;
 use sparker_net::error::NetError;
 use sparker_net::tcp::frame::{
     encode_pooled, read_frame, write_frame, FrameReader, CONTROL_CHANNEL, HEADER_LEN,
@@ -307,4 +315,152 @@ fn reserved_channels_never_collide_with_data_channels() {
             "recv on reserved channel {reserved} must be rejected, got {got:?}"
         );
     }
+}
+
+/// Header fields and payload share one digest, so damage to one must not
+/// cancel damage to the other: the same mask on any byte of `from`/`channel`
+/// (`op`/`attempt` for epoch frames) and on any of the payload's first 16
+/// bytes is still a typed error, for payloads that are all tail, one block
+/// and many blocks.
+#[test]
+fn same_mask_on_a_header_field_and_the_payload_is_detected() {
+    check(&cfg(), |src| {
+        let pool = FramePool::new();
+        let len = [4usize, 40, 1000][src.usize_in(0..3)];
+        let payload = src.vec_of(len..len + 1, |s| s.u8_any());
+        let mask = src.u8_any() | 1 << src.usize_in(0..8);
+        let tcp = encode_pooled(&pool, src.u32_any(), src.u32_any(), &payload)
+            .map_err(|e| PropError::new(e.to_string()))?;
+        let fenced = epoch::wrap(src.u64_any(), src.u32_any(), &ByteBuf::from(payload));
+        for p in 0..len.min(16) {
+            for seed in 16..HEADER_LEN {
+                let mut bad = tcp.to_vec();
+                bad[seed] ^= mask;
+                bad[HEADER_LEN + p] ^= mask;
+                let mut reader = FrameReader::new();
+                reader.extend(&bad);
+                tk_assert!(
+                    matches!(reader.next_frame(&pool), Err(NetError::Codec(_))),
+                    "tcp frame: mask {mask:#04x} on header byte {seed} and payload byte {p}"
+                );
+            }
+            // magic 0..4 | checksum 4..12 | op 12..20 | attempt 20..24 | length 24..32
+            for seed in 12..24 {
+                let mut bad = fenced.to_vec();
+                bad[seed] ^= mask;
+                bad[32 + p] ^= mask;
+                tk_assert!(
+                    matches!(epoch::unwrap(ByteBuf::from(bad)), Err(NetError::Codec(_))),
+                    "epoch frame: mask {mask:#04x} on header byte {seed} and payload byte {p}"
+                );
+            }
+        }
+        Ok(())
+    });
+}
+
+/// The bandwidth workloads' frame shape: one 512 KiB ring segment plus a few
+/// bytes of codec header, so the checksum's block loop, its byte-wise tail
+/// and the chunked copy all run.
+const SEGMENT: usize = (512 << 10) + 5;
+
+fn segment_payload(src: &mut Source) -> Vec<u8> {
+    let salt = src.u8_any();
+    (0..SEGMENT).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect()
+}
+
+/// In-flight damage to a frame whose checksum and seed fields occupy
+/// `fields` and whose `SEGMENT`-byte payload starts at `payload_at`, as
+/// `(wire offset, XOR mask)` pairs. Kinds 0–2 flip one payload bit (first
+/// lane word, anywhere, byte-wise tail), kind 3 one bit of a header field,
+/// kind 4 puts the same mask on a seed byte and on a byte of the payload's
+/// first two words, which a checksum that merely XORs its seeds in would miss.
+const DAMAGE_KINDS: usize = 5;
+
+fn arb_damage(
+    src: &mut Source,
+    kind: usize,
+    fields: std::ops::Range<usize>,
+    payload_at: usize,
+) -> Vec<(usize, u8)> {
+    let bit = 1u8 << src.usize_in(0..8);
+    match kind {
+        0 => vec![(payload_at + src.usize_in(0..8), bit)],
+        1 => vec![(payload_at + src.usize_in(0..SEGMENT), bit)],
+        2 => vec![(payload_at + SEGMENT - 1 - src.usize_in(0..SEGMENT % 32), bit)],
+        3 => vec![(src.usize_in(fields), bit)],
+        _ => {
+            let mask = src.u8_any() | bit;
+            let seeds = fields.start + 8..fields.end;
+            vec![(src.usize_in(seeds), mask), (payload_at + src.usize_in(0..16), mask)]
+        }
+    }
+}
+
+#[test]
+fn segment_sized_frames_cross_a_socket_bit_exact_or_fail_typed() {
+    let wait = std::time::Duration::from_secs(20);
+    check(&Config::with_cases(3), |src| {
+        let payload = segment_payload(src);
+
+        let (a, b) = TcpTransport::pair_loopback(1).expect("loopback pair");
+        a.send(ExecutorId(0), ExecutorId(1), 0, ByteBuf::from(payload.clone()))
+            .map_err(|e| PropError::new(e.to_string()))?;
+        let got = b
+            .recv_timeout(ExecutorId(1), ExecutorId(0), 0, wait)
+            .map_err(|e| PropError::new(format!("clean segment: {e}")))?;
+        tk_assert!(got[..] == payload[..], "clean segment must arrive bit-exact");
+
+        // Damaged in flight: rank 0 is a raw socket that writes the damaged
+        // wire bytes to a real receiving transport.
+        let clean = encode_pooled(&FramePool::new(), 0, 0, &payload).expect("encode");
+        for kind in 0..DAMAGE_KINDS {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let mut raw =
+                TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+            let (accepted, _) = listener.accept().expect("accept");
+            let rx = TcpTransport::new(1, 2, 1, vec![(0, accepted)]).expect("receiver");
+            let mut wire = clean.to_vec();
+            let damage = arb_damage(src, kind, 8..HEADER_LEN, HEADER_LEN);
+            for &(at, mask) in &damage {
+                wire[at] ^= mask;
+            }
+            raw.write_all(&wire).expect("write damaged frame");
+            let got = rx.recv_timeout(ExecutorId(1), ExecutorId(0), 0, wait);
+            tk_assert!(
+                matches!(got, Err(NetError::Codec(_))),
+                "damage {damage:?} must be a codec error, got {:?}",
+                got.map(|p| p.len())
+            );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn segment_sized_epoch_frames_roundtrip_or_fail_typed() {
+    check(&Config::with_cases(6), |src| {
+        let payload = ByteBuf::from(segment_payload(src));
+        let frame = epoch::wrap(7, 3, &payload);
+        let (op, attempt, body) =
+            epoch::unwrap(frame.clone()).map_err(|e| PropError::new(e.to_string()))?;
+        tk_assert_eq!((op, attempt), (7, 3), "epoch survives");
+        tk_assert!(body[..] == payload[..], "clean segment must unwrap bit-exact");
+
+        // magic u32 | checksum u64 | op u64 | attempt u32 | length u64 | payload
+        let payload_at = frame.len() - SEGMENT;
+        for kind in 0..DAMAGE_KINDS {
+            let mut bytes = frame.to_vec();
+            let damage = arb_damage(src, kind, 4..24, payload_at);
+            for &(at, mask) in &damage {
+                bytes[at] ^= mask;
+            }
+            let got = epoch::unwrap(ByteBuf::from(bytes));
+            tk_assert!(
+                matches!(got, Err(NetError::Codec(_))),
+                "damage {damage:?} must be a codec error"
+            );
+        }
+        Ok(())
+    });
 }

@@ -52,6 +52,12 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo build --offline --benches
+#    The benchmark crate (benchmark/, BENCHMARK.json) is a package of its own
+#    that the workspace commands above never see; it measures every PR
+#    through the workspace's public API, so an API change that breaks it must
+#    fail here, not in the benchmark run. Same target dir as benchmark/run.sh.
+(cd benchmark && export CARGO_TARGET_DIR=../target &&
+  cargo build --release --offline && cargo test -q --offline)
 
 # Deadline-bounded smoke runner for steps 4-12: all of them are "run this
 # cargo invocation offline, fail the gate on non-zero or on a hang".
