@@ -11,7 +11,7 @@
 use sparker_net::error::{NetError, NetResult};
 
 use crate::comm::RingComm;
-use crate::ring::OwnedSegment;
+use crate::lanes::run_lanes;
 use crate::segment::Segment;
 
 /// Ring allgather over one channel: every rank starts holding the global
@@ -91,18 +91,8 @@ where
     }
     debug_assert_eq!(owned.len(), p);
 
-    let mut per_channel: Vec<NetResult<Vec<V>>> = Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for OwnedSegment { index, segment } in owned {
-            let comm = comm.clone();
-            let t = index / n;
-            handles.push(scope.spawn(move || ring_allgather_pass(&comm, t, segment, n)));
-        }
-        for h in handles {
-            per_channel.push(h.join().expect("allgather worker panicked"));
-        }
-    });
+    let per_channel =
+        run_lanes(owned, |o| ring_allgather_pass(comm, o.index / n, o.segment, n));
 
     let mut out = Vec::with_capacity(p * n);
     for blocks in per_channel {

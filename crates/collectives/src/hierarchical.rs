@@ -44,6 +44,7 @@ use sparker_net::topology::{ExecutorInfo, NodeTopology, RingOrder, RingTopology}
 
 use crate::allreduce::ring_allgather_pass;
 use crate::comm::RingComm;
+use crate::lanes::run_lanes;
 use crate::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
 use crate::segment::Segment;
 
@@ -141,17 +142,7 @@ where
             let leader_rank = comm.ring().rank_of(group.leader().id);
             let p = comm.parallelism();
             let lc = topo.num_nodes() * chunks;
-            let mut per_channel: Vec<NetResult<Vec<V>>> = Vec::with_capacity(p);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(p);
-                for t in 0..p {
-                    let comm = comm.clone();
-                    handles.push(scope.spawn(move || recv_bcast(&comm, t, leader_rank, lc)));
-                }
-                for h in handles {
-                    per_channel.push(h.join().expect("hier bcast worker panicked"));
-                }
-            });
+            let per_channel = run_lanes(0..p, |t| recv_bcast(comm, t, leader_rank, lc));
             let mut out = Vec::with_capacity(p * lc);
             for blocks in per_channel {
                 out.extend(blocks?);
@@ -211,36 +202,21 @@ where
 
     if !topo.is_leader(me) {
         let leader_rank = ring.rank_of(group.leader().id);
-        let mut results: Vec<NetResult<()>> = Vec::with_capacity(p);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            // chunks_mut: exclusive slices make the spawn need only V: Send,
-            // matching the flat ring's bounds (send_fold merely reads).
-            for (t, slots) in segments.chunks_mut(lc).enumerate() {
-                let comm = comm.clone();
-                handles.push(scope.spawn(move || send_fold(&comm, t, leader_rank, slots)));
-            }
-            for h in handles {
-                results.push(h.join().expect("hier fold worker panicked"));
-            }
-        });
-        results.into_iter().collect::<NetResult<Vec<_>>>()?;
+        // chunks_mut: exclusive slices make the lanes need only V: Send,
+        // matching the flat ring's bounds (send_fold merely reads).
+        run_lanes(segments.chunks_mut(lc).enumerate(), |(t, slots)| {
+            send_fold(comm, t, leader_rank, slots)
+        })
+        .into_iter()
+        .collect::<NetResult<()>>()?;
         return Ok(Folded::NonLeader);
     }
 
-    let mut results: Vec<NetResult<()>> = Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (t, slots) in segments.chunks_mut(lc).enumerate() {
-            let comm = comm.clone();
-            let members = &group.members;
-            handles.push(scope.spawn(move || recv_fold(&comm, t, members, slots, merge)));
-        }
-        for h in handles {
-            results.push(h.join().expect("hier fold worker panicked"));
-        }
-    });
-    results.into_iter().collect::<NetResult<Vec<_>>>()?;
+    run_lanes(segments.chunks_mut(lc).enumerate(), |(t, slots)| {
+        recv_fold(comm, t, &group.members, slots, merge)
+    })
+    .into_iter()
+    .collect::<NetResult<()>>()?;
 
     let sub = Arc::new(RingTopology::new(topo.leaders(), RingOrder::TopologyAware, p));
     let sub_rank = sub.rank_of(me);
@@ -337,52 +313,40 @@ fn bcast_phase<V: Payload>(
     lc: usize,
 ) -> NetResult<()> {
     let ring = comm.ring();
-    let p = comm.parallelism();
-    let mut results: Vec<NetResult<()>> = Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        // Exclusive slices for V: Send (the threads only read them).
-        for (t, slots) in reduced.chunks_mut(lc).enumerate() {
-            let comm = comm.clone();
-            let members = &group.members;
-            handles.push(scope.spawn(move || {
-                let pool = pool::global();
-                let (op, attempt) = comm.epoch();
-                for m in &members[1..] {
-                    let to = ring.rank_of(m.id);
-                    let started = sparker_obs::enabled().then(std::time::Instant::now);
-                    let mut sent_bytes = 0u64;
-                    for s in slots.iter() {
-                        let frame = s.to_frame_pooled(pool);
-                        sent_bytes += frame.len() as u64;
-                        comm.send_to_rank(to, t, frame)?;
-                    }
-                    if let Some(t0) = started {
-                        sparker_obs::trace::event_dur(
-                            sparker_obs::Layer::Step,
-                            "hier.bcast",
-                            t0,
-                            &[
-                                ("channel", t as u64),
-                                ("rank", comm.rank() as u64),
-                                ("peer", to as u64),
-                                ("send_bytes", sent_bytes),
-                                ("recv_bytes", 0),
-                                ("op", op),
-                                ("epoch", attempt as u64),
-                            ],
-                        );
-                    }
-                }
-                Ok(())
-            }));
+    // Exclusive slices for V: Send (the lanes only read them).
+    run_lanes(reduced.chunks_mut(lc).enumerate(), |(t, slots)| {
+        let pool = pool::global();
+        let (op, attempt) = comm.epoch();
+        for m in &group.members[1..] {
+            let to = ring.rank_of(m.id);
+            let started = sparker_obs::enabled().then(std::time::Instant::now);
+            let mut sent_bytes = 0u64;
+            for s in slots.iter() {
+                let frame = s.to_frame_pooled(pool);
+                sent_bytes += frame.len() as u64;
+                comm.send_to_rank(to, t, frame)?;
+            }
+            if let Some(t0) = started {
+                sparker_obs::trace::event_dur(
+                    sparker_obs::Layer::Step,
+                    "hier.bcast",
+                    t0,
+                    &[
+                        ("channel", t as u64),
+                        ("rank", comm.rank() as u64),
+                        ("peer", to as u64),
+                        ("send_bytes", sent_bytes),
+                        ("recv_bytes", 0),
+                        ("op", op),
+                        ("epoch", attempt as u64),
+                    ],
+                );
+            }
         }
-        for h in handles {
-            results.push(h.join().expect("hier bcast worker panicked"));
-        }
-    });
-    results.into_iter().collect::<NetResult<Vec<_>>>()?;
-    Ok(())
+        Ok(())
+    })
+    .into_iter()
+    .collect()
 }
 
 /// One channel of a member's broadcast receive: `lc` slots, in order.
@@ -429,26 +393,16 @@ where
     for o in owned {
         by_channel[o.index / (n * chunks)].push(o);
     }
-    let mut per_channel: Vec<NetResult<Vec<(usize, V)>>> = Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (t, mine) in by_channel.into_iter().enumerate() {
-            let comm = comm.clone();
-            handles.push(scope.spawn(move || {
-                let mut placed = Vec::with_capacity(n * chunks);
-                for o in mine {
-                    let c = o.index % chunks;
-                    let blocks = ring_allgather_pass(&comm, t, o.segment, n)?;
-                    for (j, b) in blocks.into_iter().enumerate() {
-                        placed.push((t * n * chunks + j * chunks + c, b));
-                    }
-                }
-                Ok(placed)
-            }));
+    let per_channel = run_lanes(by_channel.into_iter().enumerate(), |(t, mine)| {
+        let mut placed = Vec::with_capacity(n * chunks);
+        for o in mine {
+            let c = o.index % chunks;
+            let blocks = ring_allgather_pass(comm, t, o.segment, n)?;
+            for (j, b) in blocks.into_iter().enumerate() {
+                placed.push((t * n * chunks + j * chunks + c, b));
+            }
         }
-        for h in handles {
-            per_channel.push(h.join().expect("hier allgather worker panicked"));
-        }
+        NetResult::Ok(placed)
     });
 
     let mut out: Vec<Option<V>> = (0..p * n * chunks).map(|_| None).collect();

@@ -39,6 +39,7 @@ pub mod composite;
 pub mod gather;
 pub mod halving;
 pub mod hierarchical;
+pub mod lanes;
 pub mod ring;
 pub mod segment;
 pub mod testing;
@@ -50,8 +51,9 @@ pub use hierarchical::{
     hierarchical_reduce_scatter_chunked_by, hierarchical_segment_count, node_topology_of,
 };
 pub use composite::{CompositeAgg, CompositeLayout};
+pub use lanes::run_lanes;
 pub use ring::{
     ring_reduce_scatter, ring_reduce_scatter_by, ring_reduce_scatter_chunked,
-    ring_reduce_scatter_chunked_by, OwnedSegment,
+    ring_reduce_scatter_chunked_by, ring_reduce_scatter_produced_by, OwnedSegment,
 };
 pub use segment::{Segment, SumSegment, U64SumSegment};

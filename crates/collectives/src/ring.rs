@@ -30,8 +30,10 @@
 use sparker_net::codec::Payload;
 use sparker_net::error::{NetError, NetResult};
 use sparker_net::pool;
+use sparker_net::sync::Mutex;
 
 use crate::comm::RingComm;
+use crate::lanes::run_lanes;
 use crate::segment::Segment;
 
 /// A fully-reduced segment owned by this rank after reduce-scatter.
@@ -89,7 +91,7 @@ where
     ring_reduce_scatter_chunked_by(comm, segments, merge, 1)
 }
 
-/// Chunk-pipelined, closure-merge reduce-scatter — the most general form.
+/// Chunk-pipelined, closure-merge reduce-scatter over ready-made segments.
 ///
 /// `segments` must contain exactly `P·N·chunks` entries, laid out so that
 /// channel `t` covers global indices `[t·N·C, (t+1)·N·C)` and logical ring
@@ -106,56 +108,57 @@ where
     V: Payload,
     F: Fn(&mut V, V) + Sync,
 {
-    let n = comm.size();
-    let p = comm.parallelism();
+    let want = comm.parallelism() * comm.size() * chunks;
+    if segments.len() != want {
+        return Err(NetError::InvalidAddress(format!(
+            "ring_reduce_scatter needs P*N*C = {want} segments, got {}",
+            segments.len()
+        )));
+    }
+    // Each lane moves its own segments out; a cell is taken exactly once.
+    let cells: Vec<Mutex<Option<V>>> = segments.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let take = |g: usize| cells[g].lock().take().expect("each segment is produced once");
+    ring_reduce_scatter_produced_by(comm, &take, merge, chunks)
+}
+
+/// Producer form of [`ring_reduce_scatter_chunked_by`], and the one
+/// implementation of the lane schedule: lane `t` calls `produce(g)` for its
+/// own global indices `[t·N·C, (t+1)·N·C)` and then runs its pass over them
+/// on channel `t`. The caller's `splitOp` therefore runs on all `P` lanes in
+/// parallel (paper §4.2: "multiple threads can split a single aggregator in
+/// parallel") inside the one thread scope of the ring, and the `P·N·C`
+/// segments are never assembled into one vector first.
+pub fn ring_reduce_scatter_produced_by<V, G, F>(
+    comm: &RingComm,
+    produce: &G,
+    merge: &F,
+    chunks: usize,
+) -> NetResult<Vec<OwnedSegment<V>>>
+where
+    V: Payload,
+    G: Fn(usize) -> V + Sync,
+    F: Fn(&mut V, V) + Sync,
+{
     if chunks == 0 {
         return Err(NetError::InvalidAddress(
             "ring_reduce_scatter needs chunks >= 1".into(),
         ));
     }
-    if segments.len() != p * n * chunks {
-        return Err(NetError::InvalidAddress(format!(
-            "ring_reduce_scatter needs P*N*C = {} segments, got {}",
-            p * n * chunks,
-            segments.len()
-        )));
-    }
-    // Single rank: nothing to exchange; it owns every segment.
-    if n == 1 {
-        return Ok(segments
-            .into_iter()
-            .enumerate()
-            .map(|(index, segment)| OwnedSegment { index, segment })
-            .collect());
-    }
-
-    let mut segments = segments;
-    let rank = comm.rank();
-    let owned_local = (rank + 1) % n;
-
-    let mut results: Vec<NetResult<()>> = Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (t, slots) in segments.chunks_mut(n * chunks).enumerate() {
-            let comm = comm.clone();
-            handles.push(scope.spawn(move || ring_pass(&comm, t, slots, merge, chunks)));
-        }
-        for h in handles {
-            results.push(h.join().expect("ring worker panicked"));
-        }
+    let n = comm.size();
+    let width = n * chunks;
+    // After a pass the fully-reduced logical segment sits at local position
+    // (rank + 1) % N, i.e. the C physical chunks under it; a single rank
+    // makes no step and owns everything it produced.
+    let first_owned = (comm.rank() + 1) % n * chunks;
+    let lanes = run_lanes(0..comm.parallelism(), |t| {
+        let base = t * width;
+        let mut slots: Vec<V> = (base..base + width).map(produce).collect();
+        ring_pass(comm, t, &mut slots, merge, chunks)?;
+        let owned = slots.into_iter().enumerate().skip(first_owned).take(chunks);
+        Ok(owned.map(|(j, segment)| OwnedSegment { index: base + j, segment }).collect())
     });
-    results.into_iter().collect::<NetResult<Vec<_>>>()?;
-
-    // After the passes, channel t's fully-reduced logical segment sits at
-    // local position (rank + 1) % N — i.e. the C physical chunks under it;
-    // move those out without cloning.
-    let owned = segments
-        .into_iter()
-        .enumerate()
-        .filter(|(index, _)| (index / chunks) % n == owned_local)
-        .map(|(index, segment)| OwnedSegment { index, segment })
-        .collect();
-    Ok(owned)
+    let lanes: Vec<Vec<OwnedSegment<V>>> = lanes.into_iter().collect::<NetResult<_>>()?;
+    Ok(lanes.into_iter().flatten().collect())
 }
 
 /// One channel's reduce-scatter pass over its `N·C` physical chunks, in

@@ -103,6 +103,17 @@ pub fn slice_bounds(len: usize, i: usize, n: usize) -> (usize, usize) {
     (start, end)
 }
 
+/// Inverse of [`slice_bounds`]: joins pieces in order into one vector that
+/// is allocated once at its final length (the `concatOp` every array-backed
+/// aggregator uses).
+pub fn concat<'a>(pieces: impl IntoIterator<Item = &'a [f64]> + Clone) -> Vec<f64> {
+    let mut out = Vec::with_capacity(pieces.clone().into_iter().map(<[f64]>::len).sum());
+    for piece in pieces {
+        out.extend_from_slice(piece);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +166,20 @@ mod tests {
                 assert_eq!(prev_end, len);
             }
         }
+    }
+
+    #[test]
+    fn concat_inverts_slice_bounds_at_exact_capacity() {
+        let v: Vec<f64> = (0..37).map(f64::from).collect();
+        let pieces: Vec<&[f64]> = (0..5)
+            .map(|i| {
+                let (s, e) = slice_bounds(v.len(), i, 5);
+                &v[s..e]
+            })
+            .collect();
+        let joined = concat(pieces.iter().copied());
+        assert_eq!(joined, v);
+        assert_eq!(joined.capacity(), v.len());
     }
 
     #[test]

@@ -235,13 +235,35 @@ impl MutableObjectManager {
     /// Reads the object at `id` through `f` without removing it, folding its
     /// stripes first.
     pub fn with<T: Send + 'static, R>(&self, id: ObjectId, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.peek(id, |value| value.map(f))
+    }
+
+    /// Like [`MutableObjectManager::with`], but `f` always runs: on the
+    /// object at `id`, or on `fallback` when there is none.
+    ///
+    /// `f` runs under the slot's stripe-0 lock and may hold it for long: the
+    /// ring stage runs its whole collective in here, borrowing the executor's
+    /// aggregator instead of cloning it. That is sound because a gang task is
+    /// its slot's only accessor: the action lock admits one op per cluster,
+    /// the stage that merged into the slot has completed, and a gang retry is
+    /// resubmitted only after every task of the failed attempt has returned.
+    pub fn with_or<T: Send + 'static, R>(
+        &self,
+        id: ObjectId,
+        fallback: &T,
+        f: impl FnOnce(&T) -> R,
+    ) -> R {
+        self.peek(id, |value| f(value.unwrap_or(fallback)))
+    }
+
+    fn peek<T: Send + 'static, R>(&self, id: ObjectId, f: impl FnOnce(Option<&T>) -> R) -> R {
         let slot = self.slot(id);
         slot.consolidate();
         let guard = slot.stripes[0].lock();
-        guard.as_ref().map(|b| {
-            f(b.downcast_ref::<T>()
-                .expect("mutable object type mismatch: engine bug"))
-        })
+        f(guard.as_ref().map(|b| {
+            b.downcast_ref::<T>()
+                .expect("mutable object type mismatch: engine bug")
+        }))
     }
 
     /// Clears every object belonging to operation `op` — the cleanup step
@@ -303,6 +325,15 @@ mod tests {
         let len = m.with(ID, |v: &Vec<u32>| v.len());
         assert_eq!(len, Some(2));
         assert!(m.take::<Vec<u32>>(ID).is_some());
+    }
+
+    #[test]
+    fn with_or_borrows_the_object_or_the_fallback() {
+        let m = MutableObjectManager::new();
+        assert_eq!(m.with_or(ID, &7u64, |v| *v), 7, "no object: the fallback");
+        m.merge_in(ID, 10u64, |a, b| *a += b);
+        assert_eq!(m.with_or(ID, &7u64, |v| *v), 10);
+        assert_eq!(m.take::<u64>(ID), Some(10), "peeked, not taken");
     }
 
     #[test]

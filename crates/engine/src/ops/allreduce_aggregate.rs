@@ -25,12 +25,12 @@ use sparker_net::codec::Payload;
 use sparker_net::topology::ExecutorId;
 
 use sparker_collectives::allreduce::ring_allreduce_by;
-use sparker_collectives::segment::slice_bounds;
 
 use crate::cluster::{LocalCluster, RecoveryPolicy};
 use crate::metrics::{AggMetrics, AggStrategy};
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
+use crate::ops::split_aggregate::{split_parallel, with_aggregator};
 use crate::rdd::{Data, RddRef};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
@@ -102,7 +102,7 @@ where
             &format!("allreduce-imm-op{op}"),
             &assignments,
             move |idx, _attempt, ctx| {
-                let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref())?;
+                let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
                 let merge = merge.clone();
                 ctx.objects.merge_in(
                     ObjectId { op, slot: ctx.executor.0 as u64 },
@@ -140,33 +140,11 @@ where
             &format!("allreduce-ring-op{op}"),
             &all_execs,
             move |_idx, attempt, ctx| {
-                // Peek, don't take: a gang resubmission re-reads the same
+                // Borrowed, not taken: a gang resubmission re-reads the same
                 // input aggregator, so it must survive a failed attempt.
-                let u: U = ctx
-                    .objects
-                    .with(ObjectId { op, slot: ctx.executor.0 as u64 }, |u: &U| u.clone())
-                    .unwrap_or_else(|| zero.clone());
-                // Parallel split, as in split_aggregate.
-                let segments: Vec<V> = {
-                    let split = &split;
-                    let u = &u;
-                    let mut chunks: Vec<Vec<V>> = Vec::with_capacity(parallelism);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..parallelism)
-                            .map(|t| {
-                                s.spawn(move || {
-                                    let (lo, hi) = slice_bounds(total_segments, t, parallelism);
-                                    (lo..hi).map(|g| split(u, g, total_segments)).collect::<Vec<V>>()
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            chunks.push(h.join().expect("split worker panicked"));
-                        }
-                    });
-                    chunks.into_iter().flatten().collect()
-                };
-                drop(u);
+                let segments: Vec<V> = with_aggregator(ctx, op, &zero, |u| {
+                    split_parallel(u, split.as_ref(), total_segments, parallelism)
+                });
 
                 let comm = inner2.collective_comm(&ring, ctx.executor, op, attempt);
                 let all = ring_allreduce_by(&comm, segments, &|a: &mut V, b: V| reduce(a, b))
@@ -209,7 +187,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterSpec;
     use crate::rdds::ParallelCollection;
-    use sparker_collectives::segment::SumSegment;
+    use sparker_collectives::segment::{slice_bounds, SumSegment};
 
     fn run(executors: usize, cores: usize, parts: usize, dim: usize) -> AllReduceOutput<SumSegment> {
         let cluster = LocalCluster::new(ClusterSpec::local(executors, cores));

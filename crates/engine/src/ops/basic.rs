@@ -13,7 +13,7 @@ use sparker_net::topology::ExecutorId;
 
 use crate::cluster::{ClusterInner, LocalCluster, RecoveryPolicy};
 use crate::rdd::{Data, RddRef};
-use crate::task::{partition_owner, EngineError, EngineResult, TaskFailure};
+use crate::task::{partition_owner, EngineError, EngineResult};
 
 /// Assigns every partition to an executor: the RDD's preferred placement
 /// (SpawnRdd-style static scheduling) when given, else the round-robin
@@ -109,11 +109,7 @@ where
         "aggregate",
         &assignments,
         move |idx, _attempt, ctx| {
-            let mut acc = task_zero.clone();
-            for item in rdd.compute(idx, ctx) {
-                acc = seq(acc, &item);
-            }
-            let frame = acc.to_frame();
+            let frame = fold_partition(&rdd, idx, ctx, task_zero.clone(), seq.as_ref()).to_frame();
             send_inner.bm_send_to_driver(ctx.executor, frame)?;
             Ok(())
         },
@@ -130,24 +126,24 @@ where
 }
 
 /// Folds one partition with a sequence operator (shared by the aggregation
-/// strategies).
+/// strategies), borrowing every item through [`crate::rdd::Rdd::for_each_ref`].
 pub(crate) fn fold_partition<T, U, F>(
     rdd: &RddRef<T>,
     idx: usize,
     ctx: &crate::rdd::TaskContext,
     zero: U,
     seq: &F,
-) -> Result<U, TaskFailure>
+) -> U
 where
     T: Data,
-    U: Send,
     F: Fn(U, &T) -> U + ?Sized,
 {
-    let mut acc = zero;
-    for item in rdd.compute(idx, ctx) {
-        acc = seq(acc, &item);
-    }
-    Ok(acc)
+    // `seq` takes the accumulator by value; the slot is empty only while it runs.
+    let mut acc = Some(zero);
+    rdd.for_each_ref(idx, ctx, &mut |item| {
+        acc = acc.take().map(|a| seq(a, item));
+    });
+    acc.expect("accumulator is put back after every item")
 }
 
 #[cfg(test)]

@@ -34,7 +34,8 @@ use sparker_net::topology::ExecutorId;
 
 use sparker_collectives::halving::recursive_halving_reduce_scatter_by;
 use sparker_collectives::hierarchical::{hierarchical_reduce_scatter_chunked_by, node_topology_of};
-use sparker_collectives::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
+use sparker_collectives::lanes::run_lanes;
+use sparker_collectives::ring::{ring_reduce_scatter_produced_by, OwnedSegment};
 use sparker_collectives::segment::slice_bounds;
 
 use sparker_tuner::{Algo, CostModel, Decision, JobShape, Selector};
@@ -44,7 +45,7 @@ use crate::metrics::{AggMetrics, AggStrategy};
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
 use crate::ops::tree_aggregate::{shuffle_round, tree_scale};
-use crate::rdd::{Data, RddRef};
+use crate::rdd::{Data, RddRef, TaskContext};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
 /// Slot base of the fallback path's per-executor segment vectors. Disjoint
@@ -283,21 +284,15 @@ where
                 let id = ObjectId { op, slot: ctx.executor.0 as u64 };
                 match imm_mode {
                     ImmMode::LocalFold => {
-                        let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref())?;
+                        let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
                         let merge = merge.clone();
                         ctx.objects.merge_in(id, acc, move |a, b| merge(a, b));
                     }
                     ImmMode::SharedFold => {
                         // Fold the partition directly into the shared value
                         // under its lock (paper-literal §3.2 semantics).
-                        let rdd = &rdd;
-                        let seq = &seq;
-                        let zero = &zero;
-                        ctx.objects.fold_in(id, || zero.clone(), |mut acc: U| {
-                            for item in rdd.compute(idx, ctx) {
-                                acc = seq(acc, &item);
-                            }
-                            acc
+                        ctx.objects.fold_in(id, || zero.clone(), |acc: U| {
+                            fold_partition(&rdd, idx, ctx, acc, seq.as_ref())
                         });
                     }
                 }
@@ -358,38 +353,6 @@ where
             &ring_label,
             &all_execs,
             move |_idx, attempt, ctx| {
-                // Peek, don't take: a gang resubmission re-reads the same
-                // input aggregator, and the tree fallback needs it intact
-                // if the gang exhausts its attempts.
-                let u: U = ctx
-                    .objects
-                    .with(ObjectId { op, slot: ctx.executor.0 as u64 }, |u: &U| u.clone())
-                    .unwrap_or_else(|| zero.clone());
-
-                // Parallel split: P threads each produce a contiguous chunk
-                // of the segment index space (paper: "multiple threads can
-                // split a single aggregator in parallel").
-                let segments: Vec<V> = {
-                    let split = &split;
-                    let u = &u;
-                    let mut chunks: Vec<Vec<V>> = Vec::with_capacity(parallelism);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..parallelism)
-                            .map(|t| {
-                                s.spawn(move || {
-                                    let (lo, hi) = slice_bounds(total_segments, t, parallelism);
-                                    (lo..hi).map(|g| split(u, g, total_segments)).collect::<Vec<V>>()
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            chunks.push(h.join().expect("split worker panicked"));
-                        }
-                    });
-                    chunks.into_iter().flatten().collect()
-                };
-                drop(u);
-
                 // Fence frames to this job's epoch namespace: a concurrent
                 // job's ring (different namespace) can never match, whatever
                 // its attempt counter.
@@ -399,32 +362,35 @@ where
                     op,
                     sparker_net::epoch::namespaced(epoch_ns, attempt),
                 );
-                let owned: Vec<OwnedSegment<V>> = match algorithm {
-                    RsAlgorithm::Ring => ring_reduce_scatter_chunked_by(
-                        &comm,
-                        segments,
-                        &|a: &mut V, b: V| reduce(a, b),
-                        chunks,
-                    )
-                    .map_err(TaskFailure::from)?,
-                    RsAlgorithm::Halving => recursive_halving_reduce_scatter_by(
-                        &comm,
-                        segments,
-                        &|a: &mut V, b: V| reduce(a, b),
-                    )
-                    .map_err(TaskFailure::from)?,
-                    RsAlgorithm::Hierarchical => hierarchical_reduce_scatter_chunked_by(
-                        &comm,
-                        segments,
-                        &|a: &mut V, b: V| reduce(a, b),
-                        chunks,
-                    )
-                    .map_err(TaskFailure::from)?,
-                };
+                let merge = |a: &mut V, b: V| reduce(a, b);
+                // The collective runs inside the borrow of the executor's
+                // aggregator: peeked, never taken and never cloned, so a
+                // gang resubmission re-reads the same input and the tree
+                // fallback finds it intact if the gang exhausts.
+                let owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
+                    let split_all = || split_parallel(u, split.as_ref(), total_segments, parallelism);
+                    match algorithm {
+                        // The ring's lanes split their own index ranges.
+                        RsAlgorithm::Ring => ring_reduce_scatter_produced_by(
+                            &comm,
+                            &|g| split(u, g, total_segments),
+                            &merge,
+                            chunks,
+                        ),
+                        RsAlgorithm::Halving => {
+                            recursive_halving_reduce_scatter_by(&comm, split_all(), &merge)
+                        }
+                        RsAlgorithm::Hierarchical => {
+                            hierarchical_reduce_scatter_chunked_by(&comm, split_all(), &merge, chunks)
+                        }
+                    }
+                })
+                .map_err(TaskFailure::from)?;
 
                 // Gather: serialize owned segments and report them as this
                 // task's result over the normal (BlockManager) result path.
-                let mut enc = Encoder::new();
+                let frame_len = 8 + owned.iter().map(|o| 8 + o.segment.size_hint()).sum::<usize>();
+                let mut enc = Encoder::with_capacity(frame_len);
                 enc.put_usize(owned.len());
                 for o in &owned {
                     enc.put_usize(o.index);
@@ -511,12 +477,9 @@ where
                     &seed_label,
                     &all_execs,
                     move |_idx, _attempt, ctx| {
-                        let u: U = ctx
-                            .objects
-                            .with(ObjectId { op, slot: ctx.executor.0 as u64 }, |u: &U| u.clone())
-                            .unwrap_or_else(|| zero.clone());
-                        let segs: Vec<V> =
-                            (0..total_segments).map(|g| split(&u, g, total_segments)).collect();
+                        let segs: Vec<V> = with_aggregator(ctx, op, &zero, |u| {
+                            (0..total_segments).map(|g| split(u, g, total_segments)).collect()
+                        });
                         ctx.objects.merge_in(
                             ObjectId { op, slot: FALLBACK_SLOT_BASE | ctx.executor.0 as u64 },
                             segs,
@@ -638,6 +601,36 @@ where
         ser_bytes.load(Ordering::Relaxed) + (sc_after.bytes - sc_before.bytes);
     metrics.messages = (sc_after.messages - sc_before.messages) + extra_messages;
     Ok((result, metrics))
+}
+
+/// Runs `f` on the aggregator the IMM stage of `op` left on this executor,
+/// borrowed in place from the object manager (see
+/// [`crate::objects::MutableObjectManager::with_or`]), or on `zero` when the
+/// executor owns no partition.
+pub(crate) fn with_aggregator<U: Send + 'static, R>(
+    ctx: &TaskContext,
+    op: u64,
+    zero: &U,
+    f: impl FnOnce(&U) -> R,
+) -> R {
+    ctx.objects.with_or(ObjectId { op, slot: ctx.executor.0 as u64 }, zero, f)
+}
+
+/// Splits `u` into all `total` segments on `parallelism` lanes, each
+/// producing a contiguous chunk of the segment index space: for the
+/// collectives that take ready-made segments (the ring splits in its own
+/// lanes).
+pub(crate) fn split_parallel<U: Sync, V: Send>(
+    u: &U,
+    split: &(impl Fn(&U, usize, usize) -> V + Sync),
+    total: usize,
+    parallelism: usize,
+) -> Vec<V> {
+    let chunks = run_lanes(0..parallelism, |t| {
+        let (lo, hi) = slice_bounds(total, t, parallelism);
+        (lo..hi).map(|g| split(u, g, total)).collect::<Vec<V>>()
+    });
+    chunks.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

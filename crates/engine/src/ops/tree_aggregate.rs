@@ -111,7 +111,7 @@ where
             &stage_label,
             &assignments,
             move |idx, _attempt, ctx| {
-                let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref())?;
+                let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
                 let slot = if imm { ctx.executor.0 as u64 } else { idx as u64 };
                 let comb = comb.clone();
                 let zero = zero.clone();

@@ -93,6 +93,16 @@ pub trait Rdd: Send + Sync + 'static {
     /// Computes one partition. Must be deterministic per `(id, split)`.
     fn compute(&self, split: usize, ctx: &TaskContext) -> Box<dyn Iterator<Item = Self::Item> + Send>;
 
+    /// Calls `visit` on every item of one partition, in [`Rdd::compute`]
+    /// order, by reference. Folds go through this, so an RDD that already
+    /// holds its partitions (`CachedRdd`, `ParallelCollection`) overrides it
+    /// to walk them in place and no item is cloned only to be borrowed.
+    fn for_each_ref(&self, split: usize, ctx: &TaskContext, visit: &mut dyn FnMut(&Self::Item)) {
+        for item in self.compute(split, ctx) {
+            visit(&item);
+        }
+    }
+
     /// Pins `split` to a specific executor.
     ///
     /// `None` (the default) lets the scheduler place the task by its

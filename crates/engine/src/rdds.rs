@@ -15,8 +15,9 @@ use crate::rdd::{next_rdd_id, Data, Rdd, RddId, RddRef, TaskContext};
 /// Iterator that yields clones of the elements of an `Arc<Vec<T>>`.
 ///
 /// Cached partitions are shared (`Arc`) between the block store and any
-/// number of concurrently running tasks, so consuming them means cloning
-/// items out — the same copy Spark pays when iterating a cached block.
+/// number of concurrently running tasks, so an *owning* iterator over them
+/// clones items out — the same copy Spark pays when iterating a cached
+/// block. Consumers that only borrow use [`Rdd::for_each_ref`] instead.
 pub struct ArcVecIter<T> {
     data: Arc<Vec<T>>,
     idx: usize,
@@ -72,6 +73,9 @@ impl<T: Data> Rdd for ParallelCollection<T> {
     }
     fn compute(&self, split: usize, _ctx: &TaskContext) -> Box<dyn Iterator<Item = T> + Send> {
         Box::new(ArcVecIter::new(self.parts[split].clone()))
+    }
+    fn for_each_ref(&self, split: usize, _ctx: &TaskContext, visit: &mut dyn FnMut(&T)) {
+        self.parts[split].iter().for_each(visit);
     }
 }
 
@@ -260,6 +264,12 @@ impl<T: Data> CachedRdd<T> {
     pub fn new(prev: RddRef<T>) -> Self {
         Self { id: next_rdd_id(), prev }
     }
+
+    /// The cached block of `split`, computed from the parent on first use.
+    fn block(&self, split: usize, ctx: &TaskContext) -> Arc<Vec<T>> {
+        let key = BlockKey { rdd: self.id, partition: split };
+        ctx.blocks.get_or_compute(key, || self.prev.compute(split, ctx).collect())
+    }
 }
 
 impl<T: Data> Rdd for CachedRdd<T> {
@@ -271,11 +281,10 @@ impl<T: Data> Rdd for CachedRdd<T> {
         self.prev.num_partitions()
     }
     fn compute(&self, split: usize, ctx: &TaskContext) -> Box<dyn Iterator<Item = T> + Send> {
-        let key = BlockKey { rdd: self.id, partition: split };
-        let block = ctx
-            .blocks
-            .get_or_compute(key, || self.prev.compute(split, ctx).collect());
-        Box::new(ArcVecIter::new(block))
+        Box::new(ArcVecIter::new(self.block(split, ctx)))
+    }
+    fn for_each_ref(&self, split: usize, ctx: &TaskContext, visit: &mut dyn FnMut(&T)) {
+        self.block(split, ctx).iter().for_each(visit);
     }
 }
 

@@ -21,6 +21,7 @@
 //! fill-in makes dense cheaper.
 
 pub use sparker_collectives::segment::{slice_bounds, SumSegment};
+use sparker_collectives::segment::concat;
 pub use sparker_sparse::{
     DenseOrSparse, SparseAccum, SparseSegment, DEFAULT_DENSITY_THRESHOLD, NEVER_DENSIFY,
 };
@@ -60,7 +61,7 @@ pub fn merge_segments(a: &mut SumSegment, b: SumSegment) {
 
 /// The paper's `concatOp`: segments in index order → full vector.
 pub fn concat_dense(segments: Vec<SumSegment>) -> DenseAgg {
-    F64Array(segments.into_iter().flat_map(|s| s.0).collect())
+    F64Array(concat(segments.iter().map(|s| s.0.as_slice())))
 }
 
 // ---------------------------------------------------------------------------

@@ -151,7 +151,9 @@ impl Backend for EngineBackend {
                     *x += y;
                 }
             },
-            |segs: Vec<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
+            |segs: Vec<F64Array>| {
+                F64Array(sparker_collectives::segment::concat(segs.iter().map(|s| s.0.as_slice())))
+            },
             opts,
         );
         // Nobody reads a lane's history, so with tracing off its always-on

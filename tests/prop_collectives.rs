@@ -3,6 +3,9 @@
 //! * reduce-scatter (ring and halving) followed by reassembly equals a
 //!   sequential reduction, for arbitrary cluster shapes and values;
 //! * allreduce leaves every rank with the same, correct result;
+//! * the producer form of the ring (each lane splits its own indices) owns
+//!   exactly what the `Vec` form owns, and a rank runs its `P` lanes on
+//!   itself plus `P − 1` threads;
 //! * the codec round-trips arbitrary payloads;
 //! * `slice_bounds` tiles any length exactly.
 
@@ -11,7 +14,10 @@ use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 use sparker::collectives::allreduce::ring_allreduce;
 use sparker::collectives::gather::gather_segments;
 use sparker::collectives::halving::recursive_halving_reduce_scatter;
-use sparker::collectives::ring::ring_reduce_scatter;
+use sparker::collectives::lanes::run_lanes;
+use sparker::collectives::ring::{
+    ring_reduce_scatter, ring_reduce_scatter_chunked_by, ring_reduce_scatter_produced_by,
+};
 use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
 use sparker::prelude::*;
 
@@ -98,6 +104,106 @@ fn halving_reduce_scatter_equals_sequential() {
         tk_assert!(seen.iter().all(|&s| s), "not all segments owned: {seen:?}");
         Ok(())
     });
+}
+
+/// Runs both forms of the chunked ring over `make(rank, g)` and requires
+/// identical owned segments on every rank, and `P` distinct lane threads per
+/// rank of which one is the rank's own.
+fn check_producer_form<V>(
+    spec: &RingClusterSpec,
+    chunks: usize,
+    make: impl Fn(usize, usize) -> V + Send + Sync,
+    merge: impl Fn(&mut V, V) + Send + Sync,
+) -> Result<(), sparker_testkit::PropError>
+where
+    V: Payload + PartialEq + std::fmt::Debug,
+{
+    let p = spec.parallelism;
+    let total = p * spec.total_executors() * chunks;
+    let by_vec = run_ring_cluster(spec, |comm| {
+        let segs = (0..total).map(|g| make(comm.rank(), g)).collect();
+        ring_reduce_scatter_chunked_by(&comm, segs, &merge, chunks).unwrap()
+    });
+    let by_producer = run_ring_cluster(spec, |comm| {
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        let produce = |g: usize| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+            make(comm.rank(), g)
+        };
+        let owned = ring_reduce_scatter_produced_by(&comm, &produce, &merge, chunks).unwrap();
+        let threads = threads.into_inner().unwrap();
+        (owned, threads.len(), threads.contains(&std::thread::current().id()))
+    });
+    for (rank, ((owned, lane_threads, caller_is_a_lane), want)) in
+        by_producer.into_iter().zip(by_vec).enumerate()
+    {
+        tk_assert_eq!(owned, want, "rank {rank}");
+        tk_assert_eq!(lane_threads, p, "rank {rank}: one thread per lane");
+        tk_assert!(caller_is_a_lane, "rank {rank}: the caller must be lane 0");
+    }
+    Ok(())
+}
+
+#[test]
+fn producer_form_owns_exactly_what_the_vec_form_owns() {
+    check(&cfg(), |src| {
+        let n = src.usize_in(1..7);
+        let p = src.usize_in(1..5);
+        let chunks = src.usize_in(1..5);
+        let spec = RingClusterSpec::unshaped(1, n, p);
+        // Uneven segments, empty ones included; a segment has one shape on
+        // every rank, as `splitOp` guarantees.
+        let lens: Vec<usize> = (0..p * n * chunks).map(|_| src.usize_in(0..6)).collect();
+        let value = |rank: usize, g: usize, i: usize| (rank * 131 + g * 17 + i) as u64;
+
+        check_producer_form(
+            &spec,
+            chunks,
+            |rank, g| U64SumSegment((0..lens[g]).map(|i| value(rank, g, i)).collect()),
+            |a: &mut U64SumSegment, b| {
+                for (x, y) in a.0.iter_mut().zip(b.0) {
+                    *x = x.wrapping_add(y);
+                }
+            },
+        )?;
+        // Mostly-zero values through the density-adaptive segments: sparse
+        // frames, and the switch to dense as the merges fill them in.
+        let threshold = src.choose(&[0.0, 0.5, 2.0]);
+        check_producer_form(
+            &spec,
+            chunks,
+            |rank, g| {
+                let dense = (0..lens[g])
+                    .map(|i| if (rank + g + i) % 3 == 0 { value(rank, g, i) as f64 } else { 0.0 })
+                    .collect();
+                DenseOrSparse::from_dense(dense, threshold)
+            },
+            |a: &mut DenseOrSparse, b| a.merge(&b),
+        )
+    });
+}
+
+#[test]
+fn run_lanes_makes_the_caller_lane_zero() {
+    let caller = std::thread::current().id();
+    for p in 0..5usize {
+        let lanes = run_lanes(0..p, |t| (t, std::thread::current().id()));
+        let order: Vec<usize> = lanes.iter().map(|(t, _)| *t).collect();
+        assert_eq!(order, (0..p).collect::<Vec<_>>(), "results come back in lane order");
+        let spawned: std::collections::HashSet<_> =
+            lanes.iter().map(|(_, id)| *id).filter(|id| *id != caller).collect();
+        assert_eq!(spawned.len(), p.saturating_sub(1), "p = {p}: every lane but 0 is spawned");
+        if p > 0 {
+            assert_eq!(lanes[0].1, caller, "lane 0 runs on the caller");
+        }
+    }
+    // Lanes take their input by value, whatever the iterator yields.
+    let mut data = [1u64, 2, 3, 4, 5, 6];
+    let sums = run_lanes(data.chunks_mut(2), |pair| {
+        pair[0] += 10;
+        pair.iter().sum::<u64>()
+    });
+    assert_eq!(sums, vec![13, 17, 21]);
 }
 
 #[test]

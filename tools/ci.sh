@@ -12,7 +12,8 @@
 #   tier 2  chaos + property suites, each under an explicit wall-clock
 #           bound (a timeout means a fault path regressed into a hang)
 #   tier 3  bench smoke: the self-asserting harnesses in --smoke shape,
-#           including paper_eval as its own timed step
+#           including paper_eval as its own timed step, and one pair of
+#           the A/B runner (tools/bench_ab.sh) on HEAD against itself
 #
 # Usage: tools/ci.sh [--tier N]
 #   --tier N   run only tier N's steps (1, 2 or 3) — lets paper_eval and
@@ -141,6 +142,8 @@ run 3 "launch_cluster"     timeout 180 cargo run -q --offline --release -p spark
 run 3 "bench_jobs"         timeout 180 cargo run -q --offline --release -p sparker-bench --bin bench_jobs -- --smoke
 run 3 "bench_collectives"  timeout 180 cargo run -q --offline --release -p sparker-bench --bin bench_collectives -- --smoke
 run 3 "paper_eval"         timeout 180 cargo run -q --offline --release -p sparker-repro --bin paper_eval -- --smoke
+# Two checkouts, two cold release builds of the benchmark crate: minutes, not seconds.
+run 3 "bench_ab"           timeout 900 tools/bench_ab.sh HEAD HEAD --workload small_jobs --pairs 1 --seconds 2
 
 # --- summary (also emitted by the EXIT trap as results/ci_summary.json) --
 if [ -n "$failed_tier" ]; then
