@@ -1,27 +1,17 @@
-//! `BENCH_*.json` trajectory validator — the engine behind
-//! `tools/bench_trend.sh` (CI tier 1).
+//! `BENCH_10.json` guard — the engine behind `tools/bench_trend.sh` (CI
+//! tier 1). `BENCH_10.json` is the committed full-shape `paper_eval` run,
+//! the one DES headline the repo defends across PRs:
 //!
-//! The repo root carries one consolidated benchmark artifact per PR that
-//! shipped one (`BENCH_5` hot path, `BENCH_6` transport, `BENCH_8` jobs,
-//! `BENCH_9` collectives, `BENCH_10` paper parity). This binary turns that
-//! pile into a checked time series:
+//! 1. the file must parse with the in-tree JSON parser
+//!    ([`sparker_obs::json`] — the same parser CI uses, so a file that only
+//!    external tools can read fails here) and carry the `paper_eval`
+//!    family's required top-level keys;
+//! 2. it must be a full-shape run (`smoke: false`) with zero failed bounds;
+//! 3. with `--baseline <file>`, its headline metrics must not regress
+//!    beyond the stated margin against the previous committed run.
 //!
-//! 1. every `BENCH_*.json` passed on the command line must parse with the
-//!    in-tree JSON parser ([`sparker_obs::json`] — the same parser CI
-//!    uses, so a file that only external tools can read fails here);
-//! 2. each known bench family must carry its required top-level keys
-//!    (schema drift in a committed artifact is a failure, not a warning);
-//! 3. with `--baseline <file>`, `BENCH_10.json`'s headline metrics must
-//!    not regress beyond the stated margin against the previous committed
-//!    run, and its bound-failure count must be zero.
-//!
-//! Numbering holes are tolerated **by design**: PR 7 (chaos/self-healing)
-//! intentionally shipped no bench artifact, so there is no `BENCH_7.json`
-//! and the checker never requires contiguous numbering — it validates the
-//! files it is given, nothing more.
-//!
-//! Exit status: 0 when every file validates (and the trend check, if
-//! requested, holds); 1 with a per-file diagnostic otherwise.
+//! Exit status: 0 when the file validates (and the trend check, if
+//! requested, holds); 1 with a diagnostic otherwise.
 
 use sparker_obs::json::{parse, Json};
 
@@ -32,17 +22,8 @@ use sparker_obs::json::{parse, Json};
 const TREND_MARGIN: f64 = 0.85;
 const TREND_KEYS: [&str; 3] = ["agg_speedup_max", "geo_mean_e2e", "stacked_speedup"];
 
-/// Required top-level keys per bench family (`"bench"` field value).
-fn required_keys(family: &str) -> &'static [&'static str] {
-    match family {
-        "bench_hotpath" => &["smoke", "shape", "pool", "pipeline", "imm"],
-        "bench_transport" => &["smoke", "shape", "ladder", "tcp_steady_state"],
-        "bench_jobs" => &["mode", "throughput", "fairness", "admission"],
-        "bench_collectives" => &["smoke", "ladder", "calibration", "run"],
-        "paper_eval" => &["smoke", "seed", "headline", "bounds"],
-        _ => &[],
-    }
-}
+/// Top-level keys a `paper_eval` artifact must carry.
+const REQUIRED_KEYS: [&str; 4] = ["smoke", "seed", "headline", "bounds"];
 
 fn fail(msg: &str) -> ! {
     eprintln!("bench_trend: {msg}");
@@ -64,72 +45,56 @@ fn headline_metric(doc: &Json, key: &str, path: &str) -> f64 {
 
 fn main() {
     let mut baseline: Option<String> = None;
-    let mut files: Vec<String> = Vec::new();
+    let mut file: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if a == "--baseline" {
             baseline = Some(it.next().unwrap_or_else(|| fail("--baseline needs a path")));
-        } else {
-            files.push(a);
+        } else if file.replace(a).is_some() {
+            fail("one file at a time (usage: bench_trend [--baseline OLD_BENCH_10] BENCH_10.json)");
         }
     }
-    if files.is_empty() {
-        fail("no BENCH_*.json files given (usage: bench_trend [--baseline OLD_BENCH_10] FILES..)");
-    }
+    let path = &file.unwrap_or_else(|| {
+        fail("no file given (usage: bench_trend [--baseline OLD_BENCH_10] BENCH_10.json)")
+    });
 
-    let mut bench10: Option<(String, Json)> = None;
-    for path in &files {
-        let doc = load(path);
-        let family = doc
-            .get("bench")
-            .and_then(|v| v.as_str())
-            .unwrap_or_else(|| fail(&format!("{path}: missing \"bench\" family field")))
-            .to_string();
-        let required = required_keys(&family);
-        if required.is_empty() {
-            fail(&format!("{path}: unknown bench family \"{family}\""));
-        }
-        for key in required {
-            if doc.get(key).is_none() {
-                fail(&format!("{path}: family \"{family}\" requires top-level key \"{key}\""));
-            }
-        }
-        println!("bench_trend: {path}: family \"{family}\" ok ({} required keys)", required.len());
-        if family == "paper_eval" {
-            bench10 = Some((path.to_string(), doc));
+    let doc = &load(path);
+    if doc.get("bench").and_then(|v| v.as_str()) != Some("paper_eval") {
+        fail(&format!("{path}: \"bench\" family field is not \"paper_eval\""));
+    }
+    for key in REQUIRED_KEYS {
+        if doc.get(key).is_none() {
+            fail(&format!("{path}: requires top-level key \"{key}\""));
         }
     }
-
-    if let Some((path, doc)) = &bench10 {
-        let failed = doc
-            .get("bounds")
-            .and_then(|b| b.get("failed"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| fail(&format!("{path}: missing bounds.failed")));
-        if failed != 0.0 {
-            fail(&format!("{path}: committed run has {failed} failed bounds"));
-        }
-        if doc.get("smoke").and_then(|v| v.as_bool()) != Some(false) {
-            fail(&format!("{path}: committed BENCH_10 must be a full-shape run (smoke: false)"));
-        }
-        if let Some(base_path) = &baseline {
-            let base = load(base_path);
-            for key in TREND_KEYS {
-                let old = headline_metric(&base, key, base_path);
-                let new = headline_metric(doc, key, path);
-                if new < old * TREND_MARGIN {
-                    fail(&format!(
-                        "{path}: headline {key} regressed: {new:.3} < {old:.3} x {TREND_MARGIN}"
-                    ));
-                }
-                println!(
-                    "bench_trend: {key}: {old:.3} -> {new:.3} (floor {:.3})",
-                    old * TREND_MARGIN
-                );
-            }
-        } else {
-            println!("bench_trend: no --baseline; headline trend check skipped");
-        }
+    let failed = doc
+        .get("bounds")
+        .and_then(|b| b.get("failed"))
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| fail(&format!("{path}: missing bounds.failed")));
+    if failed != 0.0 {
+        fail(&format!("{path}: committed run has {failed} failed bounds"));
     }
-    println!("bench_trend: all {} file(s) validate", files.len());
+    if doc.get("smoke").and_then(|v| v.as_bool()) != Some(false) {
+        fail(&format!("{path}: committed BENCH_10 must be a full-shape run (smoke: false)"));
+    }
+    if let Some(base_path) = &baseline {
+        let base = load(base_path);
+        for key in TREND_KEYS {
+            let old = headline_metric(&base, key, base_path);
+            let new = headline_metric(doc, key, path);
+            if new < old * TREND_MARGIN {
+                fail(&format!(
+                    "{path}: headline {key} regressed: {new:.3} < {old:.3} x {TREND_MARGIN}"
+                ));
+            }
+            println!(
+                "bench_trend: {key}: {old:.3} -> {new:.3} (floor {:.3})",
+                old * TREND_MARGIN
+            );
+        }
+    } else {
+        println!("bench_trend: no --baseline; headline trend check skipped");
+    }
+    println!("bench_trend: {path} validates");
 }

@@ -28,7 +28,7 @@
 //! * `--smoke` — the deterministic six-act script (baseline, drop, freeze,
 //!   kill, re-admit, scheduled view change) used as the CI tier-2 gate.
 //! * `--plan kill|stop|drop` — one fault class only; `--plan kill` is
-//!   check_hermetic step 9.
+//!   check_hermetic step 8.
 //! * default — `--jobs N` jobs with a seeded random fault before each.
 //!
 //! Child mode is `--executor --driver ADDR` plus the `--hb-ms`,
@@ -258,7 +258,7 @@ fn main() {
          real executor processes. Every job must be bit-exact against the\n\
          oracle or fail with a typed error; a watchdog turns any hang into\n\
          exit 86. --smoke is the CI tier-2 gate; --plan kill is\n\
-         check_hermetic step 9.",
+         check_hermetic step 8.",
     );
 
     let cfg = chaos_config(&args);
@@ -534,7 +534,7 @@ fn run_smoke(
 }
 
 /// `--plan kill`: one SIGKILL, prove survivor ring re-formation
-/// (check_hermetic step 9).
+/// (check_hermetic step 8).
 fn run_plan_kill(
     driver: &mut MultiProcDriver,
     cluster: &mut Cluster,

@@ -25,7 +25,7 @@
 //! Exits non-zero if any job result diverges from the oracle, a child exits
 //! with an unexpected status, or anything hangs past the deadlines.
 //! `--smoke` shrinks dimensions so the whole run fits in a CI step
-//! (check_hermetic step 8); `--executor --driver ADDR` is the child mode.
+//! (check_hermetic step 7); `--executor --driver ADDR` is the child mode.
 //! The [`TcpConfig`] tunables are flags (`--hb-ms`, `--suspicion-ms`,
 //! `--dials`, `--backoff-ms`, `--cap-ms`, `--window-ms`), forwarded to
 //! every executor child; absent flags keep the documented defaults.
@@ -121,7 +121,7 @@ fn main() {
         "split aggregation across real OS processes over TCP",
         "Spawns executor child processes, rendezvous over loopback, runs the\n\
          dense/sparse/flaky/kill job suite, and checks every result bit-exact\n\
-         against the driver-side oracle. --smoke is check_hermetic step 8.",
+         against the driver-side oracle. --smoke is check_hermetic step 7.",
     );
 
     let (dim, parts, deadline_ms) = if smoke { (2_048, 9, 1_500) } else { (65_536, 24, 4_000) };

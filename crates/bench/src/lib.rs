@@ -1,14 +1,21 @@
-//! Shared infrastructure for the figure/table harness binaries.
+//! Shared infrastructure for the `figures` runner (`src/bin/figures.rs`).
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper:
-//! it prints an aligned text table of the same series the paper plots, notes
-//! the paper's reference numbers next to ours, and (optionally) drops a CSV
-//! under `results/` for external plotting.
-
-pub mod micro;
+//! Each `figures` id regenerates one shaped-transport table, figure or
+//! ablation of the paper: it prints an aligned text table of the series the
+//! paper plots, notes the paper's reference numbers next to ours, and drops
+//! a CSV under `results/` for external plotting. Wall-clock cost is
+//! `benchmark/run.sh`'s question and paper-scale DES replay is
+//! `paper_eval`'s; neither is answered here.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
+
+use sparker_engine::cluster::LocalCluster;
+use sparker_engine::config::ClusterSpec;
+use sparker_engine::dataset::Dataset;
+use sparker_engine::metrics::AggMetrics;
+use sparker_engine::ops::split_aggregate::SplitAggOpts;
+use sparker_engine::ops::tree_aggregate::TreeAggOpts;
+use sparker_net::codec::F64Array;
 
 /// Prints the standard harness header for a figure/table binary.
 pub fn print_header(id: &str, title: &str, note: &str) {
@@ -76,29 +83,48 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV under `results/<name>.csv`.
+    /// Writes the table as RFC 4180 CSV under `results/<name>.csv`.
     pub fn write_csv(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        Ok(path)
+        let lines = std::iter::once(&self.headers).chain(&self.rows).map(|r| csv_line(r));
+        write_results(name, lines)
     }
 }
 
-/// Full-fidelity `AggMetrics` CSV: key columns chosen by the harness
+/// One RFC 4180 record: a cell containing `,`, `"` or a line break is
+/// quoted, with embedded quotes doubled.
+fn csv_line(cells: &[String]) -> String {
+    let quoted: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            if c.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", c.replace('"', "\"\""))
+            } else {
+                c.clone()
+            }
+        })
+        .collect();
+    quoted.join(",")
+}
+
+/// Writes `lines` to `results/<name>.csv` (relative to the invocation dir).
+fn write_results(
+    name: &str,
+    lines: impl Iterator<Item = String>,
+) -> std::io::Result<std::path::PathBuf> {
+    let dir = std::path::Path::new("results");
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{name}.csv"));
+    let mut body: String = lines.collect::<Vec<_>>().join("\n");
+    body.push('\n');
+    std::fs::write(&path, body)?;
+    Ok(path)
+}
+
+/// Full-fidelity `AggMetrics` CSV: key columns chosen by the caller
 /// (size, nodes, …) followed by every [`AggMetrics`] field via
-/// [`AggMetrics::csv_header`] / [`AggMetrics::csv_row`], so all harnesses
-/// export the same machine-readable schema instead of hand-formatting a
+/// [`AggMetrics::csv_header`] / [`AggMetrics::csv_row`], so every id
+/// exports the same machine-readable schema instead of hand-formatting a
 /// subset of the fields.
-///
-/// [`AggMetrics`]: sparker_engine::metrics::AggMetrics
-/// [`AggMetrics::csv_header`]: sparker_engine::metrics::AggMetrics::csv_header
-/// [`AggMetrics::csv_row`]: sparker_engine::metrics::AggMetrics::csv_row
 #[derive(Debug, Clone)]
 pub struct MetricsCsv {
     key_headers: Vec<String>,
@@ -110,34 +136,101 @@ impl MetricsCsv {
         Self { key_headers: key_headers.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
-    /// Appends one measurement: the harness's key cells plus the metrics row.
-    pub fn row<S: Into<String>>(
-        &mut self,
-        keys: Vec<S>,
-        m: &sparker_engine::metrics::AggMetrics,
-    ) -> &mut Self {
+    /// Appends one measurement: the caller's key cells plus the metrics row.
+    pub fn row<S: Into<String>>(&mut self, keys: Vec<S>, m: &AggMetrics) -> &mut Self {
         let keys: Vec<String> = keys.into_iter().map(Into::into).collect();
         assert_eq!(keys.len(), self.key_headers.len(), "key width mismatch");
-        self.rows.push(format!("{},{}", keys.join(","), m.csv_row()));
+        self.rows.push(format!("{},{}", csv_line(&keys), m.csv_row()));
         self
     }
 
     /// Writes `results/<name>.csv` with the combined header.
     pub fn write(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(
-            f,
-            "{},{}",
-            self.key_headers.join(","),
-            sparker_engine::metrics::AggMetrics::csv_header()
-        )?;
-        for row in &self.rows {
-            writeln!(f, "{row}")?;
-        }
-        Ok(path)
+        let header = format!("{},{}", csv_line(&self.key_headers), AggMetrics::csv_header());
+        write_results(name, std::iter::once(header).chain(self.rows.iter().cloned()))
+    }
+}
+
+/// Time scale of the shaped threaded clusters: network and serializer are
+/// slowed 16x so that 16x-smaller messages keep the paper's byte-time
+/// products (see `NetProfile::scaled`); strategy *ratios* are the signal.
+const TIME_SCALE: f64 = 16.0;
+
+/// `f64` elements of a `paper_bytes` aggregator in the scaled domain.
+pub fn scaled_elems(paper_bytes: f64) -> usize {
+    ((paper_bytes / TIME_SCALE / 8.0) as usize).max(8)
+}
+
+/// `nodes` BIC nodes of two executors each, slowed by `TIME_SCALE`.
+pub fn shaped_bic(nodes: usize, cores_per_executor: usize) -> ClusterSpec {
+    ClusterSpec::bic(nodes, TIME_SCALE).with_shape(2, cores_per_executor)
+}
+
+/// The paper's aggregation micro-benchmark (§5.3): sum an RDD of
+/// fixed-length arrays, one array per partition, on a threaded cluster.
+/// The data is cached and preloaded, so each strategy's metrics cover the
+/// aggregation only.
+pub struct ArraySum {
+    data: Dataset<Vec<f64>>,
+    elems: usize,
+}
+
+fn add_array(mut acc: F64Array, v: &Vec<f64>) -> F64Array {
+    for (a, x) in acc.0.iter_mut().zip(v) {
+        *a += *x;
+    }
+    acc
+}
+
+impl ArraySum {
+    pub fn new(spec: ClusterSpec, partitions_per_executor: usize, elems: usize) -> Self {
+        let cluster = LocalCluster::new(spec);
+        let partitions = partitions_per_executor * cluster.num_executors();
+        let data = cluster.generate(partitions, move |p| vec![vec![p as f64; elems]; 1]).cache();
+        data.count().expect("preload");
+        Self { data, elems }
+    }
+
+    fn zero(&self) -> F64Array {
+        F64Array(vec![0.0; self.elems])
+    }
+
+    pub fn tree(&self, opts: TreeAggOpts) -> AggMetrics {
+        let merge = |mut a: F64Array, b: F64Array| {
+            sparker::dense::merge(&mut a, b);
+            a
+        };
+        self.data.tree_aggregate(self.zero(), add_array, merge, opts).expect("tree aggregate").1
+    }
+
+    pub fn split(&self, opts: SplitAggOpts) -> AggMetrics {
+        self.data
+            .split_aggregate(
+                self.zero(),
+                add_array,
+                sparker::dense::merge,
+                sparker::dense::split,
+                sparker::dense::merge_segments,
+                sparker::dense::concat,
+                opts,
+            )
+            .expect("split aggregate")
+            .1
+    }
+
+    pub fn allreduce(&self) -> AggMetrics {
+        self.data
+            .allreduce_aggregate(
+                self.zero(),
+                add_array,
+                sparker::dense::merge,
+                sparker::dense::split,
+                sparker::dense::merge_segments,
+                sparker::dense::concat,
+                None,
+            )
+            .expect("allreduce aggregate")
+            .metrics
     }
 }
 
@@ -165,12 +258,6 @@ pub fn fmt_bytes(b: f64) -> String {
     }
 }
 
-/// Geometric mean (duplicated from sparker-sim for bin convenience).
-pub fn geo_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty());
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +272,15 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[2].ends_with("1"));
         assert!(lines[3].starts_with("longer"));
+    }
+
+    #[test]
+    fn csv_quotes_cells_that_would_break_the_record() {
+        let cells = ["plain", "a,b", "say \"hi\"", "two\nlines"].map(String::from);
+        assert_eq!(csv_line(&cells), "plain,\"a,b\",\"say \"\"hi\"\"\",\"two\nlines\"");
+        let mut c = MetricsCsv::new(vec!["k"]);
+        c.row(vec!["x,y"], &AggMetrics::new(sparker_engine::metrics::AggStrategy::Tree));
+        assert!(c.rows[0].starts_with("\"x,y\",tree,"), "{}", c.rows[0]);
     }
 
     #[test]
@@ -204,13 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn geo_mean_matches_hand_calc() {
-        assert!((geo_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn metrics_csv_rows_align_with_header() {
-        use sparker_engine::metrics::{AggMetrics, AggStrategy};
+        use sparker_engine::metrics::AggStrategy;
         let mut c = MetricsCsv::new(vec!["size", "nodes"]);
         c.row(vec!["8MB", "4"], &AggMetrics::new(AggStrategy::Tree));
         let cols = 2 + AggMetrics::csv_header().split(',').count();
@@ -221,7 +312,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "key width mismatch")]
     fn metrics_csv_mismatched_keys_panic() {
-        use sparker_engine::metrics::{AggMetrics, AggStrategy};
+        use sparker_engine::metrics::AggStrategy;
         MetricsCsv::new(vec!["a", "b"]).row(vec!["only"], &AggMetrics::new(AggStrategy::Tree));
     }
 }

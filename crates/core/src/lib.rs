@@ -147,15 +147,13 @@ pub mod prelude {
     pub use sparker_collectives::segment::{slice_bounds, SumSegment, U64SumSegment};
     pub use sparker_engine::cluster::LocalCluster;
     pub use sparker_engine::config::ClusterSpec;
-    pub use sparker_engine::cost::CostModel;
+    pub use sparker_engine::cost::SerdeCost;
     pub use sparker_engine::dataset::Dataset;
     pub use sparker_engine::metrics::{AggMetrics, AggStrategy};
     pub use sparker_engine::ops::allreduce_aggregate::{
         allreduce_aggregate, executor_copy_slot, AllReduceOutput,
     };
-    pub use sparker_engine::ops::split_aggregate::{
-        ImmMode, RsAlgorithm, SelectorOpts, SplitAggOpts,
-    };
+    pub use sparker_engine::ops::split_aggregate::{ImmMode, SelectorOpts, SplitAggOpts};
     pub use sparker_engine::ops::tree_aggregate::TreeAggOpts;
     pub use sparker_ml::glm::AggregationMode;
     pub use sparker_ml::lbfgs::LbfgsConfig;
@@ -167,6 +165,7 @@ pub mod prelude {
     pub use sparker_net::profile::{NetProfile, TransportKind};
     pub use sparker_net::topology::RingOrder;
     pub use sparker_sparse::{DenseOrSparse, SparseAccum, SparseSegment};
+    pub use sparker_tuner::Algo;
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use sparker_net::fault::NetFaultPlan;
 use sparker_net::profile::NetProfile;
 use sparker_net::topology::RingOrder;
 
-use crate::cost::CostModel;
+use crate::cost::SerdeCost;
 
 /// Generous default: local stages finish in milliseconds, so a wait this
 /// long only ever fires on a genuine hang.
@@ -42,7 +42,7 @@ pub struct ClusterSpec {
     /// tree-aggregation shuffle).
     pub bm_costs: BlockManagerCosts,
     /// Modeled serializer.
-    pub cost: CostModel,
+    pub cost: SerdeCost,
     /// Rank policy of the parallel directed ring.
     pub ring_order: RingOrder,
     /// PDR channel parallelism (the paper settles on 4, §5.2.2).
@@ -77,7 +77,7 @@ impl ClusterSpec {
                 control_rpc: std::time::Duration::ZERO,
                 poll_quantum: std::time::Duration::ZERO,
             },
-            cost: CostModel::free(),
+            cost: SerdeCost::free(),
             ring_order: RingOrder::TopologyAware,
             ring_parallelism: 2,
             tree_depth: 2,
@@ -102,7 +102,7 @@ impl ClusterSpec {
             cores_per_executor: 4,
             profile: NetProfile::bic().scaled(time_scale),
             bm_costs: BlockManagerCosts::default(),
-            cost: CostModel::jvm_class().scaled(time_scale),
+            cost: SerdeCost::jvm_class().scaled(time_scale),
             ring_order: RingOrder::TopologyAware,
             ring_parallelism: 4,
             tree_depth: 2,
@@ -122,7 +122,7 @@ impl ClusterSpec {
             cores_per_executor: 8,
             profile: NetProfile::aws().scaled(time_scale),
             bm_costs: BlockManagerCosts::default(),
-            cost: CostModel::jvm_class().scaled(time_scale),
+            cost: SerdeCost::jvm_class().scaled(time_scale),
             ring_order: RingOrder::TopologyAware,
             ring_parallelism: 4,
             tree_depth: 2,
@@ -158,7 +158,7 @@ impl ClusterSpec {
     }
 
     /// Builder-style override of the serializer model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
+    pub fn with_cost(mut self, cost: SerdeCost) -> Self {
         self.cost = cost;
         self
     }

@@ -17,7 +17,7 @@ use sparker_net::time::wait_for;
 
 /// Serializer throughput model, in bytes/sec.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
+pub struct SerdeCost {
     /// Modeled serialization throughput (JVM-class default ≈ 700 MB/s).
     pub ser_bandwidth: f64,
     /// Modeled deserialization throughput (≈ 900 MB/s).
@@ -29,7 +29,7 @@ pub struct CostModel {
 
 const MB: f64 = 1024.0 * 1024.0;
 
-impl CostModel {
+impl SerdeCost {
     /// No modeled cost — unit tests and pure-correctness runs.
     pub fn free() -> Self {
         Self {
@@ -94,14 +94,14 @@ mod tests {
 
     #[test]
     fn free_model_charges_nothing() {
-        let c = CostModel::free();
+        let c = SerdeCost::free();
         assert_eq!(c.ser_time(1 << 30), Duration::ZERO);
         assert_eq!(c.deser_time(1 << 30), Duration::ZERO);
     }
 
     #[test]
     fn ser_time_is_linear_in_bytes() {
-        let c = CostModel {
+        let c = SerdeCost {
             ser_bandwidth: 1e6,
             deser_bandwidth: 2e6,
             per_object_overhead: Duration::ZERO,
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn per_object_overhead_applies_once() {
-        let c = CostModel {
+        let c = SerdeCost {
             ser_bandwidth: 1e9,
             deser_bandwidth: 1e9,
             per_object_overhead: Duration::from_micros(100),
@@ -122,8 +122,8 @@ mod tests {
 
     #[test]
     fn scaled_slows_charges() {
-        let c = CostModel::jvm_class().scaled(2.0);
-        let base = CostModel::jvm_class();
+        let c = SerdeCost::jvm_class().scaled(2.0);
+        let base = SerdeCost::jvm_class();
         assert!(c.ser_time(1_000_000) > base.ser_time(1_000_000));
         let ratio = c.ser_time(10_000_000).as_secs_f64() / base.ser_time(10_000_000).as_secs_f64();
         assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn charge_occupies_the_thread() {
-        let c = CostModel {
+        let c = SerdeCost {
             ser_bandwidth: 1e6,
             deser_bandwidth: 1e6,
             per_object_overhead: Duration::ZERO,

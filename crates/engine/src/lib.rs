@@ -50,7 +50,7 @@ pub mod task;
 pub use broadcast::Broadcast;
 pub use cluster::LocalCluster;
 pub use config::ClusterSpec;
-pub use cost::CostModel;
+pub use cost::SerdeCost;
 pub use dataset::Dataset;
 pub use metrics::AggMetrics;
 pub use ops::split_aggregate::{SelectorOpts, SplitAggOpts};

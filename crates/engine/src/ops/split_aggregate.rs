@@ -53,29 +53,14 @@ use crate::task::{EngineError, EngineResult, TaskFailure};
 /// and the shuffle-round slots (`level << 32 | j`, small `level`).
 const FALLBACK_SLOT_BASE: u64 = 2 << 48;
 
-/// Which reduce-scatter algorithm the ring stage runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RsAlgorithm {
-    /// Ring reduce-scatter over the PDR (the paper's choice).
-    Ring,
-    /// Recursive halving (Rabenseifner) — the ablation alternative.
-    Halving,
-    /// Two-level hierarchical reduce-scatter: intra-node fold to node
-    /// leaders, chunked ring over the leaders-only sub-ring (see
-    /// `sparker_collectives::hierarchical` and DESIGN.md §5j).
-    Hierarchical,
-}
-
 /// How `split_aggregate` picks its reduction algorithm (DESIGN.md §5j).
 ///
-/// `None` on [`SplitAggOpts::selector`] keeps the legacy behavior: run
-/// exactly `SplitAggOpts::{algorithm, chunks}`. Both variants are `Copy`
-/// (the cost model is five scalars), so `SplitAggOpts` stays `Copy`.
+/// Both variants are `Copy` (the cost model is five scalars), so
+/// `SplitAggOpts` stays `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectorOpts {
-    /// Run this tuner-menu entry, overriding `algorithm`/`chunks`.
-    /// `Algo::Tree` runs the shuffle-tree path as the *primary* (no
-    /// downgrade accounting), which the legacy knobs cannot express.
+    /// Run this tuner-menu entry. `Algo::Tree` runs the shuffle-tree path
+    /// as the *primary* (no downgrade accounting).
     Forced(Algo),
     /// Rank the full menu under this calibrated cost model using the
     /// cluster's node topology and the `hint_*` fields, and run the
@@ -101,14 +86,8 @@ pub enum ImmMode {
 pub struct SplitAggOpts {
     /// PDR channel parallelism; defaults to the cluster spec's value.
     pub parallelism: Option<usize>,
-    pub algorithm: RsAlgorithm,
     /// In-memory-merge strategy of the compute stage.
     pub imm_mode: ImmMode,
-    /// Pipeline chunks per ring segment (`1` = classic unpipelined ring).
-    /// With `C > 1` the ring stage splits the aggregator into `P·N·C`
-    /// segments and overlaps chunk sends with chunk merges inside every
-    /// ring step. Requires [`RsAlgorithm::Ring`].
-    pub chunks: usize,
     /// Scheduler job this op runs under; stamped onto stage history records
     /// and [`AggMetrics::job_id`]. 0 (the default) means "no job" and keeps
     /// single-job runs byte-identical to before.
@@ -118,9 +97,9 @@ pub struct SplitAggOpts {
     /// namespaces so their rings can never accept each other's frames. Must
     /// be `< epoch::NS_COUNT`; 0 is the single-job default.
     pub epoch_ns: u32,
-    /// Algorithm selection policy; `None` (default) honors
-    /// `algorithm`/`chunks` exactly as before the tuner existed.
-    pub selector: Option<SelectorOpts>,
+    /// Algorithm selection policy; the default forces the paper's flat
+    /// unpipelined ring.
+    pub selector: SelectorOpts,
     /// Dense wire size of one aggregator in bytes, for [`SelectorOpts::Auto`]
     /// cost prediction. 0 (unknown) is treated as 1 byte, which makes the
     /// prediction latency-dominated.
@@ -134,12 +113,10 @@ impl Default for SplitAggOpts {
     fn default() -> Self {
         Self {
             parallelism: None,
-            algorithm: RsAlgorithm::Ring,
             imm_mode: ImmMode::LocalFold,
-            chunks: 1,
             job_id: 0,
             epoch_ns: 0,
-            selector: None,
+            selector: SelectorOpts::Forced(Algo::FlatRing),
             hint_bytes: 0,
             hint_density_permille: 1000,
         }
@@ -187,9 +164,6 @@ where
     }
     let nexec = inner.num_executors();
     let parallelism = opts.parallelism.unwrap_or(inner.spec().ring_parallelism);
-    if opts.chunks == 0 {
-        return Err(EngineError::Invalid("split_aggregate needs chunks >= 1".into()));
-    }
     if opts.epoch_ns >= sparker_net::epoch::NS_COUNT {
         return Err(EngineError::Invalid(format!(
             "epoch namespace {} out of range (< {})",
@@ -199,48 +173,33 @@ where
     }
 
     // --- Algorithm selection (DESIGN.md §5j) -----------------------------
-    // Resolve the selector policy to an effective (algorithm, chunks,
-    // tree_primary) triple. `tuning` keeps the selector + decision around so
-    // the measured reduce time can be fed back as the
-    // `tuner.predict_vs_actual_permille` gauge.
-    let picked: Option<Algo> = match opts.selector {
-        None => None,
-        Some(SelectorOpts::Forced(algo)) => Some(algo),
-        Some(SelectorOpts::Auto(_)) => None, // resolved below with the topology
-    };
+    // `tuning` keeps the selector + decision around so the measured reduce
+    // time can be fed back as the `tuner.predict_vs_actual_permille` gauge.
     let mut tuning: Option<(Selector, Decision)> = None;
-    let picked = if let Some(SelectorOpts::Auto(model)) = opts.selector {
-        let topo = sparker_net::NodeTopology::group(inner.executor_infos());
-        let shape = JobShape {
-            bytes: opts.hint_bytes.max(1),
-            density_permille: opts.hint_density_permille.min(1000),
-            executors: nexec,
-            nodes: topo.num_nodes(),
-            parallelism,
-        };
-        let selector = Selector::new(model);
-        let decision = selector.select(&shape);
-        let algo = decision.algo;
-        tuning = Some((selector, decision));
-        Some(algo)
-    } else {
-        picked
+    let algo = match opts.selector {
+        SelectorOpts::Forced(algo) => algo,
+        SelectorOpts::Auto(model) => {
+            let topo = sparker_net::NodeTopology::group(inner.executor_infos());
+            let shape = JobShape {
+                bytes: opts.hint_bytes.max(1),
+                density_permille: opts.hint_density_permille.min(1000),
+                executors: nexec,
+                nodes: topo.num_nodes(),
+                parallelism,
+            };
+            let selector = Selector::new(model);
+            let decision = selector.select(&shape);
+            tuning = Some((selector, decision));
+            decision.algo
+        }
     };
-    let (algorithm, chunks, tree_primary) = match picked {
-        None => (opts.algorithm, opts.chunks, false),
-        Some(Algo::FlatRing) => (RsAlgorithm::Ring, 1, false),
-        Some(Algo::ChunkedRing(c)) => (RsAlgorithm::Ring, c as usize, false),
-        Some(Algo::Halving) => (RsAlgorithm::Halving, 1, false),
-        Some(Algo::Hierarchical) => (RsAlgorithm::Hierarchical, 1, false),
-        // Tree-as-primary reuses the fallback machinery below, entered
-        // deliberately rather than after gang exhaustion.
-        Some(Algo::Tree) => (RsAlgorithm::Ring, 1, true),
-    };
-    if chunks > 1 && !matches!(algorithm, RsAlgorithm::Ring | RsAlgorithm::Hierarchical) {
-        return Err(EngineError::Invalid(
-            "chunk pipelining (chunks > 1) requires RsAlgorithm::Ring or Hierarchical".into(),
-        ));
+    let chunks = algo.chunks();
+    if chunks == 0 {
+        return Err(EngineError::Invalid("split_aggregate needs chunks >= 1".into()));
     }
+    // Tree-as-primary reuses the fallback machinery below, entered
+    // deliberately rather than after gang exhaustion.
+    let tree_primary = algo == Algo::Tree;
 
     // Stamp every stage record of this op with the job id; the guard resets
     // the stamp on every exit path (the action lock is held throughout, so
@@ -254,10 +213,10 @@ where
     }
     let _job_stamp = JobStamp(inner.history());
 
-    let strategy = match algorithm {
-        RsAlgorithm::Ring => AggStrategy::Split,
-        RsAlgorithm::Halving => AggStrategy::SplitHalving,
-        RsAlgorithm::Hierarchical => AggStrategy::SplitHier,
+    let strategy = match algo {
+        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => AggStrategy::Split,
+        Algo::Halving => AggStrategy::SplitHalving,
+        Algo::Hierarchical => AggStrategy::SplitHier,
     };
     let mut metrics = AggMetrics::new(strategy);
     metrics.job_id = opts.job_id;
@@ -311,20 +270,20 @@ where
     let sc_before = cluster.sc_stats();
     let ring = inner.build_ring(parallelism);
     let n = ring.size();
-    // Ring RS needs exactly P*N segments; halving needs a multiple of the
-    // largest power of two <= N; hierarchical needs P*L*C where L is the
+    // Ring RS needs exactly P*N*C segments; halving needs a multiple of the
+    // largest power of two <= N; hierarchical needs P*L where L is the
     // number of *nodes* in the ring (leaders own every segment; non-leaders
     // own none). Pad the segment count up when needed.
-    let total_segments = match algorithm {
-        RsAlgorithm::Ring => parallelism * n * chunks,
-        RsAlgorithm::Halving => {
+    let total_segments = match algo {
+        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => parallelism * n * chunks,
+        Algo::Halving => {
             let mut p2 = 1usize;
             while p2 * 2 <= n {
                 p2 *= 2;
             }
             (parallelism * n).div_ceil(p2) * p2
         }
-        RsAlgorithm::Hierarchical => parallelism * node_topology_of(&ring).num_nodes() * chunks,
+        Algo::Hierarchical => parallelism * node_topology_of(&ring).num_nodes(),
     };
 
     let ring_label = format!("split-ring-op{op}");
@@ -369,19 +328,22 @@ where
                 // fallback finds it intact if the gang exhausts.
                 let owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
                     let split_all = || split_parallel(u, split.as_ref(), total_segments, parallelism);
-                    match algorithm {
+                    match algo {
                         // The ring's lanes split their own index ranges.
-                        RsAlgorithm::Ring => ring_reduce_scatter_produced_by(
-                            &comm,
-                            &|g| split(u, g, total_segments),
-                            &merge,
-                            chunks,
-                        ),
-                        RsAlgorithm::Halving => {
+                        // (A tree primary never launches this stage.)
+                        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => {
+                            ring_reduce_scatter_produced_by(
+                                &comm,
+                                &|g| split(u, g, total_segments),
+                                &merge,
+                                chunks,
+                            )
+                        }
+                        Algo::Halving => {
                             recursive_halving_reduce_scatter_by(&comm, split_all(), &merge)
                         }
-                        RsAlgorithm::Hierarchical => {
-                            hierarchical_reduce_scatter_chunked_by(&comm, split_all(), &merge, chunks)
+                        Algo::Hierarchical => {
+                            hierarchical_reduce_scatter_chunked_by(&comm, split_all(), &merge, 1)
                         }
                     }
                 })
@@ -805,7 +767,7 @@ mod tests {
                 31,
                 SplitAggOpts {
                     parallelism: Some(2),
-                    algorithm: RsAlgorithm::Halving,
+                    selector: SelectorOpts::Forced(Algo::Halving),
                     ..Default::default()
                 },
             );
@@ -887,21 +849,25 @@ mod tests {
         // every merge association is exact, so all chunk counts must agree
         // bitwise with the unpipelined result and the sequential expectation.
         let want = expected(37);
-        for chunks in [1usize, 2, 4] {
+        for algo in [Algo::FlatRing, Algo::ChunkedRing(2), Algo::ChunkedRing(4)] {
             let (v, m) = run_split(
                 4,
                 2,
                 8,
                 37,
-                SplitAggOpts { parallelism: Some(2), chunks, ..Default::default() },
+                SplitAggOpts {
+                    parallelism: Some(2),
+                    selector: SelectorOpts::Forced(algo),
+                    ..Default::default()
+                },
             );
-            assert_eq!(v, want, "chunks = {chunks}");
-            assert_eq!(m.stages, 2, "chunks = {chunks}");
+            assert_eq!(v, want, "{algo:?}");
+            assert_eq!(m.stages, 2, "{algo:?}");
         }
     }
 
     #[test]
-    fn chunking_requires_ring_algorithm() {
+    fn zero_chunks_is_rejected() {
         let cluster = LocalCluster::new(ClusterSpec::local(2, 1));
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new((1..=4).collect(), 2));
         let err = split_aggregate(
@@ -913,7 +879,10 @@ mod tests {
             |u, i, _n| if i == 0 { *u } else { 0.0 },
             |a, b| *a += b,
             |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
-            SplitAggOpts { algorithm: RsAlgorithm::Halving, chunks: 2, ..Default::default() },
+            SplitAggOpts {
+                selector: SelectorOpts::Forced(Algo::ChunkedRing(0)),
+                ..Default::default()
+            },
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::Invalid(_)), "{err:?}");
@@ -930,23 +899,20 @@ mod tests {
 
     #[test]
     fn hierarchical_algorithm_matches_sequential_sum() {
-        for chunks in [1usize, 2, 3] {
-            let (v, m) = run_split_on(
-                two_node_spec(),
-                8,
-                37,
-                SplitAggOpts {
-                    parallelism: Some(2),
-                    algorithm: RsAlgorithm::Hierarchical,
-                    chunks,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(v, expected(37), "chunks = {chunks}");
-            assert_eq!(m.strategy, AggStrategy::SplitHier);
-            assert_eq!(m.stages, 2);
-            assert!(!m.downgraded);
-        }
+        let (v, m) = run_split_on(
+            two_node_spec(),
+            8,
+            37,
+            SplitAggOpts {
+                parallelism: Some(2),
+                selector: SelectorOpts::Forced(Algo::Hierarchical),
+                ..Default::default()
+            },
+        );
+        assert_eq!(v, expected(37));
+        assert_eq!(m.strategy, AggStrategy::SplitHier);
+        assert_eq!(m.stages, 2);
+        assert!(!m.downgraded);
     }
 
     #[test]
@@ -960,7 +926,7 @@ mod tests {
             31,
             SplitAggOpts {
                 parallelism: Some(2),
-                algorithm: RsAlgorithm::Hierarchical,
+                selector: SelectorOpts::Forced(Algo::Hierarchical),
                 ..Default::default()
             },
         );
@@ -969,26 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_selector_overrides_legacy_knobs() {
-        use sparker_tuner::Algo;
-        // Legacy knobs say flat ring; the forced selector runs hierarchical.
-        let (v, m) = run_split_on(
-            two_node_spec(),
-            8,
-            29,
-            SplitAggOpts {
-                parallelism: Some(2),
-                selector: Some(SelectorOpts::Forced(Algo::Hierarchical)),
-                ..Default::default()
-            },
-        );
-        assert_eq!(v, expected(29));
-        assert_eq!(m.strategy, AggStrategy::SplitHier);
-    }
-
-    #[test]
     fn forced_tree_is_primary_not_a_downgrade() {
-        use sparker_tuner::Algo;
         let cluster = LocalCluster::new(two_node_spec());
         let data: Vec<u64> = (1..=64).collect();
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(data, 8));
@@ -1003,7 +950,7 @@ mod tests {
             |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: Some(SelectorOpts::Forced(Algo::Tree)),
+                selector: SelectorOpts::Forced(Algo::Tree),
                 ..Default::default()
             },
         )
@@ -1028,7 +975,7 @@ mod tests {
             37,
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: Some(SelectorOpts::Auto(CostModel::default_model())),
+                selector: SelectorOpts::Auto(CostModel::default_model()),
                 hint_bytes: 4 << 20,
                 ..Default::default()
             },

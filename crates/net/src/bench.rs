@@ -15,15 +15,6 @@ use crate::bytebuf::ByteBuf;
 use crate::topology::ExecutorId;
 use crate::transport::Transport;
 
-/// Result of a latency measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyResult {
-    /// Mean one-way latency.
-    pub one_way: Duration,
-    /// Number of ping-pong round trips measured.
-    pub iterations: usize,
-}
-
 /// Measures mean one-way latency between executors 0 and 1 of `net` using
 /// `iters` ping-pong round trips of `msg_bytes`-sized messages (after
 /// `warmup` unmeasured rounds).
@@ -35,7 +26,7 @@ pub fn measure_latency(
     msg_bytes: usize,
     warmup: usize,
     iters: usize,
-) -> LatencyResult {
+) -> Duration {
     assert!(net.size() >= 2, "latency bench needs two executors");
     assert!(iters > 0);
     let a = ExecutorId(0);
@@ -61,36 +52,19 @@ pub fn measure_latency(
     }
     let elapsed = start.elapsed();
     responder.join().expect("responder thread");
-    LatencyResult { one_way: elapsed / (2 * iters as u32), iterations: iters }
-}
-
-/// Result of a throughput measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputResult {
-    /// Achieved goodput in bytes/sec.
-    pub bytes_per_sec: f64,
-    /// Total payload bytes moved.
-    pub total_bytes: usize,
-    /// Wall time of the measured window.
-    pub elapsed: Duration,
-}
-
-impl ThroughputResult {
-    /// Goodput in MB/s (the unit Figure 13 reports).
-    pub fn mb_per_sec(&self) -> f64 {
-        self.bytes_per_sec / (1024.0 * 1024.0)
-    }
+    elapsed / (2 * iters as u32)
 }
 
 /// Streams `count` messages of `msg_bytes` each from executor 0 to executor 1
 /// across `channels` parallel channels (round-robin), then waits for a final
 /// ack per channel. Mirrors the OSU bandwidth benchmark's windowed send.
+/// Returns the goodput in MB/s (the unit Figure 13 reports).
 pub fn measure_throughput(
     net: Arc<dyn Transport>,
     msg_bytes: usize,
     count: usize,
     channels: usize,
-) -> ThroughputResult {
+) -> f64 {
     assert!(net.size() >= 2);
     assert!(channels >= 1 && channels <= net.channels());
     assert!(count >= 1);
@@ -138,12 +112,7 @@ pub fn measure_throughput(
     }
     let elapsed = start.elapsed();
     receiver.join().unwrap();
-    let total = msg_bytes * count;
-    ThroughputResult {
-        bytes_per_sec: total as f64 / elapsed.as_secs_f64().max(1e-12),
-        total_bytes: total,
-        elapsed,
-    }
+    (msg_bytes * count) as f64 / elapsed.as_secs_f64().max(1e-12) / (1024.0 * 1024.0)
 }
 
 #[cfg(test)]
@@ -166,8 +135,7 @@ mod tests {
     #[test]
     fn latency_measurement_reflects_profile() {
         let net = shaped_pair(500, f64::INFINITY);
-        let r = measure_latency(net, 8, 3, 20);
-        let us = r.one_way.as_micros() as f64;
+        let us = measure_latency(net, 8, 3, 20).as_micros() as f64;
         assert!((450.0..1500.0).contains(&us), "measured {us}us, expected ~500us");
     }
 
@@ -175,8 +143,7 @@ mod tests {
     fn throughput_measurement_reflects_bandwidth_cap() {
         // 100 MB/s single stream, 1 channel: measured should be close below.
         let net = shaped_pair(0, 100.0 * 1024.0 * 1024.0);
-        let r = measure_throughput(net, 256 * 1024, 40, 1);
-        let mbps = r.mb_per_sec();
+        let mbps = measure_throughput(net, 256 * 1024, 40, 1);
         assert!((60.0..105.0).contains(&mbps), "measured {mbps} MB/s");
     }
 
@@ -188,8 +155,8 @@ mod tests {
         p.per_channel_bandwidth = chan_bw;
         p.nic_bandwidth = 2.5 * chan_bw;
         let net = MeshTransport::new(&round_robin_layout(2, 1, 1), 4, p, TransportKind::MpiRef);
-        let one = measure_throughput(net.clone(), 256 * 1024, 32, 1).mb_per_sec();
-        let four = measure_throughput(net, 256 * 1024, 32, 4).mb_per_sec();
+        let one = measure_throughput(net.clone(), 256 * 1024, 32, 1);
+        let four = measure_throughput(net, 256 * 1024, 32, 4);
         assert!(four > 1.6 * one, "parallel channels did not help: {one} vs {four}");
         // NIC cap: 4 channels can't exceed 2.5x one stream's cap by much.
         assert!(four < 3.2 * one, "NIC cap not enforced: {one} vs {four}");

@@ -31,7 +31,7 @@
 //!   [`TcpConfig::idle_poll`] (sends unpark it), keeping idle CPU near zero
 //!   without a platform poller — at loopback RTTs this costs a few tens of
 //!   µs of worst-case latency, which stays well inside the paper's
-//!   BlockManager-vs-SC gap that `bench_transport` reproduces.
+//!   BlockManager-vs-SC gap (`net.tcp.rtt_1k_us_p50` in `benchmark/`).
 //! * **recv** — blocks on the inbox with a poll quantum so peer death is
 //!   observed even mid-wait: when a peer is declared dead the transport
 //!   stores the typed error and every blocked or future `recv` for it

@@ -88,7 +88,7 @@ impl Breakdown {
         agg / total
     }
 
-    /// Human-readable table (what `fig02_trace` prints).
+    /// Human-readable table.
     pub fn to_text(&self) -> String {
         let total = self.total().as_secs_f64();
         let mut out = String::new();

@@ -66,9 +66,9 @@ pub struct AggJob {
 /// In-process backend: `lanes` independent [`LocalCluster`]s.
 pub struct EngineBackend {
     lanes: Vec<LocalCluster>,
-    /// Algorithm selection policy stamped onto every job (`None` = the
-    /// engine's legacy flat-ring default).
-    selector: Option<SelectorOpts>,
+    /// Algorithm selection policy stamped onto every job (the engine's
+    /// flat-ring default unless [`EngineBackend::with_selector`] sets one).
+    selector: SelectorOpts,
 }
 
 impl EngineBackend {
@@ -83,14 +83,14 @@ impl EngineBackend {
         assert!(lanes >= 1, "need at least one lane");
         Self {
             lanes: (0..lanes).map(|_| LocalCluster::new(spec.clone())).collect(),
-            selector: None,
+            selector: SplitAggOpts::default().selector,
         }
     }
 
     /// Runs every job under this selection policy (e.g.
     /// `SelectorOpts::Auto(model)` for calibrated auto-tuning).
     pub fn with_selector(mut self, selector: SelectorOpts) -> Self {
-        self.selector = Some(selector);
+        self.selector = selector;
         self
     }
 

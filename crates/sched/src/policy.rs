@@ -45,8 +45,8 @@ pub trait Policy: Send {
 }
 
 /// First-in, first-out: admission order, no client or priority awareness.
-/// The baseline a bursty adversary exploits — `bench_jobs` measures exactly
-/// that.
+/// The baseline a bursty adversary exploits: a victim's job waits behind
+/// the whole burst.
 #[derive(Debug, Default)]
 pub struct Fifo;
 

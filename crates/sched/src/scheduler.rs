@@ -400,7 +400,7 @@ fn obs() -> &'static Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Fifo;
+    use crate::policy::{FairShare, Fifo, StrictPriority};
 
     /// Doubles the input; errors on odd jobs when `fail_odd` is set.
     struct TestBackend {
@@ -426,15 +426,21 @@ mod tests {
     }
 
     /// Holds every dispatched job until the gate opens, so tests can pin
-    /// jobs in the in-flight/pending states deterministically.
+    /// jobs in the in-flight/pending states deterministically. Records the
+    /// order in which jobs reach the (single) lane.
     struct GateBackend {
         gate: std::sync::Mutex<bool>,
         cv: Condvar,
+        dispatched: std::sync::Mutex<Vec<u64>>,
     }
 
     impl GateBackend {
         fn new() -> Arc<Self> {
-            Arc::new(Self { gate: std::sync::Mutex::new(false), cv: Condvar::new() })
+            Arc::new(Self {
+                gate: std::sync::Mutex::new(false),
+                cv: Condvar::new(),
+                dispatched: std::sync::Mutex::new(Vec::new()),
+            })
         }
 
         fn open(&self) {
@@ -452,6 +458,7 @@ mod tests {
         }
 
         fn run(&self, _lane: usize, _ctx: JobCtx, job: &u64) -> Result<u64, String> {
+            self.dispatched.lock().unwrap().push(*job);
             let mut open = self.gate.lock().unwrap();
             while !*open {
                 open = self.cv.wait(open).unwrap();
@@ -524,6 +531,74 @@ mod tests {
         assert_eq!(h2.wait().expect("runs"), 12);
         let h3 = sched.submit(JobRequest::new(0, 13)).expect("space again");
         assert_eq!(h3.wait().expect("runs"), 13);
+    }
+
+    /// How many of a bursty adversary's 12 queued expensive jobs reach the
+    /// lane before a victim's single cheap job submitted behind them.
+    fn adversary_jobs_ahead_of_victim(policy: Box<dyn Policy>, victim: Priority) -> usize {
+        const VICTIM: u64 = 999;
+        let gate = GateBackend::new();
+        let sched = Scheduler::new(gate.clone(), policy, SchedConfig::default());
+        // One adversary job occupies the lane while the queue builds up.
+        let plug = sched.submit(JobRequest::new(0, 0)).expect("dispatched");
+        wait_until("plug in flight", || sched.inflight() == 1);
+        let mut handles: Vec<_> = (1..=12)
+            .map(|job| {
+                let req = JobRequest { client: 0, priority: Priority::Normal, cost: 8, job };
+                sched.submit(req).expect("adversary queued")
+            })
+            .collect();
+        let req = JobRequest { client: 1, priority: victim, cost: 1, job: VICTIM };
+        handles.push(sched.submit(req).expect("victim queued"));
+        gate.open();
+        plug.wait().expect("runs");
+        for h in handles {
+            h.wait().expect("runs");
+        }
+        let order = gate.dispatched.lock().unwrap();
+        order.iter().position(|j| *j == VICTIM).expect("victim ran") - 1
+    }
+
+    #[test]
+    fn fair_share_and_strict_priority_bound_the_victim_fifo_does_not() {
+        assert_eq!(
+            adversary_jobs_ahead_of_victim(Box::new(Fifo), Priority::Normal),
+            12,
+            "FIFO leaves the victim behind the whole burst"
+        );
+        let fair = adversary_jobs_ahead_of_victim(Box::new(FairShare::new(8)), Priority::Normal);
+        assert!(fair <= 1, "fair-share lets at most one adversary job ahead, got {fair}");
+        assert_eq!(
+            adversary_jobs_ahead_of_victim(Box::new(StrictPriority), Priority::High),
+            0,
+            "a High victim overtakes every queued Normal job"
+        );
+    }
+
+    #[test]
+    fn low_priority_is_shed_while_the_pool_is_saturated_and_admits_after_release() {
+        // 2x one class's retention cap checked out of the global pool is the
+        // default shed threshold. No other test in this binary submits Low.
+        let g = pool::global();
+        let held: Vec<Vec<u8>> = (0..64).map(|_| g.acquire(64)).collect();
+        let sched = Scheduler::new(
+            TestBackend { lanes: 1, fail_odd: false },
+            Box::new(Fifo),
+            SchedConfig::default(),
+        );
+        let low = JobRequest { client: 0, priority: Priority::Low, cost: 1, job: 4 };
+        match sched.submit(low.clone()) {
+            Err(SchedError::PoolSaturated { pressure_permille, limit_permille }) => {
+                assert!(pressure_permille >= limit_permille);
+            }
+            other => panic!("expected PoolSaturated, got {other:?}"),
+        }
+        // Shedding is by priority: the same job at Normal is admitted.
+        assert_eq!(sched.submit(JobRequest::new(0, 4)).expect("admitted").wait(), Ok(8));
+        for buf in held {
+            g.recycle_vec(buf);
+        }
+        assert_eq!(sched.submit(low).expect("admits after release").wait(), Ok(8));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`mlrun`] — end-to-end training-loop model for the nine Table 2 × 3
 //!   workloads (Figures 1–4, 17, 18).
 //! * [`workloads`] — the Table 2 × Table 3 workload grid (dataset profile ×
-//!   model) the figure binaries sweep, with the paper-anchored cost
+//!   model) [`eval`] sweeps, with the paper-anchored cost
 //!   constants of the calibration ledger (EXPERIMENTS.md).
 //! * [`elastic`] — elastic/fault scenarios at paper scale: the DES replays
 //!   [`sparker_net::fault::NetFaultPlan`] schedules (leave, join,

@@ -100,6 +100,11 @@ mod tests {
         ];
         for shape in &shapes {
             let d1 = Selector::default_selector().select(shape);
+            assert_eq!(
+                d1.sparse,
+                CostModel::default_model().prefers_sparse(shape),
+                "the wire-format choice follows the model"
+            );
             for _ in 0..3 {
                 let d2 = Selector::default_selector().select(shape);
                 assert_eq!(d1, d2, "same calibration, same shape, same decision");

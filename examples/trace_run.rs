@@ -41,7 +41,7 @@ fn main() {
     // iteration asks the calibrated cost model which reduction algorithm to
     // run, and feeds the measured wall-clock back as selector telemetry.
     let opts = SplitAggOpts {
-        selector: Some(SelectorOpts::Auto(sparker::tuner::CostModel::default_model())),
+        selector: SelectorOpts::Auto(sparker::tuner::CostModel::default_model()),
         hint_bytes: dim as u64 * 8,
         ..Default::default()
     };

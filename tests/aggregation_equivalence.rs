@@ -96,16 +96,22 @@ fn all_strategies_agree_across_shapes() {
 fn split_variants_agree() {
     let cluster = LocalCluster::local(4, 2);
     let want = expected(8, 100);
-    for algorithm in [RsAlgorithm::Ring, RsAlgorithm::Halving] {
+    // Integer-valued sums: every merge association is exact, so the
+    // chunk-pipelined ring must match the flat ring bit for bit.
+    for algo in [Algo::FlatRing, Algo::ChunkedRing(4), Algo::Halving] {
         for parallelism in [1usize, 2, 5, 8] {
             let got = run(
                 &cluster,
                 8,
                 100,
                 "split",
-                SplitAggOpts { parallelism: Some(parallelism), algorithm, ..Default::default() },
+                SplitAggOpts {
+                    parallelism: Some(parallelism),
+                    selector: SelectorOpts::Forced(algo),
+                    ..Default::default()
+                },
             );
-            assert_eq!(got, want, "{algorithm:?} P={parallelism}");
+            assert_eq!(got, want, "{algo:?} P={parallelism}");
         }
     }
 }

@@ -24,7 +24,6 @@ use sparker::engine::rdds::{
 };
 use sparker::net::{ExecutorId, NetFaultPlan};
 use sparker::prelude::*;
-use sparker::tuner::Algo;
 use sparker_testkit::{check, tk_assert_eq, Config};
 
 fn visited(rdd: &RddRef<u64>, split: usize, ctx: &TaskContext) -> Vec<u64> {
@@ -250,7 +249,7 @@ fn shared_fold_clones_one_zero_per_executor() {
 #[test]
 fn tree_fallback_clones_no_item_and_no_folded_aggregator() {
     let opts = SplitAggOpts {
-        selector: Some(SelectorOpts::Forced(Algo::Tree)),
+        selector: SelectorOpts::Forced(Algo::Tree),
         ..Default::default()
     };
     let (clones, m) = clones_of(4, 8, opts);

@@ -80,7 +80,11 @@ fn run_split_chunked(
             }
         },
         |segs: Vec<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
-        SplitAggOpts { parallelism: Some(2), chunks, ..Default::default() },
+        SplitAggOpts {
+            parallelism: Some(2),
+            selector: SelectorOpts::Forced(Algo::ChunkedRing(chunks as u8)),
+            ..Default::default()
+        },
     )
     .map(|(v, m)| (v.0, m))
 }

@@ -73,6 +73,9 @@ fn composite_results_independent_of_parallelism_and_algorithm() {
         let got = run(SplitAggOpts { parallelism: Some(parallelism), ..Default::default() });
         assert_eq!(got, baseline, "P={parallelism}");
     }
-    let halving = run(SplitAggOpts { algorithm: RsAlgorithm::Halving, ..Default::default() });
+    let halving = run(SplitAggOpts {
+        selector: SelectorOpts::Forced(Algo::Halving),
+        ..Default::default()
+    });
     assert_eq!(halving, baseline);
 }

@@ -118,3 +118,44 @@ fn collective_steps_carry_peer_bytes_and_epoch() {
 
     trace::disable();
 }
+
+/// The tuner's calibration input is this trace: `ring.step` spans of real
+/// flat-ring runs on a two-node ring must classify into both link classes,
+/// or the fit silently keeps the default model's parameters.
+#[test]
+fn traced_flat_ring_steps_calibrate_both_link_classes() {
+    use sparker::collectives::hierarchical::node_topology_of;
+    use sparker::collectives::ring::ring_reduce_scatter;
+    use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
+    use sparker::net::topology::{round_robin_layout, RingTopology};
+
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    trace::enable();
+    let _ = trace::take(); // drop any leftovers from a previous test
+
+    let (nodes, epn, p) = (2, 4, 2);
+    let spec = RingClusterSpec::unshaped(nodes, epn, p);
+    // Spread-out sizes, so the fit sees a byte slope.
+    for elems in [64usize, 1024, 8 * 1024] {
+        run_ring_cluster(&spec, move |comm| {
+            let segs = (0..p * nodes * epn).map(|g| U64SumSegment(vec![g as u64; elems])).collect();
+            ring_reduce_scatter(&comm, segs).unwrap()
+        });
+    }
+    let spans = trace::take();
+    trace::disable();
+
+    // Classify hops through the same topology-aware ring the harness built.
+    let ring = RingTopology::new(round_robin_layout(nodes, epn, 1), RingOrder::TopologyAware, p);
+    let topo = node_topology_of(&ring);
+    let cal = sparker::tuner::calibrate_from_spans(&spans, |rank, peer| {
+        let id = |r: u64| ring.executor_at(r as usize).id;
+        Some(topo.link_class(id(rank), id(peer)))
+    });
+    assert!(
+        cal.intra_samples > 0 && cal.inter_samples > 0,
+        "calibration must see both link classes: intra {} inter {}",
+        cal.intra_samples,
+        cal.inter_samples
+    );
+}

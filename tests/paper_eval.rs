@@ -18,6 +18,41 @@ fn same_seed_runs_are_byte_identical() {
     assert_eq!(a.ledger_markdown(), b.ledger_markdown());
 }
 
+/// Every `figure/series` id EXPERIMENTS.md cites (a backticked token whose
+/// part before the `/` is a figure this sweep emits) exists in the report,
+/// so no quoted number can outlive its generator.
+fn assert_cited_series_are_emitted(cfg: EvalConfig) {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let report = run_paper_eval(&cfg);
+    let emitted = |figure: &str, series: &str| {
+        report.figures.iter().any(|f| f.figure == figure && f.series == series)
+    };
+    let mut cited = 0;
+    for token in doc.split('`') {
+        let Some((figure, series)) = token.split_once('/') else { continue };
+        if !report.figures.iter().any(|f| f.figure == figure) {
+            continue;
+        }
+        assert!(emitted(figure, series), "{:?}: `{token}` is cited but not emitted", cfg.scale);
+        cited += 1;
+    }
+    assert!(cited >= 25, "EXPERIMENTS.md cites only {cited} series ids");
+}
+
+#[test]
+fn every_series_experiments_md_cites_is_emitted_at_smoke_scale() {
+    assert_cited_series_are_emitted(EvalConfig::smoke(42));
+}
+
+/// The paper-scale sweep takes ~40 s in a debug build (its 120-executor
+/// algorithm ladder), so `tools/ci.sh` tier 2 runs it (`--include-ignored`)
+/// and the tier-1 workspace run stays at smoke scale.
+#[test]
+#[ignore = "full-scale sweep; run by tools/ci.sh tier 2"]
+fn every_series_experiments_md_cites_is_emitted_at_full_scale() {
+    assert_cited_series_are_emitted(EvalConfig::full(42));
+}
+
 /// Different seeds change scenario choices (fault victims, links) but not
 /// the physics: every bound still holds, and the emitted schema is stable.
 #[test]

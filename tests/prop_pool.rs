@@ -162,3 +162,42 @@ fn pool_disabled_still_round_trips() {
         Ok(())
     });
 }
+
+#[test]
+fn warm_chunk_pipelined_ring_allocates_10x_fewer_frames_than_it_acquires() {
+    use sparker::collectives::ring::ring_reduce_scatter_chunked;
+    use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
+
+    // A disabled pool counts every acquire as a miss, so `hits + misses` is
+    // what the same rounds would allocate unpooled. The counters are
+    // process-wide; the other tests here add at most a few dozen acquires.
+    let (parallelism, chunks, elems) = (2, 4, 256);
+    let spec = RingClusterSpec::unshaped(2, 2, parallelism);
+    let n = spec.total_executors();
+    let total = parallelism * n * chunks;
+    let round = || {
+        let per_rank = run_ring_cluster(&spec, |comm| {
+            let segs = (0..total)
+                .map(|g| U64SumSegment(vec![(comm.rank() as u64 + 1) * 1000 + g as u64; elems]))
+                .collect();
+            ring_reduce_scatter_chunked(&comm, segs, chunks).unwrap()
+        });
+        for o in per_rank.into_iter().flatten() {
+            let want = (1000 * n * (n + 1) / 2 + n * o.index) as u64;
+            assert!(o.segment.0.iter().all(|&v| v == want), "segment {} wrong", o.index);
+        }
+    };
+    round(); // the claim is steady state, not the first frame
+    let pool = sparker_net::pool::global();
+    let before = pool.stats();
+    for _ in 0..8 {
+        round();
+    }
+    let after = pool.stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert!(
+        misses * 10 <= hits + misses,
+        "pooling must cut hot-path frame allocations >=10x: {misses} misses in {} acquires",
+        hits + misses
+    );
+}

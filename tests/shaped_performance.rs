@@ -4,50 +4,14 @@
 //! harness binaries measure the precise factors.
 
 use sparker::prelude::*;
+use sparker_bench::{scaled_elems, shaped_bic, ArraySum};
 
-const SCALE: f64 = 16.0;
-
+/// Reduce time of one array-sum on a fresh `nodes`-node shaped cluster.
 fn measure(nodes: usize, elems: usize, strategy: &str) -> f64 {
-    let cluster = LocalCluster::new(ClusterSpec::bic(nodes, SCALE).with_shape(2, 1));
-    let partitions = 2 * cluster.num_executors();
-    let data = cluster
-        .generate(partitions, move |p| vec![vec![p as f64; elems]; 1])
-        .cache();
-    data.count().unwrap();
-    let seq = move |mut acc: F64Array, v: &Vec<f64>| {
-        for (a, x) in acc.0.iter_mut().zip(v) {
-            *a += *x;
-        }
-        acc
-    };
-    let zero = F64Array(vec![0.0; elems]);
+    let sum = ArraySum::new(shaped_bic(nodes, 1), 2, elems);
     let metrics = match strategy {
-        "tree" => {
-            data.tree_aggregate(
-                zero,
-                seq,
-                |mut a, b| {
-                    sparker::dense::merge(&mut a, b);
-                    a
-                },
-                TreeAggOpts::default(),
-            )
-            .unwrap()
-            .1
-        }
-        _ => {
-            data.split_aggregate(
-                zero,
-                seq,
-                sparker::dense::merge,
-                sparker::dense::split,
-                sparker::dense::merge_segments,
-                sparker::dense::concat,
-                SplitAggOpts::default(),
-            )
-            .unwrap()
-            .1
-        }
+        "tree" => sum.tree(TreeAggOpts::default()),
+        _ => sum.split(SplitAggOpts::default()),
     };
     metrics.reduce.as_secs_f64()
 }
@@ -55,7 +19,7 @@ fn measure(nodes: usize, elems: usize, strategy: &str) -> f64 {
 #[test]
 fn split_reduces_faster_than_tree_on_medium_aggregators() {
     // 8MB paper-equivalent on 2 nodes.
-    let elems = (8.0 * 1024.0 * 1024.0 / SCALE / 8.0) as usize;
+    let elems = scaled_elems(8.0 * 1024.0 * 1024.0);
     let tree = measure(2, elems, "tree");
     let split = measure(2, elems, "split");
     assert!(
@@ -66,7 +30,7 @@ fn split_reduces_faster_than_tree_on_medium_aggregators() {
 
 #[test]
 fn split_reduce_time_grows_slowly_with_nodes() {
-    let elems = (8.0 * 1024.0 * 1024.0 / SCALE / 8.0) as usize;
+    let elems = scaled_elems(8.0 * 1024.0 * 1024.0);
     let one = measure(1, elems, "split");
     let four = measure(4, elems, "split");
     // Paper: 8-node time is 1.12x of 1-node at 256MB. Allow generous noise.

@@ -12,7 +12,6 @@ use sparker::net::{ExecutorId, NetFaultPlan};
 use sparker::prelude::*;
 use sparker::sparse::SparseAccum;
 use sparker_engine::metrics::AggMetrics;
-use sparker_engine::ops::split_aggregate::RsAlgorithm;
 
 const FEATURES: usize = 512;
 const SAMPLES: u64 = 96;
@@ -89,8 +88,8 @@ fn sparse_gradient(
 #[test]
 fn classification_gradients_match_dense_on_ring_and_halving() {
     let cluster = LocalCluster::local(4, 2);
-    for algorithm in [RsAlgorithm::Ring, RsAlgorithm::Halving] {
-        let opts = || SplitAggOpts { algorithm, ..Default::default() };
+    for algo in [Algo::FlatRing, Algo::Halving] {
+        let opts = || SplitAggOpts { selector: SelectorOpts::Forced(algo), ..Default::default() };
         let (dense, _) = dense_gradient(&cluster, opts());
         let (sparse, _) = sparse_gradient(&cluster, opts(), false);
         let (adaptive, _) = sparse_gradient(&cluster, opts(), true);

@@ -1,35 +1,26 @@
 #!/usr/bin/env bash
-# BENCH_*.json trajectory check — CI tier 1 (wired into tools/ci.sh).
+# BENCH_10.json guard — CI tier 1 (wired into tools/ci.sh).
 #
-# Runs the in-tree `bench_trend` binary over every BENCH_*.json at the
-# repo root:
-#   - each file must parse with the in-tree JSON parser (crates/obs),
-#   - each known bench family must carry its required top-level keys,
-#   - BENCH_10.json (paper parity) must be a full-shape run with zero
-#     failed bounds, and — when a committed previous version exists —
-#     its headline metrics must not regress beyond the stated margin.
+# Runs the in-tree `bench_trend` binary over the repo-root BENCH_10.json
+# (the committed full-shape `paper_eval` run):
+#   - it must parse with the in-tree JSON parser (crates/obs) and carry
+#     the paper_eval family's required top-level keys,
+#   - it must be a full-shape run with zero failed bounds, and — when a
+#     committed previous version exists — its headline metrics must not
+#     regress beyond the stated margin.
 #
 # The baseline for the trend check is the last committed BENCH_10.json
 # (`git show HEAD:BENCH_10.json`), so a working-tree regeneration is
 # always compared against what the previous PR shipped. Outside a git
 # checkout (or before BENCH_10 was first committed) the trend check is
 # skipped and only schema validation runs.
-#
-# BENCH_7.json does not exist by design: PR 7 (chaos/self-healing)
-# shipped no bench artifact. The checker validates the files it is
-# given and never requires contiguous numbering.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-files=()
-for f in BENCH_*.json; do
-  [ -e "$f" ] || continue
-  files+=("$f")
-done
-if [ "${#files[@]}" -eq 0 ]; then
-  echo "bench_trend.sh: no BENCH_*.json files at repo root" >&2
+if [ ! -e BENCH_10.json ]; then
+  echo "bench_trend.sh: no BENCH_10.json at repo root" >&2
   exit 1
 fi
 
@@ -47,4 +38,4 @@ else
   echo "bench_trend.sh: no committed BENCH_10.json baseline; schema checks only"
 fi
 
-./target/release/bench_trend "${baseline_args[@]}" "${files[@]}"
+./target/release/bench_trend "${baseline_args[@]}" BENCH_10.json

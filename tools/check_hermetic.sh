@@ -51,7 +51,6 @@ fi
 export CARGO_NET_OFFLINE=true
 cargo build --release --offline
 cargo test -q --offline --workspace
-cargo build --offline --benches
 #    The benchmark crate (benchmark/, BENCHMARK.json) is a package of its own
 #    that the workspace commands above never see; it measures every PR
 #    through the workspace's public API, so an API change that breaks it must
@@ -59,7 +58,7 @@ cargo build --offline --benches
 (cd benchmark && export CARGO_TARGET_DIR=../target &&
   cargo build --release --offline && cargo test -q --offline)
 
-# Deadline-bounded smoke runner for steps 4-12: all of them are "run this
+# Deadline-bounded smoke runner for steps 4-9: all of them are "run this
 # cargo invocation offline, fail the gate on non-zero or on a hang".
 smoke() {
   local sub="$1"
@@ -79,28 +78,23 @@ smoke test -p sparker-repro --test chaos_collectives
 #    offline: sparker-obs is std-only and the export lands under results/.
 smoke run --release --example trace_run
 
-# 6. Sparse-aggregation smoke — runs the density ablation in --smoke shape
-#    (small dim, densities 100% and 1%). The binary itself asserts the
-#    acceptance bounds: all variants numerically equal, sparse/adaptive
-#    ≥5x fewer wire bytes than dense at 1% density, and adaptive no worse
-#    than dense (plus per-segment header) at 100%. Crate path-only-ness is
-#    already covered by the step-1 crates/*/Cargo.toml glob.
-smoke run --release -p sparker-bench --bin ablation_sparse_density -- --smoke
+# 6. Figures smoke — the one self-asserting `figures` id, the density
+#    ablation in --smoke shape (small dim, densities 100% and 1%): all
+#    segment representations numerically equal, sparse/adaptive >=5x fewer
+#    wire bytes than dense at 1% density, and adaptive no worse than dense
+#    (plus per-segment header) at 100%. Building it compiles every other
+#    id. Wall-clock cost is benchmark/run.sh's question (built and
+#    unit-tested in step 3), not this gate's.
+smoke run --release -p sparker-bench --bin figures -- --smoke sparse_density
 
-# 7. Hot-path perf-regression gate — bench_hotpath asserts its own bounds:
-#    pooled path allocates >=10x fewer frames than unpooled, chunk-pipelined
-#    ring is bit-exact with unpipelined, striped IMM totals equal the
-#    single-lock totals. Writes results/bench_hotpath.json + BENCH_5.json.
-smoke run --release -p sparker-bench --bin bench_hotpath -- --smoke
-
-# 8. Multi-process smoke — launch_cluster spawns 3 real executor OS
+# 7. Multi-process smoke — launch_cluster spawns 3 real executor OS
 #    processes over localhost TCP and runs the full splitAggregate matrix
 #    (dense, sparse, injected-failure retry, executor kill → survivor
 #    ring re-formation), asserting every answer bit-exact against the oracle. A
 #    timeout here means the socket transport or the recovery path hangs.
 smoke run --release -p sparker-bench --bin launch_cluster -- --smoke
 
-# 9. OS-level chaos smoke — chaos_cluster spawns 4 executor processes and
+# 8. OS-level chaos smoke — chaos_cluster spawns 4 executor processes and
 #    SIGKILLs one mid-collective (--plan kill): the survivors must detect
 #    the death by heartbeat/reset, the driver must publish a new membership
 #    view, and the retry must re-form the ring over the survivors (never
@@ -108,30 +102,13 @@ smoke run --release -p sparker-bench --bin launch_cluster -- --smoke
 #    watchdog exits 86 on a hang, under this step's timeout regardless.
 smoke run --release -p sparker-bench --bin chaos_cluster -- --plan kill
 
-# 10. Multi-job scheduler smoke — bench_jobs drives the sparker-sched
-#     admission queue with 4 concurrent client threads over 4 engine lanes,
-#     asserting every scheduled result bit-exact against the serial oracle,
-#     a jobs/s floor, the fair-share victim-p99 bound (which FIFO must
-#     break), and typed queue-full/backpressure rejections. Writes
-#     results/bench_jobs.json + BENCH_8.json.
-smoke run --release -p sparker-bench --bin bench_jobs -- --smoke
-
-# 11. Auto-tuned collectives smoke — bench_collectives in --smoke shape:
-#     scores the full algorithm ladder in the DES (selector within the
-#     calibrated margin of the best static choice, hierarchical beats the
-#     flat ring at AWS scale for dense >=1 MiB), then calibrates a cost
-#     model from real traced flat-ring runs and drives a live hierarchical
-#     allreduce with the selected configuration, bit-exact against the
-#     oracle. Writes results/bench_collectives.json + BENCH_9.json.
-smoke run --release -p sparker-bench --bin bench_collectives -- --smoke
-
-# 12. Paper-parity eval smoke — paper_eval in --smoke shape (reduced
-#     24-executor/96-core cluster, 3 workloads, shortened ladders): replays
-#     the paper's headline experiments plus the elastic DES scenarios and
-#     checks every named bound at smoke thresholds, writing
-#     results/paper_eval.json (the full-shape BENCH_10.json is only written
-#     by the full run). Deterministic and DES-only, so it adds seconds, not
-#     minutes; a timeout means the sweep or a bound check regressed.
+# 9. Paper-parity eval smoke — paper_eval in --smoke shape (reduced
+#    24-executor/96-core cluster, 3 workloads, shortened ladders): replays
+#    the paper's headline experiments plus the elastic DES scenarios and
+#    checks every named bound at smoke thresholds, writing
+#    results/paper_eval.json (the full-shape BENCH_10.json is only written
+#    by the full run). Deterministic and DES-only, so it adds seconds, not
+#    minutes; a timeout means the sweep or a bound check regressed.
 smoke run --release -p sparker-repro --bin paper_eval -- --smoke
 
 echo "hermetic check passed: built and tested fully offline, path-only deps"

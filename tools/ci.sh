@@ -3,17 +3,18 @@
 #
 #   tier 1  hermeticity + build + full test suite, warnings denied
 #           (tools/check_hermetic.sh under RUSTFLAGS="-D warnings";
-#           check_hermetic's own steps 4-12 cover the chaos gate, trace
-#           export, sparse ablation, the hot-path perf gate, the
-#           3-process launch_cluster smoke, the chaos_cluster kill-plan
-#           smoke, the multi-job scheduler smoke, the auto-tuned
-#           collectives smoke, and the paper-parity eval smoke), plus the
-#           BENCH_*.json trajectory check (tools/bench_trend.sh)
+#           check_hermetic's own steps 4-9 cover the chaos gate, trace
+#           export, the self-asserting `figures` id, the 3-process
+#           launch_cluster smoke, the chaos_cluster kill-plan smoke and
+#           the paper-parity eval smoke), plus the BENCH_10.json guard
+#           (tools/bench_trend.sh)
 #   tier 2  chaos + property suites, each under an explicit wall-clock
-#           bound (a timeout means a fault path regressed into a hang)
-#   tier 3  bench smoke: the self-asserting harnesses in --smoke shape,
-#           including paper_eval as its own timed step, and one pair of
-#           the A/B runner (tools/bench_ab.sh) on HEAD against itself
+#           bound (a timeout means a fault path regressed into a hang);
+#           the paper_eval tests here include the full-scale sweep that
+#           tier 1's debug-build workspace run leaves #[ignore]d
+#   tier 3  the runners in --smoke shape as their own timed steps
+#           (figures, launch_cluster, paper_eval), and one pair of the
+#           A/B runner (tools/bench_ab.sh) on HEAD against itself
 #
 # Usage: tools/ci.sh [--tier N]
 #   --tier N   run only tier N's steps (1, 2 or 3) — lets paper_eval and
@@ -132,15 +133,11 @@ run 2 "tcp_reconnect"      timeout 180 cargo test -q --offline -p sparker-repro 
 run 2 "prop_sched"         timeout 180 cargo test -q --offline -p sparker-repro --test prop_sched
 run 2 "prop_tuner"         timeout 180 cargo test -q --offline -p sparker-repro --test prop_tuner
 run 2 "chaos_cluster"      timeout 180 cargo run -q --offline --release -p sparker-bench --bin chaos_cluster -- --smoke
-run 2 "paper_eval_tests"   timeout 180 cargo test -q --offline -p sparker-repro --test paper_eval
+run 2 "paper_eval_tests"   timeout 180 cargo test -q --offline -p sparker-repro --test paper_eval -- --include-ignored
 
-# --- tier 3: bench smoke (self-asserting harnesses) ----------------------
-run 3 "bench_hotpath"      timeout 180 cargo run -q --offline --release -p sparker-bench --bin bench_hotpath -- --smoke
-run 3 "ablation_sparse"    timeout 180 cargo run -q --offline --release -p sparker-bench --bin ablation_sparse_density -- --smoke
-run 3 "bench_transport"    timeout 180 cargo run -q --offline --release -p sparker-bench --bin bench_transport -- --smoke
+# --- tier 3: runner smokes, timed on their own ---------------------------
+run 3 "figures"            timeout 180 cargo run -q --offline --release -p sparker-bench --bin figures -- --smoke sparse_density
 run 3 "launch_cluster"     timeout 180 cargo run -q --offline --release -p sparker-bench --bin launch_cluster -- --smoke
-run 3 "bench_jobs"         timeout 180 cargo run -q --offline --release -p sparker-bench --bin bench_jobs -- --smoke
-run 3 "bench_collectives"  timeout 180 cargo run -q --offline --release -p sparker-bench --bin bench_collectives -- --smoke
 run 3 "paper_eval"         timeout 180 cargo run -q --offline --release -p sparker-repro --bin paper_eval -- --smoke
 # Two checkouts, two cold release builds of the benchmark crate: minutes, not seconds.
 run 3 "bench_ab"           timeout 900 tools/bench_ab.sh HEAD HEAD --workload small_jobs --pairs 1 --seconds 2
