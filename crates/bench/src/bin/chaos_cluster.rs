@@ -25,8 +25,9 @@
 //! job boundary via [`MultiProcDriver::try_readmit`].
 //!
 //! Modes:
-//! * `--smoke` — the deterministic six-act script (baseline, drop, freeze,
-//!   kill, re-admit, scheduled view change) used as the CI tier-2 gate.
+//! * `--smoke` — the deterministic seven-act script (baseline, drop, freeze,
+//!   kill, re-admit, scheduled view change, node leader killed mid
+//!   hierarchical reduce-scatter) used as the CI tier-2 gate.
 //! * `--plan kill|stop|drop` — one fault class only; `--plan kill` is
 //!   check_hermetic step 8.
 //! * default — `--jobs N` jobs with a seeded random fault before each.
@@ -43,12 +44,13 @@ use std::time::{Duration, Instant};
 
 use sparker_bench::print_header;
 use sparker_engine::multiproc::{
-    oracle, run_executor_with, JobOutcome, JobSpec, MultiProcDriver, ALGO_HIER, KILLED_EXIT_CODE,
+    oracle, run_executor_with, JobOutcome, JobSpec, MultiProcDriver, KILLED_EXIT_CODE,
 };
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
 use sparker_obs::metrics::{self, MetricValue};
 use sparker_sched::{Fifo, JobRequest, MultiProcBackend, SchedConfig, SchedError, Scheduler};
+use sparker_tuner::Algo;
 
 const CHANNELS: usize = 2;
 /// Watchdog exit code: the run *hung* (distinct from assertion failures).
@@ -478,10 +480,10 @@ fn run_smoke(
     // Act 7: hierarchical collective under chaos — a replacement is
     // re-admitted to restore the full ring, the job runs the two-level path
     // over two *emulated* nodes, and the leader of the second node group is
-    // SIGKILLed mid-allreduce. The retry must re-form the hierarchy over
+    // SIGKILLed mid reduce-scatter. The retry must re-form the hierarchy over
     // the survivors (groups and leaders are re-derived from ring positions,
     // so the re-election is automatic): same bits, new view, no hang.
-    println!("  act 7: SIGKILL a node leader mid-hierarchical-allreduce");
+    println!("  act 7: SIGKILL a node leader mid-hierarchical-reduce-scatter");
     cluster.spawn_exec();
     *watch_pids.lock().unwrap() = cluster.pids();
     let readmitted = driver
@@ -491,7 +493,7 @@ fn run_smoke(
     println!("  re-admitted replacement executor at rank {readmitted}");
     let hier = |id: u64| {
         let mut s = base(id);
-        s.algo = ALGO_HIER;
+        s.algo = Algo::Hierarchical;
         s.nodes = 2;
         s
     };

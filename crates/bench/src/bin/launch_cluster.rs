@@ -4,7 +4,7 @@
 //! Run with no flags and this binary becomes the *driver*: it binds a
 //! rendezvous coordinator on loopback, re-executes itself `--execs` times as
 //! executor child processes, waits for them to join (rank assignment + peer
-//! address exchange, DESIGN.md §5g), and then drives four jobs through
+//! address exchange, DESIGN.md §5g), and then drives seven jobs through
 //! [`sparker_engine::multiproc`] over the resulting TCP mesh:
 //!
 //! 1. **dense** — chunk-pipelined ring reduce-scatter of [`sparker_net::codec::F64Array`]
@@ -16,7 +16,11 @@
 //!    The gang retry must succeed on attempt 1, with the receivers' epoch
 //!    fence discarding the stale attempt-0 frames still sitting in real
 //!    socket buffers.
-//! 4. **kill** — the highest rank calls `exit(13)` mid-ring. Survivors see
+//! 4. **halving / hierarchical / tree** — every other algorithm family
+//!    crosses the processes too: recursive halving, the two-level path over
+//!    two emulated nodes, and the tree as a primary path (one round, not a
+//!    fallback). Each bit-exact in one attempt.
+//! 5. **kill** — the highest rank calls `exit(13)` mid-ring. Survivors see
 //!    `Disconnected`/timeouts (never a hang), the driver publishes a new
 //!    membership view, and the gang retry re-forms the *ring over the
 //!    survivors* (DESIGN.md §5h) — partitions recomputed from lineage, the
@@ -39,6 +43,7 @@ use sparker_engine::multiproc::{
 };
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
+use sparker_tuner::Algo;
 
 const CHANNELS: usize = 2;
 
@@ -120,8 +125,9 @@ fn main() {
         "launch_cluster",
         "split aggregation across real OS processes over TCP",
         "Spawns executor child processes, rendezvous over loopback, runs the\n\
-         dense/sparse/flaky/kill job suite, and checks every result bit-exact\n\
-         against the driver-side oracle. --smoke is check_hermetic step 7.",
+         dense/sparse/flaky/halving/hierarchical/tree/kill job suite, and checks\n\
+         every result bit-exact against the driver-side oracle. --smoke is\n\
+         check_hermetic step 7.",
     );
 
     let (dim, parts, deadline_ms) = if smoke { (2_048, 9, 1_500) } else { (65_536, 24, 4_000) };
@@ -165,7 +171,7 @@ fn main() {
         table.row(vec![
             name.to_string(),
             o.attempts.to_string(),
-            if o.used_fallback { "tree fallback".into() } else { "ring".into() },
+            if o.used_fallback { "tree".into() } else { "reduce-scatter".into() },
             if o.used_fallback {
                 "whole aggregators".into()
             } else {
@@ -206,7 +212,23 @@ fn main() {
     check_exact("flaky", &o, &oracle(&flaky));
     record("flaky (retry)", &o);
 
-    // 4. Kill (last: it costs us an executor): the highest rank dies
+    // 4. The other algorithm families, each in one attempt; the tree job
+    //    runs the tree as its primary path.
+    for (id, name, algo, nodes) in [
+        (5, "halving", Algo::Halving, 0),
+        (6, "hierarchical, 2 nodes", Algo::Hierarchical, 2),
+        (7, "tree", Algo::Tree, 0),
+    ] {
+        let mut spec = base(id);
+        (spec.algo, spec.nodes) = (algo, nodes);
+        let o = driver.run_job(&spec).unwrap_or_else(|e| panic!("{name} job: {e}"));
+        assert_eq!(o.attempts, 1, "{name} job should not retry");
+        assert_eq!(o.used_fallback, algo == Algo::Tree, "{name}: only the tree job runs the tree");
+        check_exact(name, &o, &oracle(&spec));
+        record(name, &o);
+    }
+
+    // 5. Kill (last: it costs us an executor): the highest rank dies
     //    mid-ring; the survivors must re-form the ring under a new
     //    membership view and still produce the exact answer.
     let victim = execs as u32 - 1;
@@ -235,7 +257,7 @@ fn main() {
 
     table.print();
     println!(
-        "\nall 4 jobs bit-exact across {execs} OS processes ({} survived the kill)",
+        "\nall 7 jobs bit-exact across {execs} OS processes ({} survived the kill)",
         execs - 1
     );
 }

@@ -18,7 +18,7 @@ use crate::segment::Segment;
 /// block owned after reduce-scatter (`(rank + 1) % N` of this channel's
 /// range) and after `N−1` forwarding steps holds all `N`. Pure forwarding:
 /// needs only the wire format, no merge.
-pub(crate) fn ring_allgather_pass<S: sparker_net::codec::Payload>(
+fn ring_allgather_pass<S: sparker_net::codec::Payload>(
     comm: &RingComm,
     channel: usize,
     owned: S,
@@ -85,7 +85,7 @@ where
 {
     let n = comm.size();
     let p = comm.parallelism();
-    let owned = crate::ring::ring_reduce_scatter_by(comm, segments, merge)?;
+    let owned = crate::ring::ring_reduce_scatter_vec(comm, segments, merge, 1)?;
     if n == 1 {
         return Ok(owned.into_iter().map(|o| o.segment).collect());
     }

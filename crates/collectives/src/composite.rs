@@ -115,7 +115,8 @@ impl Payload for CompositeAgg {
     }
     fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
         let nf = dec.get_usize()?;
-        let mut fields = Vec::with_capacity(nf);
+        // A wire-derived count never sizes an allocation on its own.
+        let mut fields = Vec::with_capacity(nf.min(1 << 20));
         for _ in 0..nf {
             fields.push(dec.get_f64_vec()?);
         }

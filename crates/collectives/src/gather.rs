@@ -5,33 +5,52 @@
 //! user's `concatOp` reassembles them (§4.2). Inside the collectives layer
 //! we provide the executor-side equivalent: gather to a chosen root rank.
 
-use sparker_net::codec::{Decoder, Encoder};
+use sparker_net::codec::{Decoder, Encoder, Payload};
 use sparker_net::error::{NetError, NetResult};
 
 use crate::comm::RingComm;
 use crate::ring::OwnedSegment;
 use crate::segment::Segment;
 
-fn encode_owned<S: Segment>(owned: &[OwnedSegment<S>]) -> sparker_net::ByteBuf {
-    let mut enc = Encoder::new();
-    enc.put_usize(owned.len());
-    for o in owned {
-        enc.put_usize(o.index);
-        o.segment.encode_into(&mut enc);
+/// The one wire form of owned segments, used by [`gather_segments`], the
+/// engine's gather to the driver and the multi-process job reply: the
+/// global index, then the segment. A `Vec` of them is the gather frame.
+impl<V: Payload> Payload for OwnedSegment<V> {
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_usize(self.index);
+        self.segment.encode_into(enc);
     }
-    enc.finish()
+    fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
+        Ok(Self { index: dec.get_usize()?, segment: V::decode_from(dec)? })
+    }
+    fn size_hint(&self) -> usize {
+        8 + self.segment.size_hint()
+    }
 }
 
-fn decode_owned<S: Segment>(frame: sparker_net::ByteBuf) -> NetResult<Vec<OwnedSegment<S>>> {
-    let mut dec = Decoder::new(frame);
-    let count = dec.get_usize()?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let index = dec.get_usize()?;
-        let segment = S::decode_from(&mut dec)?;
-        out.push(OwnedSegment { index, segment });
+/// Orders gathered segments by global index, requiring every index in
+/// `0..total` exactly once.
+pub fn in_index_order<V>(
+    total: usize,
+    owned: impl IntoIterator<Item = OwnedSegment<V>>,
+) -> NetResult<Vec<V>> {
+    let mut slots: Vec<Option<V>> = (0..total).map(|_| None).collect();
+    for o in owned {
+        match slots.get_mut(o.index) {
+            Some(slot @ None) => *slot = Some(o.segment),
+            _ => {
+                return Err(NetError::Codec(format!(
+                    "gathered segment {} of {total} is duplicated or out of range",
+                    o.index
+                )))
+            }
+        }
     }
-    Ok(out)
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| s.ok_or_else(|| NetError::Codec(format!("segment {i} of {total} missing"))))
+        .collect()
 }
 
 /// Gathers every rank's owned segments into `root`.
@@ -47,33 +66,14 @@ pub fn gather_segments<S: Segment>(
     let n = comm.size();
     assert!(root < n);
     if comm.rank() != root {
-        comm.send_to_rank(root, 0, encode_owned(&owned))?;
+        comm.send_to_rank(root, 0, owned.to_frame())?;
         return Ok(None);
     }
     let mut all = owned;
-    for rank in 0..n {
-        if rank == root {
-            continue;
-        }
-        let frame = comm.recv_from_rank(rank, 0)?;
-        all.extend(decode_owned(frame)?);
+    for rank in (0..n).filter(|&r| r != root) {
+        all.extend(Vec::<OwnedSegment<S>>::from_frame(comm.recv_from_rank(rank, 0)?)?);
     }
-    all.sort_by_key(|o| o.index);
-    if all.len() != total {
-        return Err(NetError::Codec(format!(
-            "gather expected {total} segments, got {}",
-            all.len()
-        )));
-    }
-    for (i, o) in all.iter().enumerate() {
-        if o.index != i {
-            return Err(NetError::Codec(format!(
-                "gather segment index mismatch at {i}: got {}",
-                o.index
-            )));
-        }
-    }
-    Ok(Some(all.into_iter().map(|o| o.segment).collect()))
+    in_index_order(total, all).map(Some)
 }
 
 #[cfg(test)]

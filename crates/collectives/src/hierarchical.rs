@@ -1,16 +1,14 @@
-//! Two-level hierarchical collectives: intra-node fold, inter-node ring.
+//! Two-level hierarchical reduce-scatter: intra-node fold, inter-node ring.
 //!
 //! The paper's topology-aware ordering (§4, Figure 14) makes a *flat* ring
 //! cheap by letting all but one hop per node stay on shared memory. This
 //! module goes one level further: instead of threading the ring through
 //! every executor, each node first *folds* its executors' contributions
 //! into an elected node leader over intra-node links (the same striped
-//! shared-memory path the IMM uses), then only the `L` leaders run the
-//! chunk-pipelined ring reduce-scatter of [`crate::ring`] across the NICs,
-//! and — for the allreduce form — each leader finally broadcasts the
-//! result back to its node. The inter-node ring moves `(L−1)/L` of one
-//! aggregator per NIC instead of `(N−1)/N` per *executor*, so NIC bytes
-//! shrink by the executors-per-node factor.
+//! shared-memory path the IMM uses), then only the `L` leaders run the ring
+//! reduce-scatter of [`crate::ring`] across the NICs. The inter-node ring
+//! moves `(L−1)/L` of one aggregator per NIC instead of `(N−1)/N` per
+//! *executor*, so NIC bytes shrink by the executors-per-node factor.
 //!
 //! # Leader election and the segment space
 //!
@@ -18,10 +16,10 @@
 //! sort as the topology-aware ring, so every rank derives the identical
 //! grouping without coordination. The leader is each group's lowest-id
 //! member; after a failure, re-grouping the survivor view re-elects
-//! deterministically. The global segment space is `P·L·C` (channels ×
-//! leaders × pipeline chunks): *every* rank splits its aggregator the same
-//! way, non-leaders end the reduce-scatter owning nothing, and each leader
-//! owns `P·C` fully-reduced physical chunks.
+//! deterministically. The global segment space is `P·L` (channels ×
+//! leaders): *every* rank splits its aggregator the same way, non-leaders
+//! end the reduce-scatter owning nothing, and each leader owns `P`
+//! fully-reduced segments.
 //!
 //! # Bit-exactness and fault composition
 //!
@@ -42,10 +40,9 @@ use sparker_net::error::{NetError, NetResult};
 use sparker_net::pool;
 use sparker_net::topology::{ExecutorInfo, NodeTopology, RingOrder, RingTopology};
 
-use crate::allreduce::ring_allgather_pass;
 use crate::comm::RingComm;
 use crate::lanes::run_lanes;
-use crate::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
+use crate::ring::{ring_reduce_scatter_vec, OwnedSegment};
 use crate::segment::Segment;
 
 /// Node grouping of a ring's members, by hostname locality key.
@@ -54,119 +51,46 @@ pub fn node_topology_of(ring: &RingTopology) -> NodeTopology {
     NodeTopology::group(&infos)
 }
 
-/// Number of segments every rank must pass to the hierarchical paths:
-/// `P·L·C`, where `L` is the number of node groups (= leaders).
-pub fn hierarchical_segment_count(ring: &RingTopology, chunks: usize) -> usize {
-    ring.parallelism() * node_topology_of(ring).num_nodes() * chunks
-}
-
-/// Hierarchical reduce-scatter with [`Segment::merge_from`], `C = 1`.
+/// Hierarchical reduce-scatter with [`Segment::merge_from`].
 pub fn hierarchical_reduce_scatter<S: Segment>(
     comm: &RingComm,
     segments: Vec<S>,
 ) -> NetResult<Vec<OwnedSegment<S>>> {
-    hierarchical_reduce_scatter_chunked_by(
-        comm,
-        segments,
-        &|acc: &mut S, incoming: S| acc.merge_from(&incoming),
-        1,
-    )
+    hierarchical_reduce_scatter_by(comm, segments, &|acc: &mut S, incoming: S| {
+        acc.merge_from(&incoming)
+    })
 }
 
 /// Hierarchical reduce-scatter: intra-node fold to the elected leader,
-/// then the chunk-pipelined leader ring. `segments` must hold exactly
-/// [`hierarchical_segment_count`] entries on **every** rank (both sides of
-/// a mismatch error out before any communication). Leaders return their
-/// `P·C` owned chunks with global indices in `0..P·L·C`, sorted;
-/// non-leaders return an empty set.
-pub fn hierarchical_reduce_scatter_chunked_by<V, F>(
+/// then the leader ring. `segments` must hold exactly `P·L` entries on
+/// **every** rank (both sides of a mismatch error out before any
+/// communication). Leaders return their `P` owned segments with global
+/// indices in `0..P·L`, sorted; non-leaders return an empty set.
+pub fn hierarchical_reduce_scatter_by<V, F>(
     comm: &RingComm,
     segments: Vec<V>,
     merge: &F,
-    chunks: usize,
 ) -> NetResult<Vec<OwnedSegment<V>>>
 where
     V: Payload,
     F: Fn(&mut V, V) + Sync,
 {
-    let topo = validate(comm, segments.len(), chunks)?;
-    // Every executor its own node: the leader ring IS the flat ring.
-    if topo.num_nodes() == comm.size() {
-        return ring_reduce_scatter_chunked_by(comm, segments, merge, chunks);
-    }
-    match fold_phase(comm, &topo, segments, merge, chunks)? {
-        Folded::NonLeader => Ok(Vec::new()),
-        Folded::Leader { segments, sub } => {
-            ring_reduce_scatter_chunked_by(&sub, segments, merge, chunks)
-        }
-    }
-}
-
-/// Hierarchical allreduce with [`Segment::merge_from`], `C = 1`.
-pub fn hierarchical_allreduce<S: Segment>(comm: &RingComm, segments: Vec<S>) -> NetResult<Vec<S>> {
-    hierarchical_allreduce_chunked_by(
-        comm,
-        segments,
-        &|acc: &mut S, incoming: S| acc.merge_from(&incoming),
-        1,
-    )
-}
-
-/// Full hierarchical allreduce: fold, leader ring reduce-scatter +
-/// allgather, then intra-node broadcast. Every rank returns all `P·L·C`
-/// fully-reduced segments in global order.
-pub fn hierarchical_allreduce_chunked_by<V, F>(
-    comm: &RingComm,
-    segments: Vec<V>,
-    merge: &F,
-    chunks: usize,
-) -> NetResult<Vec<V>>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
-    let topo = validate(comm, segments.len(), chunks)?;
-    if topo.num_nodes() == comm.size() {
-        return allreduce_chunked_on(comm, segments, merge, chunks);
-    }
-    let me = comm.ring().executor_at(comm.rank()).id;
-    match fold_phase(comm, &topo, segments, merge, chunks)? {
-        Folded::Leader { segments, sub } => {
-            let mut reduced = allreduce_chunked_on(&sub, segments, merge, chunks)?;
-            let group = &topo.groups()[topo.group_of(me)];
-            bcast_phase(comm, group, &mut reduced, chunks * sub.size())?;
-            Ok(reduced)
-        }
-        Folded::NonLeader => {
-            let group = &topo.groups()[topo.group_of(me)];
-            let leader_rank = comm.ring().rank_of(group.leader().id);
-            let p = comm.parallelism();
-            let lc = topo.num_nodes() * chunks;
-            let per_channel = run_lanes(0..p, |t| recv_bcast(comm, t, leader_rank, lc));
-            let mut out = Vec::with_capacity(p * lc);
-            for blocks in per_channel {
-                out.extend(blocks?);
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Symmetric pre-communication validation; returns the node grouping.
-fn validate(comm: &RingComm, got: usize, chunks: usize) -> NetResult<NodeTopology> {
-    if chunks == 0 {
-        return Err(NetError::InvalidAddress(
-            "hierarchical collective needs chunks >= 1".into(),
-        ));
-    }
     let topo = node_topology_of(comm.ring());
-    let want = comm.parallelism() * topo.num_nodes() * chunks;
-    if got != want {
+    let want = comm.parallelism() * topo.num_nodes();
+    if segments.len() != want {
         return Err(NetError::InvalidAddress(format!(
-            "hierarchical collective needs P*L*C = {want} segments, got {got}"
+            "hierarchical reduce-scatter needs P*L = {want} segments, got {}",
+            segments.len()
         )));
     }
-    Ok(topo)
+    // Every executor its own node: the leader ring IS the flat ring.
+    if topo.num_nodes() == comm.size() {
+        return ring_reduce_scatter_vec(comm, segments, merge, 1);
+    }
+    match fold_phase(comm, &topo, segments, merge)? {
+        Folded::NonLeader => Ok(Vec::new()),
+        Folded::Leader { segments, sub } => ring_reduce_scatter_vec(&sub, segments, merge, 1),
+    }
 }
 
 /// Outcome of the intra-node fold for one rank.
@@ -179,7 +103,7 @@ enum Folded<V> {
     Leader { segments: Vec<V>, sub: RingComm },
 }
 
-/// Phase 1: members stream their `P·L·C` segments to their node leader
+/// Phase 1: members stream their `P·L` segments to their node leader
 /// (channel `t` carries channel `t`'s slot range); the leader merges them
 /// in member-id order. Leaders come back with the leaders-only sub-ring
 /// comm (same transport, epoch, cancel token, and deadline).
@@ -188,7 +112,6 @@ fn fold_phase<V, F>(
     topo: &NodeTopology,
     mut segments: Vec<V>,
     merge: &F,
-    chunks: usize,
 ) -> NetResult<Folded<V>>
 where
     V: Payload,
@@ -198,13 +121,13 @@ where
     let me = ring.executor_at(comm.rank()).id;
     let group = &topo.groups()[topo.group_of(me)];
     let p = comm.parallelism();
-    let lc = topo.num_nodes() * chunks;
+    let l = topo.num_nodes();
 
     if !topo.is_leader(me) {
         let leader_rank = ring.rank_of(group.leader().id);
         // chunks_mut: exclusive slices make the lanes need only V: Send,
         // matching the flat ring's bounds (send_fold merely reads).
-        run_lanes(segments.chunks_mut(lc).enumerate(), |(t, slots)| {
+        run_lanes(segments.chunks_mut(l).enumerate(), |(t, slots)| {
             send_fold(comm, t, leader_rank, slots)
         })
         .into_iter()
@@ -212,7 +135,7 @@ where
         return Ok(Folded::NonLeader);
     }
 
-    run_lanes(segments.chunks_mut(lc).enumerate(), |(t, slots)| {
+    run_lanes(segments.chunks_mut(l).enumerate(), |(t, slots)| {
         recv_fold(comm, t, &group.members, slots, merge)
     })
     .into_iter()
@@ -223,7 +146,7 @@ where
     Ok(Folded::Leader { segments, sub: comm.subring(sub, sub_rank) })
 }
 
-/// One channel of a member's fold: its `L·C` slots, in order, to the leader.
+/// One channel of a member's fold: its `L` slots, in order, to the leader.
 fn send_fold<V: Payload>(
     comm: &RingComm,
     channel: usize,
@@ -304,123 +227,10 @@ where
     Ok(())
 }
 
-/// Phase 3 (allreduce only): the leader streams the fully-reduced segments
-/// back to each of its node's members, channel by channel.
-fn bcast_phase<V: Payload>(
-    comm: &RingComm,
-    group: &sparker_net::topology::NodeGroup,
-    reduced: &mut [V],
-    lc: usize,
-) -> NetResult<()> {
-    let ring = comm.ring();
-    // Exclusive slices for V: Send (the lanes only read them).
-    run_lanes(reduced.chunks_mut(lc).enumerate(), |(t, slots)| {
-        let pool = pool::global();
-        let (op, attempt) = comm.epoch();
-        for m in &group.members[1..] {
-            let to = ring.rank_of(m.id);
-            let started = sparker_obs::enabled().then(std::time::Instant::now);
-            let mut sent_bytes = 0u64;
-            for s in slots.iter() {
-                let frame = s.to_frame_pooled(pool);
-                sent_bytes += frame.len() as u64;
-                comm.send_to_rank(to, t, frame)?;
-            }
-            if let Some(t0) = started {
-                sparker_obs::trace::event_dur(
-                    sparker_obs::Layer::Step,
-                    "hier.bcast",
-                    t0,
-                    &[
-                        ("channel", t as u64),
-                        ("rank", comm.rank() as u64),
-                        ("peer", to as u64),
-                        ("send_bytes", sent_bytes),
-                        ("recv_bytes", 0),
-                        ("op", op),
-                        ("epoch", attempt as u64),
-                    ],
-                );
-            }
-        }
-        Ok(())
-    })
-    .into_iter()
-    .collect()
-}
-
-/// One channel of a member's broadcast receive: `lc` slots, in order.
-fn recv_bcast<V: Payload>(
-    comm: &RingComm,
-    channel: usize,
-    leader_rank: usize,
-    lc: usize,
-) -> NetResult<Vec<V>> {
-    let pool = pool::global();
-    let mut out = Vec::with_capacity(lc);
-    for _ in 0..lc {
-        let frame = comm.recv_from_rank(leader_rank, channel)?;
-        out.push(V::from_frame_pooled(frame, pool)?);
-    }
-    Ok(out)
-}
-
-/// Chunk-aware allreduce on an arbitrary ring comm: chunked reduce-scatter,
-/// then one allgather per `(channel, chunk-stream)` pair. With `C = 1` this
-/// is exactly [`crate::allreduce::ring_allreduce_by`]'s schedule.
-fn allreduce_chunked_on<V, F>(
-    comm: &RingComm,
-    segments: Vec<V>,
-    merge: &F,
-    chunks: usize,
-) -> NetResult<Vec<V>>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
-    let n = comm.size();
-    let p = comm.parallelism();
-    let owned = ring_reduce_scatter_chunked_by(comm, segments, merge, chunks)?;
-    if n == 1 {
-        return Ok(owned.into_iter().map(|o| o.segment).collect());
-    }
-    debug_assert_eq!(owned.len(), p * chunks);
-
-    // Channel t owns the C physical chunks of logical position (rank+1)%n
-    // in its range; allgather each chunk stream c = 0..C in turn. Owned
-    // chunks are moved into their channel's thread (no clone, V: Send).
-    let mut by_channel: Vec<Vec<OwnedSegment<V>>> = (0..p).map(|_| Vec::new()).collect();
-    for o in owned {
-        by_channel[o.index / (n * chunks)].push(o);
-    }
-    let per_channel = run_lanes(by_channel.into_iter().enumerate(), |(t, mine)| {
-        let mut placed = Vec::with_capacity(n * chunks);
-        for o in mine {
-            let c = o.index % chunks;
-            let blocks = ring_allgather_pass(comm, t, o.segment, n)?;
-            for (j, b) in blocks.into_iter().enumerate() {
-                placed.push((t * n * chunks + j * chunks + c, b));
-            }
-        }
-        NetResult::Ok(placed)
-    });
-
-    let mut out: Vec<Option<V>> = (0..p * n * chunks).map(|_| None).collect();
-    for placed in per_channel {
-        for (idx, v) in placed? {
-            out[idx] = Some(v);
-        }
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, b)| b.ok_or_else(|| NetError::Codec(format!("allgather missed block {i}"))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::ring_reduce_scatter_chunked;
+    use crate::ring::ring_reduce_scatter;
     use crate::segment::U64SumSegment;
     use crate::testing::{run_ring_cluster, RingClusterSpec};
 
@@ -435,19 +245,13 @@ mod tests {
         (0..n).map(|r| (r as u64 + 1) * 1000 + g as u64).sum()
     }
 
-    fn check_hier_reduce_scatter(nodes: usize, epn: usize, p: usize, chunks: usize, elems: usize) {
+    fn check_hier_reduce_scatter(nodes: usize, epn: usize, p: usize, elems: usize) {
         let spec = RingClusterSpec::unshaped(nodes, epn, p);
         let n = spec.total_executors();
-        let total = p * nodes * chunks;
+        let total = p * nodes;
         let per_rank = run_ring_cluster(&spec, move |comm| {
             let segs = seed(comm.rank(), total, elems);
-            let owned = hierarchical_reduce_scatter_chunked_by(
-                &comm,
-                segs,
-                &|a: &mut U64SumSegment, b| a.merge_from(&b),
-                chunks,
-            )
-            .unwrap();
+            let owned = hierarchical_reduce_scatter(&comm, segs).unwrap();
             let leader = node_topology_of(comm.ring())
                 .is_leader(comm.ring().executor_at(comm.rank()).id);
             (leader, owned)
@@ -458,16 +262,16 @@ mod tests {
                 assert!(owned.is_empty(), "non-leaders own nothing");
                 continue;
             }
-            assert_eq!(owned.len(), p * chunks, "leaders own P*C chunks");
+            assert_eq!(owned.len(), p, "leaders own P segments");
             for o in owned {
-                assert!(!seen[o.index], "chunk {} owned twice", o.index);
+                assert!(!seen[o.index], "segment {} owned twice", o.index);
                 seen[o.index] = true;
                 let want = expected(o.index, n);
-                assert!(o.segment.0.iter().all(|&v| v == want), "chunk {} wrong", o.index);
+                assert!(o.segment.0.iter().all(|&v| v == want), "segment {} wrong", o.index);
                 assert_eq!(o.segment.0.len(), elems);
             }
         }
-        assert!(seen.iter().all(|&s| s), "all chunks covered");
+        assert!(seen.iter().all(|&s| s), "all segments covered");
         assert_eq!(
             per_rank.iter().filter(|(l, _)| *l).count(),
             nodes,
@@ -477,104 +281,43 @@ mod tests {
 
     #[test]
     fn hier_reduce_scatter_two_nodes() {
-        check_hier_reduce_scatter(2, 4, 1, 1, 3);
+        check_hier_reduce_scatter(2, 4, 1, 3);
     }
 
     #[test]
-    fn hier_reduce_scatter_chunked_parallel() {
-        check_hier_reduce_scatter(2, 3, 2, 2, 5);
-        check_hier_reduce_scatter(3, 2, 2, 3, 1);
+    fn hier_reduce_scatter_parallel() {
+        check_hier_reduce_scatter(2, 3, 2, 5);
+        check_hier_reduce_scatter(3, 2, 2, 1);
     }
 
     #[test]
     fn hier_reduce_scatter_single_node_degenerate() {
         // One node: no inter-node ring at all; the leader folds everything.
-        check_hier_reduce_scatter(1, 4, 2, 2, 2);
-        check_hier_reduce_scatter(1, 1, 1, 1, 1);
+        check_hier_reduce_scatter(1, 4, 2, 2);
+        check_hier_reduce_scatter(1, 1, 1, 1);
     }
 
     #[test]
     fn hier_every_rank_its_own_node_equals_flat_ring() {
         // epn = 1: L == N, the hierarchical path must BE the flat path.
         let spec = RingClusterSpec::unshaped(4, 1, 2);
-        let chunks = 2;
-        let total = 2 * 4 * chunks;
+        let total = 2 * 4;
         let hier = run_ring_cluster(&spec, move |comm| {
-            hierarchical_reduce_scatter_chunked_by(
-                &comm,
-                seed(comm.rank(), total, 3),
-                &|a: &mut U64SumSegment, b| a.merge_from(&b),
-                chunks,
-            )
-            .unwrap()
+            hierarchical_reduce_scatter(&comm, seed(comm.rank(), total, 3)).unwrap()
         });
         let flat = run_ring_cluster(&spec, move |comm| {
-            ring_reduce_scatter_chunked(&comm, seed(comm.rank(), total, 3), chunks).unwrap()
+            ring_reduce_scatter(&comm, seed(comm.rank(), total, 3)).unwrap()
         });
         assert_eq!(hier, flat);
-    }
-
-    fn check_hier_allreduce(nodes: usize, epn: usize, p: usize, chunks: usize) {
-        let spec = RingClusterSpec::unshaped(nodes, epn, p);
-        let n = spec.total_executors();
-        let total = p * nodes * chunks;
-        let per_rank = run_ring_cluster(&spec, move |comm| {
-            hierarchical_allreduce_chunked_by(
-                &comm,
-                seed(comm.rank(), total, 2),
-                &|a: &mut U64SumSegment, b| a.merge_from(&b),
-                chunks,
-            )
-            .unwrap()
-        });
-        for result in &per_rank {
-            assert_eq!(result.len(), total);
-            for (g, s) in result.iter().enumerate() {
-                let want = expected(g, n);
-                assert!(s.0.iter().all(|&v| v == want), "segment {g}: {s:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn hier_allreduce_matches_oracle_everywhere() {
-        check_hier_allreduce(2, 3, 1, 1);
-        check_hier_allreduce(2, 2, 2, 2);
-        check_hier_allreduce(3, 2, 1, 2);
-        check_hier_allreduce(1, 3, 2, 1);
-        check_hier_allreduce(4, 1, 1, 2);
     }
 
     #[test]
     fn hier_wrong_count_is_a_symmetric_error() {
         let spec = RingClusterSpec::unshaped(2, 2, 1);
         let errs = run_ring_cluster(&spec, |comm| {
-            // P*L*C = 2 but we pass 3; and chunks = 0 is always invalid.
-            let bad = hierarchical_reduce_scatter_chunked_by(
-                &comm,
-                seed(comm.rank(), 3, 1),
-                &|a: &mut U64SumSegment, b| a.merge_from(&b),
-                1,
-            )
-            .is_err();
-            let zero = hierarchical_reduce_scatter_chunked_by(
-                &comm,
-                seed(comm.rank(), 2, 1),
-                &|a: &mut U64SumSegment, b| a.merge_from(&b),
-                0,
-            )
-            .is_err();
-            bad && zero
+            // P*L = 2 but we pass 3.
+            hierarchical_reduce_scatter(&comm, seed(comm.rank(), 3, 1)).is_err()
         });
         assert!(errs.iter().all(|&e| e));
-    }
-
-    #[test]
-    fn hier_segment_count_helper_matches() {
-        let spec = RingClusterSpec::unshaped(3, 2, 2);
-        let counts = run_ring_cluster(&spec, |comm| {
-            hierarchical_segment_count(comm.ring(), 4)
-        });
-        assert!(counts.iter().all(|&c| c == 2 * 3 * 4));
     }
 }

@@ -26,8 +26,12 @@
 //! * [`allreduce::ring_allreduce`] / [`gather`] — reduce-scatter composed
 //!   with allgather/gather, completing the MPI-style collective family.
 //! * [`hierarchical`] — the two-level path: intra-node fold to an elected
-//!   node leader, chunked ring over leaders only, optional intra-node
-//!   broadcast; NIC bytes shrink by the executors-per-node factor.
+//!   node leader, ring over leaders only; NIC bytes shrink by the
+//!   executors-per-node factor.
+//!
+//! Each collective has one implementation, taking the merge as a closure
+//! (the engine passes the user's `reduceOp`); the `Segment`-bound entry
+//! points are single calls into it with [`Segment::merge_from`].
 //!
 //! All algorithms are written against [`comm::RingComm`] — a rank-bound view
 //! of a transport plus ring topology — so the same code runs unshaped in unit
@@ -47,13 +51,12 @@ pub mod tree;
 
 pub use comm::RingComm;
 pub use hierarchical::{
-    hierarchical_allreduce, hierarchical_allreduce_chunked_by, hierarchical_reduce_scatter,
-    hierarchical_reduce_scatter_chunked_by, hierarchical_segment_count, node_topology_of,
+    hierarchical_reduce_scatter, hierarchical_reduce_scatter_by, node_topology_of,
 };
 pub use composite::{CompositeAgg, CompositeLayout};
 pub use lanes::run_lanes;
 pub use ring::{
-    ring_reduce_scatter, ring_reduce_scatter_by, ring_reduce_scatter_chunked,
-    ring_reduce_scatter_chunked_by, ring_reduce_scatter_produced_by, OwnedSegment,
+    ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_produced_by,
+    OwnedSegment,
 };
 pub use segment::{Segment, SumSegment, U64SumSegment};

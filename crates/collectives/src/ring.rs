@@ -68,37 +68,18 @@ pub fn ring_reduce_scatter_chunked<S: Segment>(
     segments: Vec<S>,
     chunks: usize,
 ) -> NetResult<Vec<OwnedSegment<S>>> {
-    ring_reduce_scatter_chunked_by(
-        comm,
-        segments,
-        &|acc: &mut S, incoming: S| acc.merge_from(&incoming),
-        chunks,
-    )
+    let merge = |acc: &mut S, incoming: S| acc.merge_from(&incoming);
+    ring_reduce_scatter_vec(comm, segments, &merge, chunks)
 }
 
-/// Closure-merge variant of [`ring_reduce_scatter`]: the paper's SAI passes
-/// `reduceOp` as a user callback, so the engine cannot rely on a trait impl.
-/// `merge` must be associative/commutative like [`Segment::merge_from`].
-pub fn ring_reduce_scatter_by<V, F>(
-    comm: &RingComm,
-    segments: Vec<V>,
-    merge: &F,
-) -> NetResult<Vec<OwnedSegment<V>>>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
-    ring_reduce_scatter_chunked_by(comm, segments, merge, 1)
-}
-
-/// Chunk-pipelined, closure-merge reduce-scatter over ready-made segments.
+/// [`ring_reduce_scatter_produced_by`] over ready-made segments, for the
+/// collectives that hold a segment vector (hierarchical leaders, allreduce).
 ///
 /// `segments` must contain exactly `P·N·chunks` entries, laid out so that
 /// channel `t` covers global indices `[t·N·C, (t+1)·N·C)` and logical ring
 /// position `j` within a channel covers `C` consecutive physical chunks.
-/// With `chunks == 1` this is exactly the classic unpipelined ring. Returns
-/// the `P·C` physical segments this rank owns, sorted by global index.
-pub fn ring_reduce_scatter_chunked_by<V, F>(
+/// With `chunks == 1` this is exactly the classic unpipelined ring.
+pub(crate) fn ring_reduce_scatter_vec<V, F>(
     comm: &RingComm,
     segments: Vec<V>,
     merge: &F,
@@ -115,15 +96,22 @@ where
             segments.len()
         )));
     }
-    // Each lane moves its own segments out; a cell is taken exactly once.
-    let cells: Vec<Mutex<Option<V>>> = segments.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let take = |g: usize| cells[g].lock().take().expect("each segment is produced once");
-    ring_reduce_scatter_produced_by(comm, &take, merge, chunks)
+    ring_reduce_scatter_produced_by(comm, &produce_from(segments), merge, chunks)
 }
 
-/// Producer form of [`ring_reduce_scatter_chunked_by`], and the one
-/// implementation of the lane schedule: lane `t` calls `produce(g)` for its
-/// own global indices `[t·N·C, (t+1)·N·C)` and then runs its pass over them
+/// A producer over ready-made segments: `produce(g)` moves segment `g` out
+/// of its cell, so each lane takes its own segments without copying them.
+/// Each index may be produced once.
+pub fn produce_from<V: Send>(segments: Vec<V>) -> impl Fn(usize) -> V + Sync {
+    let cells: Vec<Mutex<Option<V>>> = segments.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    move |g| cells[g].lock().take().expect("each segment is produced once")
+}
+
+/// The one implementation of the ring reduce-scatter. `merge` is a closure
+/// because the paper's SAI passes `reduceOp` as a user callback; it must be
+/// associative/commutative like [`Segment::merge_from`]. Lane `t` calls
+/// `produce(g)` for its own global indices `[t·N·C, (t+1)·N·C)` and then
+/// runs its pass over them
 /// on channel `t`. The caller's `splitOp` therefore runs on all `P` lanes in
 /// parallel (paper §4.2: "multiple threads can split a single aggregator in
 /// parallel") inside the one thread scope of the ring, and the `P·N·C`

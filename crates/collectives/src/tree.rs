@@ -6,7 +6,6 @@
 //! versus the ring's `(N−1)/N` of one aggregator — which is exactly why
 //! tree reduction stops scaling once aggregators are large (Figure 16).
 
-use sparker_net::codec::Payload;
 use sparker_net::error::NetResult;
 
 use crate::comm::RingComm;
@@ -21,22 +20,6 @@ pub fn binomial_tree_reduce<S: Segment>(
     value: S,
     root: usize,
 ) -> NetResult<Option<S>> {
-    binomial_tree_reduce_by(comm, value, root, &|acc: &mut S, incoming: S| {
-        acc.merge_from(&incoming)
-    })
-}
-
-/// Closure-merge variant of [`binomial_tree_reduce`], for user `reduceOp`s.
-pub fn binomial_tree_reduce_by<V, F>(
-    comm: &RingComm,
-    value: V,
-    root: usize,
-    merge: &F,
-) -> NetResult<Option<V>>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
     let n = comm.size();
     assert!(root < n, "root {root} out of {n} ranks");
     let mut acc = value;
@@ -52,18 +35,12 @@ where
         }
         if rel + mask < n {
             let child = ((rel + mask) + root) % n;
-            let incoming = V::from_frame(comm.recv_from_rank(child, 0)?)?;
-            merge(&mut acc, incoming);
+            let incoming = S::from_frame(comm.recv_from_rank(child, 0)?)?;
+            acc.merge_from(&incoming);
         }
         mask <<= 1;
     }
     Ok(Some(acc))
-}
-
-/// Number of sequential rounds a binomial reduction over `n` ranks takes.
-pub fn tree_rounds(n: usize) -> usize {
-    assert!(n > 0);
-    usize::BITS as usize - (n - 1).leading_zeros() as usize
 }
 
 #[cfg(test)]
@@ -110,15 +87,5 @@ mod tests {
     #[test]
     fn tree_reduce_single_rank() {
         check_tree(1, 1, 0);
-    }
-
-    #[test]
-    fn rounds_formula() {
-        assert_eq!(tree_rounds(1), 0);
-        assert_eq!(tree_rounds(2), 1);
-        assert_eq!(tree_rounds(3), 2);
-        assert_eq!(tree_rounds(4), 2);
-        assert_eq!(tree_rounds(5), 3);
-        assert_eq!(tree_rounds(48), 6);
     }
 }

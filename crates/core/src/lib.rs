@@ -153,7 +153,7 @@ pub mod prelude {
     pub use sparker_engine::ops::allreduce_aggregate::{
         allreduce_aggregate, executor_copy_slot, AllReduceOutput,
     };
-    pub use sparker_engine::ops::split_aggregate::{ImmMode, SelectorOpts, SplitAggOpts};
+    pub use sparker_engine::ops::split_aggregate::{SelectorOpts, SplitAggOpts};
     pub use sparker_engine::ops::tree_aggregate::TreeAggOpts;
     pub use sparker_ml::glm::AggregationMode;
     pub use sparker_ml::lbfgs::LbfgsConfig;

@@ -18,7 +18,7 @@
 //!   `treeAggregate`: per-partition aggregators, log-depth shuffle rounds
 //!   that serialize whole aggregators between executors, and a final
 //!   sequential merge at the driver. This is the paper's baseline.
-//! * **In-Memory Merge** ([`objects`], `ImmMode` in
+//! * **In-Memory Merge** ([`objects`], the IMM stage of
 //!   [`ops::split_aggregate`]) — the paper's §3.2:
 //!   tasks on the same executor merge their results into a shared in-memory
 //!   value *before* serialization (a "reduced-result stage"); task failure

@@ -11,8 +11,9 @@
 //!   full [`JobSpec`]; executors answer [`ExecMsg::JobOk`] (their owned,
 //!   fully-reduced segments) or [`ExecMsg::JobErr`].
 //! * **data plane** — the [`sparker_net::tcp::TcpTransport`] peer mesh,
-//!   where the chunk-pipelined ring reduce-scatter runs, epoch-fenced
-//!   exactly as in-process ([`sparker_collectives::RingComm`]).
+//!   where the reduce-scatter [`JobSpec::algo`] names runs through the same
+//!   dispatch as in-process ([`crate::ops::reduce`]), epoch-fenced exactly
+//!   as in-process ([`sparker_collectives::RingComm`]).
 //!
 //! # Recovery semantics (DESIGN.md §5h)
 //!
@@ -32,7 +33,8 @@
 //!    death.
 //! 3. **Tree fallback** (last resort): only when ring attempts are
 //!    exhausted, survivors ship whole aggregators up the control plane and
-//!    the driver merges pairwise — slower, but exact.
+//!    the driver merges pairwise — slower, but exact. An `Algo::Tree` job
+//!    runs this tree as its primary path instead.
 //!
 //! A restarted executor re-joins through rendezvous between jobs
 //! ([`MultiProcDriver::try_readmit`]): it takes over the vacated rank, dials
@@ -52,8 +54,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use sparker_collectives::hierarchical::hierarchical_reduce_scatter_chunked_by;
-use sparker_collectives::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
+use sparker_collectives::gather::in_index_order;
+use sparker_collectives::ring::{produce_from, OwnedSegment};
 use sparker_collectives::RingComm;
 use sparker_net::codec::{Decoder, Encoder, F64Array, Payload};
 use sparker_net::error::{NetError, NetResult};
@@ -64,7 +66,9 @@ use sparker_net::transport::Transport;
 use sparker_net::{pool, ByteBuf};
 use sparker_obs::metrics::{self, Counter, MetricValue};
 use sparker_sparse::DenseOrSparse;
+use sparker_tuner::Algo;
 
+use crate::ops::reduce::{reduce_scatter, segment_count};
 use crate::task::{EngineError, EngineResult};
 
 /// Exit code of an executor killed by `die_rank` fault injection, so the
@@ -73,12 +77,6 @@ pub const KILLED_EXIT_CODE: i32 = 13;
 
 /// Sentinel for "no rank" in the fault-injection fields.
 pub const NO_RANK: u32 = u32::MAX;
-
-/// [`JobSpec::algo`]: flat/chunked ring reduce-scatter (the default).
-pub const ALGO_RING: u8 = 0;
-/// [`JobSpec::algo`]: two-level hierarchical reduce-scatter — intra-node
-/// fold to node leaders, chunked ring over the leaders-only sub-ring.
-pub const ALGO_HIER: u8 = 1;
 
 fn counter_cached(cell: &'static OnceLock<Arc<Counter>>, name: &'static str) -> &'static Arc<Counter> {
     cell.get_or_init(|| metrics::counter(name))
@@ -169,14 +167,14 @@ pub struct JobSpec {
     pub total_parts: usize,
     /// Ring channels (the paper's parallelism `P`).
     pub parallelism: usize,
-    /// Pipeline chunks per ring slot (`C`).
-    pub chunks: usize,
-    /// Reduction algorithm: [`ALGO_RING`] (flat/chunked ring, the default)
-    /// or [`ALGO_HIER`] (two-level hierarchical reduce-scatter).
-    pub algo: u8,
-    /// Emulated node count for [`ALGO_HIER`]: members are blocked into this
-    /// many host groups by ring position (deterministic across view
-    /// changes). 0 keeps the legacy layout where every rank is its own node.
+    /// Reduction algorithm, the same vocabulary the selector and the
+    /// in-process engine use. `Algo::Tree` runs the driver's tree as the
+    /// primary path.
+    pub algo: Algo,
+    /// Emulated node count for `Algo::Hierarchical`: members are blocked
+    /// into this many host groups by ring position (deterministic across
+    /// view changes). 0 keeps the legacy layout where every rank is its own
+    /// node.
     pub nodes: usize,
     /// Gang attempt — the `attempt` half of the epoch fence.
     pub attempt: u32,
@@ -219,8 +217,7 @@ impl JobSpec {
             density: 1.0,
             total_parts,
             parallelism: 2,
-            chunks: 2,
-            algo: ALGO_RING,
+            algo: Algo::ChunkedRing(2),
             nodes: 0,
             attempt: 0,
             epoch_ns: 0,
@@ -253,8 +250,7 @@ impl Payload for JobSpec {
         enc.put_f64(self.density);
         enc.put_usize(self.total_parts);
         enc.put_usize(self.parallelism);
-        enc.put_usize(self.chunks);
-        enc.put_u8(self.algo);
+        self.algo.encode_into(enc);
         enc.put_usize(self.nodes);
         enc.put_u32(self.attempt);
         enc.put_u32(self.epoch_ns);
@@ -264,63 +260,36 @@ impl Payload for JobSpec {
         enc.put_u32(self.drop_rank);
         enc.put_u32(self.drop_peer);
         self.view.encode_into(enc);
-        enc.put_usize(self.assigned.len());
-        for parts in &self.assigned {
-            enc.put_u64_slice(parts);
-        }
+        self.assigned.encode_into(enc);
     }
 
     fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
-        let id = dec.get_u64()?;
-        let sparse = dec.get_bool()?;
-        let threshold = dec.get_f64()?;
-        let seed = dec.get_u64()?;
-        let dim = dec.get_usize()?;
-        let density = dec.get_f64()?;
-        let total_parts = dec.get_usize()?;
-        let parallelism = dec.get_usize()?;
-        let chunks = dec.get_usize()?;
-        let algo = dec.get_u8()?;
-        let nodes = dec.get_usize()?;
-        let attempt = dec.get_u32()?;
-        let epoch_ns = dec.get_u32()?;
-        let recv_deadline_ms = dec.get_u64()?;
-        let fail_rank = dec.get_u32()?;
-        let die_rank = dec.get_u32()?;
-        let drop_rank = dec.get_u32()?;
-        let drop_peer = dec.get_u32()?;
-        let view = MembershipView::decode_from(dec)?;
-        let n = dec.get_usize()?;
-        let mut assigned = Vec::with_capacity(n);
-        for _ in 0..n {
-            assigned.push(dec.get_u64_vec()?);
-        }
+        // Fields decode in the order written, which is the wire order.
         Ok(Self {
-            id,
-            sparse,
-            threshold,
-            seed,
-            dim,
-            density,
-            total_parts,
-            parallelism,
-            chunks,
-            algo,
-            nodes,
-            attempt,
-            epoch_ns,
-            recv_deadline_ms,
-            fail_rank,
-            die_rank,
-            drop_rank,
-            drop_peer,
-            view,
-            assigned,
+            id: dec.get_u64()?,
+            sparse: dec.get_bool()?,
+            threshold: dec.get_f64()?,
+            seed: dec.get_u64()?,
+            dim: dec.get_usize()?,
+            density: dec.get_f64()?,
+            total_parts: dec.get_usize()?,
+            parallelism: dec.get_usize()?,
+            algo: Algo::decode_from(dec)?,
+            nodes: dec.get_usize()?,
+            attempt: dec.get_u32()?,
+            epoch_ns: dec.get_u32()?,
+            recv_deadline_ms: dec.get_u64()?,
+            fail_rank: dec.get_u32()?,
+            die_rank: dec.get_u32()?,
+            drop_rank: dec.get_u32()?,
+            drop_peer: dec.get_u32()?,
+            view: MembershipView::decode_from(dec)?,
+            assigned: Vec::decode_from(dec)?,
         })
     }
 
     fn size_hint(&self) -> usize {
-        106 + self.view.size_hint() + 8 + self.assigned.iter().map(|p| 8 + 8 * p.len()).sum::<usize>()
+        97 + self.algo.size_hint() + self.view.size_hint() + self.assigned.size_hint()
     }
 }
 
@@ -419,13 +388,15 @@ impl Payload for DriverMsg {
 /// Executor → driver control messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecMsg {
-    /// Ring completed: the `(global index, encoded segment)` pairs this rank
-    /// owns — the gather half of split aggregation.
+    /// Reduce-scatter completed: the segments this rank owns — the gather
+    /// half of split aggregation.
     JobOk {
         /// Job id.
         id: u64,
-        /// Owned segments, encoded as the job's segment type.
-        segments: Vec<(u64, ByteBuf)>,
+        /// The owned segments as one gather frame, `Vec<OwnedSegment<V>>`
+        /// of the job's segment type (`F64Array`, or `DenseOrSparse` for a
+        /// sparse job).
+        segments: ByteBuf,
     },
     /// The job failed on this rank (transport error or injected).
     JobErr {
@@ -476,11 +447,7 @@ impl Payload for ExecMsg {
             ExecMsg::JobOk { id, segments } => {
                 enc.put_u8(TAG_JOB_OK);
                 enc.put_u64(*id);
-                enc.put_usize(segments.len());
-                for (index, bytes) in segments {
-                    enc.put_u64(*index);
-                    enc.put_bytes(bytes);
-                }
+                enc.put_bytes(segments);
             }
             ExecMsg::JobErr { id, rank, view_gen, dead_peers, error } => {
                 enc.put_u8(TAG_JOB_ERR);
@@ -502,28 +469,14 @@ impl Payload for ExecMsg {
             }
             ExecMsg::Metrics { pairs } => {
                 enc.put_u8(TAG_METRICS_REPLY);
-                enc.put_usize(pairs.len());
-                for (name, value) in pairs {
-                    enc.put_str(name);
-                    enc.put_u64(*value);
-                }
+                pairs.encode_into(enc);
             }
         }
     }
 
     fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
         match dec.get_u8()? {
-            TAG_JOB_OK => {
-                let id = dec.get_u64()?;
-                let count = dec.get_usize()?;
-                let mut segments = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let index = dec.get_u64()?;
-                    let bytes = dec.get_bytes()?;
-                    segments.push((index, bytes));
-                }
-                Ok(ExecMsg::JobOk { id, segments })
-            }
+            TAG_JOB_OK => Ok(ExecMsg::JobOk { id: dec.get_u64()?, segments: dec.get_bytes()? }),
             TAG_JOB_ERR => Ok(ExecMsg::JobErr {
                 id: dec.get_u64()?,
                 rank: dec.get_u32()?,
@@ -535,33 +488,20 @@ impl Payload for ExecMsg {
                 Ok(ExecMsg::FallbackOk { id: dec.get_u64()?, agg: dec.get_f64_vec()? })
             }
             TAG_ADMIT_OK => Ok(ExecMsg::AdmitOk { rank: dec.get_u32()?, error: dec.get_string()? }),
-            TAG_METRICS_REPLY => {
-                let count = dec.get_usize()?;
-                let mut pairs = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let name = dec.get_string()?;
-                    let value = dec.get_u64()?;
-                    pairs.push((name, value));
-                }
-                Ok(ExecMsg::Metrics { pairs })
-            }
+            TAG_METRICS_REPLY => Ok(ExecMsg::Metrics { pairs: Vec::decode_from(dec)? }),
             tag => Err(NetError::Codec(format!("invalid ExecMsg tag {tag}"))),
         }
     }
 
     fn size_hint(&self) -> usize {
         match self {
-            ExecMsg::JobOk { segments, .. } => {
-                1 + 8 + 8 + segments.iter().map(|(_, b)| 8 + 8 + b.len()).sum::<usize>()
-            }
+            ExecMsg::JobOk { segments, .. } => 1 + 8 + 8 + segments.len(),
             ExecMsg::JobErr { dead_peers, error, .. } => {
                 1 + 8 + 4 + 8 + 8 + 4 * dead_peers.len() + 8 + error.len()
             }
             ExecMsg::FallbackOk { agg, .. } => 1 + 8 + 8 + 8 * agg.len(),
             ExecMsg::AdmitOk { error, .. } => 1 + 4 + 8 + error.len(),
-            ExecMsg::Metrics { pairs } => {
-                1 + 8 + pairs.iter().map(|(n, _)| 8 + n.len() + 8).sum::<usize>()
-            }
+            ExecMsg::Metrics { pairs } => 1 + pairs.size_hint(),
         }
     }
 }
@@ -601,13 +541,7 @@ pub fn part_vector(seed: u64, part: u64, dim: usize, density: f64) -> Vec<f64> {
 
 /// Driver-side expected value: the sum of every partition vector.
 pub fn oracle(spec: &JobSpec) -> Vec<f64> {
-    let mut out = vec![0.0; spec.dim];
-    for part in 0..spec.total_parts as u64 {
-        for (o, x) in out.iter_mut().zip(part_vector(spec.seed, part, spec.dim, spec.density)) {
-            *o += x;
-        }
-    }
-    out
+    local_aggregate(spec, &(0..spec.total_parts as u64).collect::<Vec<_>>())
 }
 
 fn local_aggregate(spec: &JobSpec, parts: &[u64]) -> Vec<f64> {
@@ -620,21 +554,11 @@ fn local_aggregate(spec: &JobSpec, parts: &[u64]) -> Vec<f64> {
     agg
 }
 
-/// Splits `agg` into `count` contiguous segments of ceil(dim/count) (the
-/// tail may be shorter or empty). Same layout on every rank and the driver.
-fn split_segments(agg: &[f64], count: usize) -> Vec<Vec<f64>> {
-    let seg_len = segment_len(agg.len(), count);
-    (0..count)
-        .map(|i| {
-            let lo = (i * seg_len).min(agg.len());
-            let hi = ((i + 1) * seg_len).min(agg.len());
-            agg[lo..hi].to_vec()
-        })
-        .collect()
-}
-
-fn segment_len(dim: usize, count: usize) -> usize {
-    dim.div_ceil(count.max(1))
+/// Segment `g` of `count` under the ceil-block split every rank and the
+/// driver share: ceil(dim/count) elements each, the tail shorter or empty.
+fn ceil_block(dim: usize, count: usize, g: usize) -> std::ops::Range<usize> {
+    let len = dim.div_ceil(count.max(1));
+    (g * len).min(dim)..((g + 1) * len).min(dim)
 }
 
 /// Ring infos over `members` (absolute ranks ascending). ExecutorIds are the
@@ -668,17 +592,10 @@ fn member_infos(members: &[u32], nodes: usize) -> Vec<ExecutorInfo> {
         .collect()
 }
 
-/// Segments the reduce-scatter leaves distributed over a `ring_size`-member
-/// ring under `spec`'s algorithm: `P·N·C` for the ring family, `P·L·C` for
-/// the hierarchical path (only node leaders own segments). The driver's
-/// reassembly and every executor must agree on this number.
-fn job_segment_count(spec: &JobSpec, ring_size: usize) -> usize {
-    let groups = if spec.algo == ALGO_HIER && spec.nodes > 0 {
-        spec.nodes.min(ring_size)
-    } else {
-        ring_size
-    };
-    spec.parallelism * groups * spec.chunks
+/// The ring a job runs on: `members` in view order, blocked into
+/// `spec.nodes` emulated hosts, `spec.parallelism` channels.
+fn job_ring(members: &[u32], spec: &JobSpec) -> RingTopology {
+    RingTopology::new(member_infos(members, spec.nodes), RingOrder::ById, spec.parallelism)
 }
 
 // ---------------------------------------------------------------------------
@@ -798,24 +715,6 @@ fn job_err(joined: &Joined, spec: &JobSpec, error: String) -> ExecMsg {
     }
 }
 
-/// Runs the reduce-scatter `spec.algo` names over an already-split segment
-/// vector; both the dense and sparse arms of [`run_job`] go through here.
-fn reduce_scatter_owned<V, F>(
-    comm: &RingComm,
-    segments: Vec<V>,
-    merge: &F,
-    spec: &JobSpec,
-) -> NetResult<Vec<OwnedSegment<V>>>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
-    match spec.algo {
-        ALGO_HIER => hierarchical_reduce_scatter_chunked_by(comm, segments, merge, spec.chunks),
-        _ => ring_reduce_scatter_chunked_by(comm, segments, merge, spec.chunks),
-    }
-}
-
 fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
     let rank = joined.rank;
     let n = joined.n;
@@ -864,16 +763,10 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
             return job_err(joined, spec, format!("view member {m} is down: {detail}"));
         }
     }
-    if spec.algo > ALGO_HIER {
-        return job_err(joined, spec, format!("unknown reduction algorithm {}", spec.algo));
-    }
     let agg = local_aggregate(spec, &spec.assigned[rank]);
 
-    let ring = Arc::new(RingTopology::new(
-        member_infos(&members, spec.nodes),
-        RingOrder::ById,
-        spec.parallelism,
-    ));
+    let ring = Arc::new(job_ring(&members, spec));
+    let count = segment_count(spec.algo, &ring);
     let net: Arc<dyn Transport> = joined.transport.clone();
     let comm = RingComm::new(net, ring, position)
         .with_epoch(spec.id, sparker_net::epoch::namespaced(spec.epoch_ns, spec.attempt))
@@ -902,33 +795,24 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
         let _ = joined.transport.kill_connection(spec.drop_peer as usize);
     }
 
-    let seg_count = job_segment_count(spec, members.len());
-    let result: NetResult<Vec<(u64, ByteBuf)>> = if spec.sparse {
-        let segs: Vec<DenseOrSparse> = split_segments(&agg, seg_count)
-            .into_iter()
-            .map(|v| DenseOrSparse::from_dense(v, spec.threshold))
-            .collect();
-        reduce_scatter_owned(&comm, segs, &|a: &mut DenseOrSparse, b: DenseOrSparse| a.merge(&b), spec)
-            .map(|owned| {
-                owned.into_iter().map(|o| (o.index as u64, o.segment.to_frame())).collect()
-            })
+    // The ceil-block split is the producer, so the frames that can meet in
+    // one merge keep their lengths whatever the algorithm. It runs up front
+    // on this thread and the lanes move their segments out: splitting inside
+    // the lanes made `op_ms_p50` @ `tcp_large_jobs` 17% slower on 2 cores.
+    let blocks = (0..count).map(|g| agg[ceil_block(spec.dim, count, g)].to_vec());
+    let result = if spec.sparse {
+        let merge = |a: &mut DenseOrSparse, b: DenseOrSparse| a.merge(&b);
+        let segs = blocks.map(|v| DenseOrSparse::from_dense(v, spec.threshold)).collect();
+        reduce_scatter(&comm, spec.algo, &produce_from(segs), &merge).map(|owned| owned.to_frame())
     } else {
-        let segs: Vec<F64Array> =
-            split_segments(&agg, seg_count).into_iter().map(F64Array).collect();
-        reduce_scatter_owned(
-            &comm,
-            segs,
-            &|a: &mut F64Array, b: F64Array| {
-                debug_assert_eq!(a.0.len(), b.0.len());
-                for (x, y) in a.0.iter_mut().zip(b.0) {
-                    *x += y;
-                }
-            },
-            spec,
-        )
-        .map(|owned| {
-            owned.into_iter().map(|o| (o.index as u64, o.segment.to_frame())).collect()
-        })
+        let merge = |a: &mut F64Array, b: F64Array| {
+            debug_assert_eq!(a.0.len(), b.0.len());
+            for (x, y) in a.0.iter_mut().zip(b.0) {
+                *x += y;
+            }
+        };
+        let segs = blocks.map(F64Array).collect();
+        reduce_scatter(&comm, spec.algo, &produce_from(segs), &merge).map(|owned| owned.to_frame())
     };
 
     match result {
@@ -948,7 +832,8 @@ pub struct JobOutcome {
     pub value: Vec<f64>,
     /// Gang attempts consumed (1 = first try succeeded).
     pub attempts: u32,
-    /// Whether the tree fallback produced the result.
+    /// Whether the tree produced the result: the fallback, or the primary
+    /// path of an `Algo::Tree` job.
     pub used_fallback: bool,
     /// Owned segments gathered over the control plane (ring path only).
     pub wire_segments: usize,
@@ -1055,13 +940,16 @@ impl MultiProcDriver {
 
     /// Runs one job to completion: gang attempts over the ring (re-formed
     /// over survivors whenever the membership view changes), then the tree
-    /// fallback as last resort. `Err` only when no exact result can be
-    /// produced at all.
+    /// fallback as last resort. An `Algo::Tree` job skips the ring and runs
+    /// the tree as one primary round, counted in neither
+    /// `multiproc.ring_retries` nor `multiproc.fallbacks`. `Err` only when no
+    /// exact result can be produced at all.
     pub fn run_job(&mut self, base: &JobSpec) -> EngineResult<JobOutcome> {
         let n_total = self.size();
         let mut attempts = 0;
         let mut last_err = String::new();
-        while attempts < self.max_attempts {
+        let tree_primary = base.algo == Algo::Tree;
+        while !tree_primary && attempts < self.max_attempts {
             self.refresh_view();
             let gang = self.alive();
             if gang.is_empty() {
@@ -1078,7 +966,7 @@ impl MultiProcDriver {
             for &rank in &gang {
                 self.send_to(rank, &DriverMsg::Run(spec.clone()));
             }
-            let mut oks: Vec<Vec<(u64, ByteBuf)>> = Vec::new();
+            let mut oks: Vec<ByteBuf> = Vec::new();
             let mut failures: Vec<String> = Vec::new();
             for &rank in &gang {
                 match self.recv_from(rank) {
@@ -1103,14 +991,13 @@ impl MultiProcDriver {
             }
             self.last_ring_error = failures.join("; ");
             if oks.len() == gang.len() {
+                let count = segment_count(spec.algo, &job_ring(&spec.view.members, &spec));
                 let (value, wire_segments, result_bytes) =
-                    assemble(base, gang.len(), oks).map_err(|reason| {
-                        EngineError::TaskFailed {
-                            stage: job_stage(base.id, self.view.generation),
-                            task: gang[0],
-                            attempts,
-                            reason,
-                        }
+                    assemble(base, count, oks).map_err(|e| EngineError::TaskFailed {
+                        stage: job_stage(base.id, self.view.generation),
+                        task: gang[0],
+                        attempts,
+                        reason: e.to_string(),
                     })?;
                 return Ok(JobOutcome {
                     value,
@@ -1124,18 +1011,20 @@ impl MultiProcDriver {
             }
         }
 
-        if !self.allow_fallback {
-            self.refresh_view();
-            return Err(EngineError::TaskFailed {
-                stage: job_stage(base.id, self.view.generation),
-                task: 0,
-                attempts,
-                reason: format!("ring attempts exhausted, fallback disabled: {last_err}"),
-            });
+        if !tree_primary {
+            if !self.allow_fallback {
+                self.refresh_view();
+                return Err(EngineError::TaskFailed {
+                    stage: job_stage(base.id, self.view.generation),
+                    task: 0,
+                    attempts,
+                    reason: format!("ring attempts exhausted, fallback disabled: {last_err}"),
+                });
+            }
+            count_fallback();
         }
 
-        // Tree fallback: survivors recompute everything from lineage.
-        count_fallback();
+        // The tree: survivors recompute everything from lineage.
         self.refresh_view();
         let survivors = self.alive();
         if survivors.is_empty() {
@@ -1286,53 +1175,49 @@ fn assign_parts(total_parts: usize, ranks: &[usize], n_total: usize) -> Vec<Vec<
     assigned
 }
 
-/// Reassembles gathered segments into the full vector, checking that every
-/// global index arrived exactly once. `ring_size` is the member count of the
-/// view the job ran under (segment layout depends on it).
+/// Reassembles the gather frames into the full vector: every index of the
+/// job's `count` segments exactly once, each written into its ceil-block as
+/// it is decoded (holding every segment and then concatenating them made
+/// this 1 ms slower per `tcp_large_jobs` op on 2 cores). Returns the value,
+/// the number of segments and their encoded bytes (excluding the index and
+/// count words).
 fn assemble(
     spec: &JobSpec,
-    ring_size: usize,
-    replies: Vec<Vec<(u64, ByteBuf)>>,
-) -> Result<(Vec<f64>, usize, u64), String> {
-    let seg_count = job_segment_count(spec, ring_size);
-    let seg_len = segment_len(spec.dim, seg_count);
+    count: usize,
+    frames: Vec<ByteBuf>,
+) -> NetResult<(Vec<f64>, usize, u64)> {
     let mut value = vec![0.0; spec.dim];
-    let mut seen = vec![false; seg_count];
-    let mut wire_segments = 0usize;
+    let mut placed = Vec::with_capacity(count);
     let mut result_bytes = 0u64;
-    for segments in replies {
-        for (index, bytes) in segments {
-            let index = index as usize;
-            if index >= seg_count || seen[index] {
-                return Err(format!(
-                    "job {}: segment {index} out of range or duplicated",
-                    spec.id
-                ));
-            }
-            seen[index] = true;
-            wire_segments += 1;
-            result_bytes += bytes.len() as u64;
-            let dense = if spec.sparse {
-                DenseOrSparse::from_frame(bytes).map_err(|e| e.to_string())?.into_dense()
+    for frame in frames {
+        let mut dec = Decoder::new(frame);
+        for _ in 0..dec.get_usize()? {
+            let (index, bytes, dense) = if spec.sparse {
+                let o = OwnedSegment::<DenseOrSparse>::decode_from(&mut dec)?;
+                (o.index, o.segment.size_hint(), o.segment.into_dense())
             } else {
-                F64Array::from_frame(bytes).map_err(|e| e.to_string())?.0
+                let o = OwnedSegment::<F64Array>::decode_from(&mut dec)?;
+                (o.index, o.segment.size_hint(), o.segment.0)
             };
-            let lo = (index * seg_len).min(spec.dim);
-            let hi = (lo + dense.len()).min(spec.dim);
-            if hi - lo != dense.len() {
-                return Err(format!(
-                    "job {}: segment {index} length {} overflows dim {}",
+            // `index` is checked first: a wire-derived index never reaches
+            // the block arithmetic.
+            if index >= count || dense.len() != ceil_block(spec.dim, count, index).len() {
+                return Err(NetError::Codec(format!(
+                    "job {}: segment {index} of {count} ({} values) does not fit its block",
                     spec.id,
-                    dense.len(),
-                    spec.dim
-                ));
+                    dense.len()
+                )));
             }
-            value[lo..hi].copy_from_slice(&dense);
+            value[ceil_block(spec.dim, count, index)].copy_from_slice(&dense);
+            result_bytes += bytes as u64;
+            placed.push(OwnedSegment { index, segment: () });
+        }
+        if dec.remaining() != 0 {
+            return Err(NetError::Codec(format!("job {}: trailing gather bytes", spec.id)));
         }
     }
-    if let Some(missing) = seen.iter().position(|s| !s) {
-        return Err(format!("job {}: segment {missing} never arrived", spec.id));
-    }
+    let wire_segments = placed.len();
+    in_index_order(count, placed)?;
     Ok((value, wire_segments, result_bytes))
 }
 
@@ -1422,18 +1307,18 @@ mod tests {
     #[test]
     fn hierarchical_job_is_bit_exact_over_real_tcp() {
         // 4 ranks blocked into 2 emulated nodes: ranks {0,1} on emunode-000,
-        // {2,3} on emunode-001. Leaders (0, 2) own all P*L*C segments.
+        // {2,3} on emunode-001. Leaders (0, 2) own all P*L segments.
         let mut dense = JobSpec::dense(51, 0x41E2, 4096, 9);
-        dense.algo = ALGO_HIER;
+        dense.algo = Algo::Hierarchical;
         dense.nodes = 2;
         let mut sparse = JobSpec::sparse(52, 0x41E3, 4096, 9, 0.02);
-        sparse.algo = ALGO_HIER;
+        sparse.algo = Algo::Hierarchical;
         sparse.nodes = 2;
         let outcomes = run_cluster(4, 2, vec![dense.clone(), sparse.clone()]);
         let o = &outcomes[0];
         assert_eq!(o.attempts, 1);
         assert!(!o.used_fallback);
-        assert_eq!(o.wire_segments, 2 * 2 * 2, "P*L*C segments, leaders only");
+        assert_eq!(o.wire_segments, 2 * 2, "P*L segments, leaders only");
         assert_eq!(o.ring_size, 4);
         assert_eq!(bits(&o.value), bits(&oracle(&dense)));
         assert_eq!(bits(&outcomes[1].value), bits(&oracle(&sparse)));
@@ -1442,13 +1327,44 @@ mod tests {
     #[test]
     fn hierarchical_without_emulated_nodes_degenerates_to_flat() {
         // nodes == 0 leaves every rank its own node; the hierarchical path
-        // must collapse to the flat ring layout (P*N*C segments).
+        // must collapse to the flat ring layout (P*N segments).
         let mut spec = JobSpec::dense(53, 0x41E4, 2048, 6);
-        spec.algo = ALGO_HIER;
+        spec.algo = Algo::Hierarchical;
         let outcomes = run_cluster(3, 2, vec![spec.clone()]);
         let o = &outcomes[0];
-        assert_eq!(o.wire_segments, 2 * 3 * 2);
+        assert_eq!(o.wire_segments, 2 * 3);
         assert_eq!(bits(&o.value), bits(&oracle(&spec)));
+    }
+
+    #[test]
+    fn halving_and_tree_jobs_are_bit_exact_over_real_tcp() {
+        let fallbacks = || metrics::counter("multiproc.fallbacks").get();
+        let before = fallbacks();
+        let mut halving = JobSpec::dense(54, 0x4A1F, 4096, 9);
+        halving.algo = Algo::Halving;
+        let mut tree = JobSpec::sparse(55, 0x72EE, 4096, 9, 0.02);
+        tree.algo = Algo::Tree;
+        let outcomes = run_cluster(3, 2, vec![halving.clone(), tree.clone()]);
+        let (h, t) = (&outcomes[0], &outcomes[1]);
+        assert_eq!((h.attempts, h.used_fallback), (1, false));
+        assert_eq!(h.wire_segments, 2 * 3, "P*N is already a multiple of 2");
+        assert_eq!(bits(&h.value), bits(&oracle(&halving)));
+        assert_eq!((t.attempts, t.used_fallback, t.ring_size), (1, true, 0), "one tree round");
+        assert_eq!(bits(&t.value), bits(&oracle(&tree)));
+        assert_eq!(fallbacks(), before, "a tree primary is not a fallback");
+    }
+
+    #[test]
+    fn assemble_rejects_bad_gathers_typed() {
+        let spec = JobSpec::dense(1, 7, 10, 2);
+        let frame = |indices: &[usize]| {
+            let seg = |index| OwnedSegment { index, segment: F64Array(vec![1.0; 5]) };
+            indices.iter().map(|&i| seg(i)).collect::<Vec<_>>().to_frame()
+        };
+        assert_eq!(assemble(&spec, 2, vec![frame(&[1]), frame(&[0])]).unwrap().0, vec![1.0; 10]);
+        for bad in [vec![frame(&[0]), frame(&[0])], vec![frame(&[0])], vec![frame(&[usize::MAX])]] {
+            assert!(matches!(assemble(&spec, 2, bad), Err(NetError::Codec(_))));
+        }
     }
 
     #[test]
@@ -1485,7 +1401,7 @@ mod tests {
         with_assign.assigned = vec![vec![0, 3], vec![1], vec![2]];
         with_assign.view = MembershipView { generation: 3, members: vec![0, 2, 3] };
         with_assign.epoch_ns = 511;
-        with_assign.algo = ALGO_HIER;
+        with_assign.algo = Algo::Hierarchical;
         with_assign.nodes = 2;
         let frame = with_assign.to_frame();
         assert_eq!(frame.len(), with_assign.size_hint(), "JobSpec size_hint must be exact");
@@ -1502,7 +1418,7 @@ mod tests {
         for msg in [
             ExecMsg::JobOk {
                 id: 1,
-                segments: vec![(0, ByteBuf::from_static(b"seg0")), (5, ByteBuf::new())],
+                segments: vec![OwnedSegment { index: 5, segment: F64Array(vec![1.0]) }].to_frame(),
             },
             ExecMsg::JobErr {
                 id: 2,
@@ -1519,18 +1435,7 @@ mod tests {
         ] {
             let frame = msg.to_frame();
             assert_eq!(frame.len(), msg.size_hint(), "size_hint must be exact");
-            let back = ExecMsg::from_frame(frame).unwrap();
-            match (&back, &msg) {
-                (ExecMsg::JobOk { id: a, segments: sa }, ExecMsg::JobOk { id: b, segments: sb }) => {
-                    assert_eq!(a, b);
-                    assert_eq!(sa.len(), sb.len());
-                    for ((ia, ba), (ib, bb)) in sa.iter().zip(sb) {
-                        assert_eq!(ia, ib);
-                        assert_eq!(&ba[..], &bb[..]);
-                    }
-                }
-                _ => assert_eq!(back, msg),
-            }
+            assert_eq!(ExecMsg::from_frame(frame).unwrap(), msg);
         }
     }
 

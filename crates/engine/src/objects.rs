@@ -31,10 +31,6 @@
 //! same function the unsharded path would have applied — only the grouping
 //! changes, which is exact for the associative/commutative combiners the
 //! aggregation contract already requires.
-//!
-//! [`MutableObjectManager::fold_in`] (the paper-literal SharedFold mode)
-//! still runs entirely under stripe 0's lock: its whole point is measuring
-//! the serialize-everything contention trade-off.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -197,30 +193,6 @@ impl MutableObjectManager {
         obs_merge();
     }
 
-    /// Folds directly into the shared object while holding its lock — the
-    /// paper-literal IMM semantics ("each task updates its task result
-    /// directly to an in-memory value which is shared among tasks", §3.2).
-    ///
-    /// Unlike [`MutableObjectManager::merge_in`] (fold locally, merge once),
-    /// the whole fold runs under stripe 0's lock, so concurrent tasks on one
-    /// executor serialize — the contention trade-off the SharedFold ablation
-    /// measures. Striping deliberately does not apply here.
-    pub fn fold_in<T, F>(&self, id: ObjectId, init: impl FnOnce() -> T, fold: F)
-    where
-        T: Send + 'static,
-        F: FnOnce(T) -> T,
-    {
-        let slot = self.slot(id);
-        let mut guard = slot.stripes[0].lock();
-        let current = match guard.take() {
-            None => init(),
-            Some(existing) => *existing
-                .downcast::<T>()
-                .expect("mutable object type mismatch: engine bug"),
-        };
-        *guard = Some(Box::new(fold(current)));
-    }
-
     /// Removes and returns the object at `id`, folding its stripes first.
     pub fn take<T: Send + 'static>(&self, id: ObjectId) -> Option<T> {
         let slot = self.slot(id);
@@ -359,42 +331,6 @@ mod tests {
         assert_eq!(m.take::<u64>(ObjectId { op: 1, slot: 0 }), None);
         assert_eq!(m.take::<u64>(ObjectId { op: 1, slot: 1 }), None);
         assert_eq!(m.take::<u64>(ObjectId { op: 2, slot: 0 }), Some(3));
-    }
-
-    #[test]
-    fn fold_in_initializes_then_accumulates() {
-        let m = MutableObjectManager::new();
-        m.fold_in(ID, || 100u64, |acc| acc + 1);
-        m.fold_in(ID, || -> u64 { panic!("init must not rerun") }, |acc| acc + 10);
-        assert_eq!(m.take::<u64>(ID), Some(111));
-    }
-
-    #[test]
-    fn fold_in_and_merge_in_share_the_slot() {
-        // SharedFold seeds stripe 0; merge_in traffic must still fold into
-        // the same logical object on read-back.
-        let m = MutableObjectManager::with_stripes(4);
-        m.fold_in(ID, || 100u64, |acc| acc + 1);
-        for _ in 0..7 {
-            m.merge_in(ID, 1u64, |a, b| *a += b);
-        }
-        assert_eq!(m.take::<u64>(ID), Some(108));
-    }
-
-    #[test]
-    fn concurrent_fold_ins_serialize_but_lose_nothing() {
-        let m = Arc::new(MutableObjectManager::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let m = m.clone();
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        m.fold_in(ID, || 0u64, |acc| acc + 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.take::<u64>(ID), Some(2000));
     }
 
     #[test]

@@ -29,8 +29,8 @@ use sparker_collectives::allreduce::ring_allreduce_by;
 use crate::cluster::{LocalCluster, RecoveryPolicy};
 use crate::metrics::{AggMetrics, AggStrategy};
 use crate::objects::ObjectId;
-use crate::ops::basic::{fold_partition, partition_assignments};
-use crate::ops::split_aggregate::{split_parallel, with_aggregator};
+use crate::ops::reduce::split_parallel;
+use crate::ops::split_aggregate::{imm_stage, with_aggregator};
 use crate::rdd::{Data, RddRef};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
@@ -92,30 +92,9 @@ where
     // --- Stage 1: reduced-result stage (IMM, LocalFold) ------------------
     let compute_span =
         ScopedSpan::begin(scope, Layer::Driver, format!("allreduce-compute-op{op}"));
-    let assignments = partition_assignments(&inner, &rdd);
-    {
-        let rdd = rdd.clone();
-        let seq = Arc::new(seq_op);
-        let merge = Arc::new(merge_op);
-        let zero = zero.clone();
-        let (_, attempts) = inner.run_stage(
-            &format!("allreduce-imm-op{op}"),
-            &assignments,
-            move |idx, _attempt, ctx| {
-                let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
-                let merge = merge.clone();
-                ctx.objects.merge_in(
-                    ObjectId { op, slot: ctx.executor.0 as u64 },
-                    acc,
-                    move |a, b| merge(a, b),
-                );
-                Ok(())
-            },
-            RecoveryPolicy::ResubmitStage { op },
-        )?;
-        metrics.task_attempts += attempts;
-        metrics.stages += 1;
-    }
+    metrics.task_attempts +=
+        imm_stage(&inner, &rdd, op, &format!("allreduce-imm-op{op}"), &zero, seq_op, merge_op)?;
+    metrics.stages += 1;
     metrics.compute = compute_span.finish();
 
     // --- Stage 2: ring reduce-scatter + allgather on every executor ------
@@ -143,7 +122,7 @@ where
                 // Borrowed, not taken: a gang resubmission re-reads the same
                 // input aggregator, so it must survive a failed attempt.
                 let segments: Vec<V> = with_aggregator(ctx, op, &zero, |u| {
-                    split_parallel(u, split.as_ref(), total_segments, parallelism)
+                    split_parallel(&|g| split(u, g, total_segments), total_segments, parallelism)
                 });
 
                 let comm = inner2.collective_comm(&ring, ctx.executor, op, attempt);

@@ -13,7 +13,8 @@
 //!    parallel threads, then runs ring reduce-scatter over the parallel
 //!    directed ring through the scalable communicator, merging segments with
 //!    the user's `reduceOp`. Each executor finishes owning `P` fully-reduced
-//!    segments.
+//!    segments. (The selected algorithm is run by [`crate::ops::reduce`],
+//!    the same dispatch the multi-process executor uses.)
 //! 3. **Gather + concat** — owned segments are serialized and collected to
 //!    the driver over Spark's normal result path, where the user's
 //!    `concatOp` reassembles the final value `V`.
@@ -29,21 +30,19 @@ use std::sync::Arc;
 use sparker_obs::trace::ScopedSpan;
 use sparker_obs::Layer;
 
-use sparker_net::codec::{Decoder, Encoder, Payload};
+use sparker_net::codec::Payload;
 use sparker_net::topology::ExecutorId;
 
-use sparker_collectives::halving::recursive_halving_reduce_scatter_by;
-use sparker_collectives::hierarchical::{hierarchical_reduce_scatter_chunked_by, node_topology_of};
-use sparker_collectives::lanes::run_lanes;
-use sparker_collectives::ring::{ring_reduce_scatter_produced_by, OwnedSegment};
-use sparker_collectives::segment::slice_bounds;
+use sparker_collectives::gather::in_index_order;
+use sparker_collectives::ring::OwnedSegment;
 
 use sparker_tuner::{Algo, CostModel, Decision, JobShape, Selector};
 
-use crate::cluster::{LocalCluster, RecoveryPolicy};
-use crate::metrics::{AggMetrics, AggStrategy};
+use crate::cluster::{ClusterInner, LocalCluster, RecoveryPolicy};
+use crate::metrics::AggMetrics;
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
+use crate::ops::reduce::{reduce_scatter, segment_count, strategy_of};
 use crate::ops::tree_aggregate::{shuffle_round, tree_scale};
 use crate::rdd::{Data, RddRef, TaskContext};
 use crate::task::{EngineError, EngineResult, TaskFailure};
@@ -68,26 +67,11 @@ pub enum SelectorOpts {
     Auto(CostModel),
 }
 
-/// How tasks merge into the shared per-executor aggregator (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ImmMode {
-    /// Each task folds its partition into a private aggregator, then merges
-    /// it into the shared value once (one short critical section per task).
-    #[default]
-    LocalFold,
-    /// The paper-literal variant: each task folds its partition *directly*
-    /// into the shared value, holding its lock for the whole fold. No
-    /// second aggregator allocation, but tasks on one executor serialize.
-    SharedFold,
-}
-
 /// Options for [`split_aggregate`].
 #[derive(Debug, Clone, Copy)]
 pub struct SplitAggOpts {
     /// PDR channel parallelism; defaults to the cluster spec's value.
     pub parallelism: Option<usize>,
-    /// In-memory-merge strategy of the compute stage.
-    pub imm_mode: ImmMode,
     /// Scheduler job this op runs under; stamped onto stage history records
     /// and [`AggMetrics::job_id`]. 0 (the default) means "no job" and keeps
     /// single-job runs byte-identical to before.
@@ -113,7 +97,6 @@ impl Default for SplitAggOpts {
     fn default() -> Self {
         Self {
             parallelism: None,
-            imm_mode: ImmMode::LocalFold,
             job_id: 0,
             epoch_ns: 0,
             selector: SelectorOpts::Forced(Algo::FlatRing),
@@ -193,8 +176,7 @@ where
             decision.algo
         }
     };
-    let chunks = algo.chunks();
-    if chunks == 0 {
+    if algo.chunks() == 0 {
         return Err(EngineError::Invalid("split_aggregate needs chunks >= 1".into()));
     }
     // Tree-as-primary reuses the fallback machinery below, entered
@@ -213,11 +195,7 @@ where
     }
     let _job_stamp = JobStamp(inner.history());
 
-    let strategy = match algo {
-        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => AggStrategy::Split,
-        Algo::Halving => AggStrategy::SplitHalving,
-        Algo::Hierarchical => AggStrategy::SplitHier,
-    };
+    let strategy = strategy_of(algo);
     let mut metrics = AggMetrics::new(strategy);
     metrics.job_id = opts.job_id;
     let ser_bytes = Arc::new(AtomicU64::new(0));
@@ -228,40 +206,9 @@ where
     // --- Stage 1: reduced-result stage (IMM) ----------------------------
     let compute_span =
         ScopedSpan::begin(scope, Layer::Driver, format!("{}-compute-op{op}", strategy.name()));
-    let assignments = partition_assignments(&inner, &rdd);
-    let imm_label = format!("split-imm-op{op}");
-    {
-        let rdd = rdd.clone();
-        let seq = Arc::new(seq_op);
-        let merge = Arc::new(merge_op);
-        let zero = zero.clone();
-        let imm_mode = opts.imm_mode;
-        let (_, attempts) = inner.run_stage(
-            &imm_label,
-            &assignments,
-            move |idx, _attempt, ctx| {
-                let id = ObjectId { op, slot: ctx.executor.0 as u64 };
-                match imm_mode {
-                    ImmMode::LocalFold => {
-                        let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
-                        let merge = merge.clone();
-                        ctx.objects.merge_in(id, acc, move |a, b| merge(a, b));
-                    }
-                    ImmMode::SharedFold => {
-                        // Fold the partition directly into the shared value
-                        // under its lock (paper-literal §3.2 semantics).
-                        ctx.objects.fold_in(id, || zero.clone(), |acc: U| {
-                            fold_partition(&rdd, idx, ctx, acc, seq.as_ref())
-                        });
-                    }
-                }
-                Ok(())
-            },
-            RecoveryPolicy::ResubmitStage { op },
-        )?;
-        metrics.task_attempts += attempts;
-        metrics.stages += 1;
-    }
+    metrics.task_attempts +=
+        imm_stage(&inner, &rdd, op, &format!("split-imm-op{op}"), &zero, seq_op, merge_op)?;
+    metrics.stages += 1;
     metrics.compute = compute_span.finish();
 
     // --- Stage 2: SpawnRDD ring stage ------------------------------------
@@ -269,22 +216,7 @@ where
         ScopedSpan::begin(scope, Layer::Driver, format!("{}-reduce-op{op}", strategy.name()));
     let sc_before = cluster.sc_stats();
     let ring = inner.build_ring(parallelism);
-    let n = ring.size();
-    // Ring RS needs exactly P*N*C segments; halving needs a multiple of the
-    // largest power of two <= N; hierarchical needs P*L where L is the
-    // number of *nodes* in the ring (leaders own every segment; non-leaders
-    // own none). Pad the segment count up when needed.
-    let total_segments = match algo {
-        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => parallelism * n * chunks,
-        Algo::Halving => {
-            let mut p2 = 1usize;
-            while p2 * 2 <= n {
-                p2 *= 2;
-            }
-            (parallelism * n).div_ceil(p2) * p2
-        }
-        Algo::Hierarchical => parallelism * node_topology_of(&ring).num_nodes(),
-    };
+    let total_segments = segment_count(algo, &ring);
 
     let ring_label = format!("split-ring-op{op}");
     let all_execs: Vec<ExecutorId> = (0..nexec).map(|e| ExecutorId(e as u32)).collect();
@@ -325,40 +257,16 @@ where
                 // The collective runs inside the borrow of the executor's
                 // aggregator: peeked, never taken and never cloned, so a
                 // gang resubmission re-reads the same input and the tree
-                // fallback finds it intact if the gang exhausts.
+                // fallback finds it intact if the gang exhausts. (A tree
+                // primary never launches this stage.)
                 let owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
-                    let split_all = || split_parallel(u, split.as_ref(), total_segments, parallelism);
-                    match algo {
-                        // The ring's lanes split their own index ranges.
-                        // (A tree primary never launches this stage.)
-                        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => {
-                            ring_reduce_scatter_produced_by(
-                                &comm,
-                                &|g| split(u, g, total_segments),
-                                &merge,
-                                chunks,
-                            )
-                        }
-                        Algo::Halving => {
-                            recursive_halving_reduce_scatter_by(&comm, split_all(), &merge)
-                        }
-                        Algo::Hierarchical => {
-                            hierarchical_reduce_scatter_chunked_by(&comm, split_all(), &merge, 1)
-                        }
-                    }
+                    reduce_scatter(&comm, algo, &|g| split(u, g, total_segments), &merge)
                 })
                 .map_err(TaskFailure::from)?;
 
-                // Gather: serialize owned segments and report them as this
-                // task's result over the normal (BlockManager) result path.
-                let frame_len = 8 + owned.iter().map(|o| 8 + o.segment.size_hint()).sum::<usize>();
-                let mut enc = Encoder::with_capacity(frame_len);
-                enc.put_usize(owned.len());
-                for o in &owned {
-                    enc.put_usize(o.index);
-                    o.segment.encode_into(&mut enc);
-                }
-                let frame = enc.finish();
+                // Gather: the owned segments are this task's result over the
+                // normal (BlockManager) result path.
+                let frame = owned.to_frame();
                 ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
                 inner2.bm_send_to_driver(ctx.executor, frame)?;
                 Ok(owned.len())
@@ -381,28 +289,13 @@ where
                 Layer::Driver,
                 format!("{}-driver-merge-op{op}", strategy.name()),
             );
-            let mut slots: Vec<Option<V>> = (0..total_segments).map(|_| None).collect();
+            let mut gathered = Vec::with_capacity(total_segments);
             for exec in &all_execs {
                 let frame = inner.driver_recv(*exec)?;
                 metrics.bytes_to_driver += frame.len() as u64;
-                let mut dec = Decoder::new(frame);
-                let count = dec.get_usize()?;
-                for _ in 0..count {
-                    let idx = dec.get_usize()?;
-                    let v = V::decode_from(&mut dec)?;
-                    if idx >= total_segments || slots[idx].is_some() {
-                        return Err(EngineError::Invalid(format!(
-                            "segment {idx} duplicated or out of range"
-                        )));
-                    }
-                    slots[idx] = Some(v);
-                }
+                gathered.extend(Vec::<OwnedSegment<V>>::from_frame(frame)?);
             }
-            let segments: Vec<V> = slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| s.ok_or_else(|| EngineError::Invalid(format!("segment {i} missing"))))
-                .collect::<EngineResult<_>>()?;
+            let segments = in_index_order(total_segments, gathered)?;
             let result = concat_op(segments);
             metrics.driver_merge = merge_span.finish();
             extra_messages = nexec as u64;
@@ -578,28 +471,51 @@ pub(crate) fn with_aggregator<U: Send + 'static, R>(
     ctx.objects.with_or(ObjectId { op, slot: ctx.executor.0 as u64 }, zero, f)
 }
 
-/// Splits `u` into all `total` segments on `parallelism` lanes, each
-/// producing a contiguous chunk of the segment index space: for the
-/// collectives that take ready-made segments (the ring splits in its own
-/// lanes).
-pub(crate) fn split_parallel<U: Sync, V: Send>(
-    u: &U,
-    split: &(impl Fn(&U, usize, usize) -> V + Sync),
-    total: usize,
-    parallelism: usize,
-) -> Vec<V> {
-    let chunks = run_lanes(0..parallelism, |t| {
-        let (lo, hi) = slice_bounds(total, t, parallelism);
-        (lo..hi).map(|g| split(u, g, total)).collect::<Vec<V>>()
-    });
-    chunks.into_iter().flatten().collect()
+/// Stage 1 of split and allreduce aggregation, the reduced-result stage
+/// (IMM): one task per partition folds it with `seq_op` and merges the
+/// result into its executor's aggregator of `op`, so after the stage there
+/// is exactly one aggregator per executor and nothing has been serialized.
+/// Returns the stage's task attempts.
+pub(crate) fn imm_stage<T, U, S, M>(
+    inner: &Arc<ClusterInner>,
+    rdd: &RddRef<T>,
+    op: u64,
+    label: &str,
+    zero: &U,
+    seq_op: S,
+    merge_op: M,
+) -> EngineResult<u32>
+where
+    T: Data,
+    U: Clone + Send + Sync + 'static,
+    S: Fn(U, &T) -> U + Send + Sync + 'static,
+    M: Fn(&mut U, U) + Send + Sync + 'static,
+{
+    let rdd = rdd.clone();
+    let zero = zero.clone();
+    let merge = Arc::new(merge_op);
+    let (_, attempts) = inner.run_stage(
+        label,
+        &partition_assignments(inner, &rdd),
+        move |idx, _attempt, ctx| {
+            let acc = fold_partition(&rdd, idx, ctx, zero.clone(), &seq_op);
+            let merge = merge.clone();
+            let id = ObjectId { op, slot: ctx.executor.0 as u64 };
+            ctx.objects.merge_in(id, acc, move |a, b| merge(a, b));
+            Ok(())
+        },
+        RecoveryPolicy::ResubmitStage { op },
+    )?;
+    Ok(attempts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ClusterSpec;
+    use crate::metrics::AggStrategy;
     use crate::rdds::ParallelCollection;
+    use sparker_collectives::segment::slice_bounds;
     use sparker_net::codec::F64Array;
 
     /// Sums vectors of f64 across partitions via split aggregation.
@@ -782,44 +698,6 @@ mod tests {
         // empty slices; concat must still reassemble exactly.
         let (v, _) = run_split(8, 1, 8, 7, SplitAggOpts { parallelism: Some(2), ..Default::default() });
         assert_eq!(v, expected(7));
-    }
-
-    #[test]
-    fn shared_fold_matches_local_fold() {
-        for imm_mode in [ImmMode::LocalFold, ImmMode::SharedFold] {
-            let (v, _) = run_split(
-                3,
-                2,
-                9,
-                41,
-                SplitAggOpts { parallelism: Some(2), imm_mode, ..Default::default() },
-            );
-            assert_eq!(v, expected(41), "{imm_mode:?}");
-        }
-    }
-
-    #[test]
-    fn shared_fold_survives_stage_resubmission() {
-        let cluster = LocalCluster::new(ClusterSpec::local(2, 2));
-        cluster.fault_plan().fail_once("split-imm-op1", 2);
-        let rdd: RddRef<u64> = Arc::new(ParallelCollection::new((1..=12).collect(), 4));
-        let (v, _) = split_aggregate(
-            &cluster,
-            rdd,
-            0.0f64,
-            |acc, x| acc + *x as f64,
-            |a, b| *a += b,
-            |u, i, _n| if i == 0 { *u } else { 0.0 },
-            |a, b| *a += b,
-            |segs| segs.into_iter().sum::<f64>(),
-            SplitAggOpts {
-                parallelism: Some(1),
-                imm_mode: ImmMode::SharedFold,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(v, 78.0);
     }
 
     #[test]

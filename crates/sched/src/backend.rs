@@ -16,9 +16,7 @@
 use std::sync::Arc;
 
 use sparker_engine::config::ClusterSpec;
-use sparker_engine::multiproc::{
-    part_vector, JobOutcome, JobSpec, MultiProcDriver, ALGO_HIER, ALGO_RING,
-};
+use sparker_engine::multiproc::{part_vector, JobOutcome, JobSpec, MultiProcDriver};
 use sparker_engine::ops::split_aggregate::{split_aggregate, SelectorOpts, SplitAggOpts};
 use sparker_engine::rdd::RddRef;
 use sparker_engine::rdds::ParallelCollection;
@@ -192,17 +190,18 @@ impl MultiProcBackend {
         Self { driver, tuning: None }
     }
 
-    /// Picks `algo`/`chunks` per job from the calibrated model instead of
-    /// honoring the spec's own values.
+    /// Picks the algorithm per job from the calibrated model instead of
+    /// honoring the spec's own.
     pub fn with_tuning(mut self, tuning: MultiProcTuning) -> Self {
         self.tuning = Some(tuning);
         self
     }
 
-    /// Rewrites `spec`'s algorithm fields from a fresh selection over the
-    /// current live-executor count. Exposed for tests and benches.
+    /// Sets `spec`'s algorithm to a fresh selection over the current
+    /// live-executor count: whatever the selector picks is what runs.
+    /// Exposed for tests and benches.
     pub fn tune_spec(tuning: &MultiProcTuning, executors: usize, spec: &mut JobSpec) {
-        use sparker_tuner::{Algo, JobShape, Selector};
+        use sparker_tuner::{JobShape, Selector};
         let density_permille = if spec.sparse {
             ((spec.density * 1000.0).round() as u32).clamp(1, 1000)
         } else {
@@ -215,24 +214,8 @@ impl MultiProcBackend {
             nodes: if tuning.nodes == 0 { executors.max(1) } else { tuning.nodes.min(executors.max(1)) },
             parallelism: spec.parallelism,
         };
-        let decision = Selector::new(tuning.model).select(&shape);
         spec.nodes = tuning.nodes;
-        match decision.algo {
-            Algo::ChunkedRing(c) => {
-                spec.algo = ALGO_RING;
-                spec.chunks = c as usize;
-            }
-            Algo::Hierarchical => {
-                spec.algo = ALGO_HIER;
-                spec.chunks = 1;
-            }
-            // The TCP mesh runs the ring family only; halving and tree map
-            // to the flat ring (the closest supported path).
-            Algo::FlatRing | Algo::Halving | Algo::Tree => {
-                spec.algo = ALGO_RING;
-                spec.chunks = 1;
-            }
-        }
+        spec.algo = Selector::new(tuning.model).select(&shape).algo;
     }
 }
 
@@ -299,15 +282,41 @@ mod tests {
 
     #[test]
     fn tune_spec_picks_hierarchical_for_big_dense_multi_node() {
-        use sparker_tuner::CostModel;
+        use sparker_tuner::{Algo, CostModel};
         let tuning = MultiProcTuning { model: CostModel::default_model(), nodes: 2 };
         let mut spec = JobSpec::dense(1, 7, 512 * 1024, 8); // 4 MiB aggregator
         MultiProcBackend::tune_spec(&tuning, 8, &mut spec);
-        assert_eq!(spec.algo, ALGO_HIER, "4 MiB dense over 2 nodes -> hierarchical");
+        assert_eq!(spec.algo, Algo::Hierarchical, "4 MiB dense over 2 nodes -> hierarchical");
         assert_eq!(spec.nodes, 2);
         let mut tiny = JobSpec::dense(2, 7, 16, 8); // 128 B aggregator
         MultiProcBackend::tune_spec(&tuning, 8, &mut tiny);
-        assert_eq!(tiny.chunks, 1, "tiny jobs cannot pay per-chunk alphas");
+        assert_eq!(tiny.algo.chunks(), 1, "tiny jobs cannot pay per-chunk alphas");
+    }
+
+    #[test]
+    fn tune_spec_runs_whatever_the_selector_picks() {
+        use sparker_tuner::{CostModel, JobShape, Selector};
+        let model = CostModel::default_model();
+        for nodes in [0, 1, 2, 4] {
+            let tuning = MultiProcTuning { model, nodes };
+            for (dim, sparse, density) in
+                [(16, false, 1.0), (1 << 19, false, 1.0), (1 << 17, true, 0.01)]
+            {
+                for executors in [2, 3, 8] {
+                    let mut spec = JobSpec::dense(1, 7, dim, 8);
+                    (spec.sparse, spec.density) = (sparse, density);
+                    MultiProcBackend::tune_spec(&tuning, executors, &mut spec);
+                    let shape = JobShape {
+                        bytes: (dim * 8) as u64,
+                        density_permille: (density * 1000.0) as u32,
+                        executors,
+                        nodes: if nodes == 0 { executors } else { nodes.min(executors) },
+                        parallelism: spec.parallelism,
+                    };
+                    assert_eq!(spec.algo, Selector::new(model).select(&shape).algo, "{shape:?}");
+                }
+            }
+        }
     }
 
     #[test]

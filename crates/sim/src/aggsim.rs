@@ -16,6 +16,7 @@
 
 use sparker_net::profile::TransportKind;
 
+use crate::algosim::{build_ring, keep};
 use crate::cluster::SimCluster;
 use crate::des::{DesParams, OpGraph, OpId, DRIVER};
 
@@ -215,34 +216,14 @@ pub fn simulate_aggregation(
                 })
                 .collect();
 
-            // Ring reduce-scatter per channel.
+            // Ring reduce-scatter per channel, each rank's first send after
+            // its split; a single executor has no steps and keeps its split.
+            let all: Vec<usize> = (0..e).collect();
             let seg_merge_t = seg_bytes / cluster.merge_bandwidth;
-            let mut last_merge: Vec<Vec<OpId>> = vec![Vec::new(); e];
-            if e > 1 {
-                for t in 0..p {
-                    // send_ready[r]: op whose completion allows r's next send.
-                    let mut send_ready: Vec<OpId> = (0..e).map(|r| splits[r][t]).collect();
-                    for _step in 0..e - 1 {
-                        let xfers: Vec<OpId> = (0..e)
-                            .map(|r| {
-                                g.xfer((r) % e, (r + 1) % e, t, seg_bytes, vec![send_ready[r]])
-                            })
-                            .collect();
-                        for r in 0..e {
-                            let from_prev = xfers[(r + e - 1) % e];
-                            let merge = g.compute(r, seg_merge_t, vec![from_prev]);
-                            send_ready[r] = merge;
-                        }
-                    }
-                    for (r, &m) in send_ready.iter().enumerate() {
-                        last_merge[r].push(m);
-                    }
-                }
-            } else {
-                for (r, s) in splits.iter().enumerate() {
-                    last_merge[r] = s.clone();
-                }
-            }
+            let ready = |t: usize, r: usize| Some(splits[r][t]);
+            let finals = build_ring(&mut g, &all, p, 1, seg_bytes, seg_merge_t, ready, keep);
+            let last_merge: Vec<Vec<OpId>> =
+                (0..e).map(|r| (0..p).map(|t| finals[t * e + r]).collect()).collect();
 
             let concat = if allreduce {
                 // Allgather: N-1 forwarding steps per channel; each step
@@ -314,26 +295,10 @@ pub fn simulate_reduce_scatter(
     let params = des_params_for(cluster, TransportKind::ScalableComm, topology_aware);
     let p = parallelism.max(1);
     let seg_bytes = msg_bytes / (p * e) as f64;
-    let seg_merge_t = seg_bytes / cluster.merge_bandwidth;
+    let all: Vec<usize> = (0..e).collect();
     let mut g = OpGraph::new();
-    let mut finals = Vec::new();
-    for t in 0..p {
-        let mut send_ready: Vec<Option<OpId>> = vec![None; e];
-        for _step in 0..e - 1 {
-            let xfers: Vec<OpId> = (0..e)
-                .map(|r| {
-                    let deps = send_ready[r].map(|d| vec![d]).unwrap_or_default();
-                    g.xfer(r, (r + 1) % e, t, seg_bytes, deps)
-                })
-                .collect();
-            for r in 0..e {
-                let from_prev = xfers[(r + e - 1) % e];
-                let merge = g.compute(r, seg_merge_t, vec![from_prev]);
-                send_ready[r] = Some(merge);
-            }
-        }
-        finals.extend(send_ready.into_iter().flatten());
-    }
+    let merge_t = seg_bytes / cluster.merge_bandwidth;
+    let finals = build_ring(&mut g, &all, p, 1, seg_bytes, merge_t, |_, _| None, keep);
     let end = g.barrier(finals);
     let r = g.run(&params);
     r.finish[end]

@@ -36,12 +36,19 @@ pub fn simulate_algo(
     }
     let params = des_params_for(cluster, TransportKind::ScalableComm, true);
     let p = parallelism.max(1);
+    let all: Vec<usize> = (0..e).collect();
     let mut g = OpGraph::new();
     let finals = match algo {
-        Algo::FlatRing => build_ring(&mut g, cluster, msg_bytes, p, 1),
-        Algo::ChunkedRing(c) => build_ring(&mut g, cluster, msg_bytes, p, c as usize),
+        Algo::FlatRing | Algo::ChunkedRing(_) => {
+            // Pipelining: each segment is cut into `chunks` pieces that ride
+            // the same stream, so one piece merges while the next is on the
+            // wire.
+            let piece = msg_bytes / (p * e * algo.chunks()) as f64;
+            let merge_t = piece / cluster.merge_bandwidth;
+            build_ring(&mut g, &all, p, algo.chunks(), piece, merge_t, |_, _| None, keep)
+        }
         Algo::Halving => build_halving(&mut g, cluster, msg_bytes, p),
-        Algo::Tree => build_tree(&mut g, cluster, msg_bytes),
+        Algo::Tree => build_tree(&mut g, cluster, &all, msg_bytes).into_iter().collect(),
         Algo::Hierarchical => build_hierarchical(&mut g, cluster, &params, msg_bytes, p),
     };
     let end = g.barrier(finals);
@@ -88,41 +95,53 @@ pub fn ground_truth_margin(model: &CostModel, msg_bytes: f64) -> f64 {
     }
 }
 
-/// Ring reduce-scatter with `chunks`-way pipelining: per channel, each
-/// segment is cut into `chunks` pieces that ride the same stream — while
-/// one piece merges on a core, the next occupies the wire (the overlap the
-/// engine's `ring_reduce_scatter_chunked_by` buys).
-fn build_ring(
+/// The one P-channel ring reduce-scatter op-graph, over `members` (cluster
+/// executor indices in ring order): per channel and pipeline chunk, `N−1`
+/// steps in which every member sends `piece` bytes to its successor, which
+/// merges them in `merge_t`. `ready(t, r)` is the op member `r`'s first send
+/// on channel `t` waits for, if any. `on_xfer(g, src, dst, x)` sees every
+/// transfer as it is created and returns the op the merge waits for (the
+/// elastic fault plan wraps delays there; [`keep`] is the identity). Returns
+/// every chain's last op, channel-major.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_ring(
     g: &mut OpGraph,
-    cluster: &SimCluster,
-    msg_bytes: f64,
-    p: usize,
+    members: &[usize],
+    channels: usize,
     chunks: usize,
+    piece: f64,
+    merge_t: f64,
+    ready: impl Fn(usize, usize) -> Option<OpId>,
+    mut on_xfer: impl FnMut(&mut OpGraph, usize, usize, OpId) -> OpId,
 ) -> Vec<OpId> {
-    let e = cluster.executors();
-    let c = chunks.max(1);
-    let piece = msg_bytes / (p * e * c) as f64;
-    let merge_t = piece / cluster.merge_bandwidth;
+    let e = members.len();
     let mut finals = Vec::new();
-    for t in 0..p {
-        for _q in 0..c {
-            let mut send_ready: Vec<Option<OpId>> = vec![None; e];
-            for _step in 0..e - 1 {
+    for t in 0..channels {
+        for _chunk in 0..chunks.max(1) {
+            let mut send_ready: Vec<Option<OpId>> = (0..e).map(|r| ready(t, r)).collect();
+            for _step in 0..e.saturating_sub(1) {
                 let xfers: Vec<OpId> = (0..e)
                     .map(|r| {
+                        let (src, dst) = (members[r], members[(r + 1) % e]);
                         let deps = send_ready[r].map(|d| vec![d]).unwrap_or_default();
-                        g.xfer(r, (r + 1) % e, t, piece, deps)
+                        let x = g.xfer(src, dst, t, piece, deps);
+                        on_xfer(g, src, dst, x)
                     })
                     .collect();
                 for r in 0..e {
                     let from_prev = xfers[(r + e - 1) % e];
-                    send_ready[r] = Some(g.compute(r, merge_t, vec![from_prev]));
+                    send_ready[r] = Some(g.compute(members[r], merge_t, vec![from_prev]));
                 }
             }
             finals.extend(send_ready.into_iter().flatten());
         }
     }
     finals
+}
+
+/// The [`build_ring`] transfer hook that adds nothing.
+pub(crate) fn keep(_: &mut OpGraph, _: usize, _: usize, x: OpId) -> OpId {
+    x
 }
 
 /// Recursive-halving reduce-scatter: `ceil(log2 E)` rounds of pairwise
@@ -166,11 +185,18 @@ fn build_halving(g: &mut OpGraph, cluster: &SimCluster, msg_bytes: f64, p: usize
     finals
 }
 
-/// Binomial tree over whole aggregators — the non-splitting baseline. Every
-/// level serializes, ships, deserializes and merges the *entire* value, so
-/// the cost per round never shrinks (Figures 1–4's anti-scaling).
-fn build_tree(g: &mut OpGraph, cluster: &SimCluster, msg_bytes: f64) -> Vec<OpId> {
-    let e = cluster.executors();
+/// The one binomial-tree op-graph, over `members` (cluster executor
+/// indices): whole aggregators, the non-splitting baseline. Every level
+/// serializes, ships, deserializes and merges the *entire* value, so the
+/// cost per round never shrinks (Figures 1–4's anti-scaling). Returns the
+/// root's last op; `None` for a single member.
+pub(crate) fn build_tree(
+    g: &mut OpGraph,
+    cluster: &SimCluster,
+    members: &[usize],
+    msg_bytes: f64,
+) -> Option<OpId> {
+    let e = members.len();
     let ser_t = msg_bytes / cluster.ser_bandwidth;
     let deser_merge_t =
         msg_bytes / cluster.deser_bandwidth + msg_bytes / cluster.merge_bandwidth;
@@ -183,18 +209,15 @@ fn build_tree(g: &mut OpGraph, cluster: &SimCluster, msg_bytes: f64) -> Vec<OpId
                 continue;
             }
             let ser_deps = cur[src].map(|x| vec![x]).unwrap_or_default();
-            let ser = g.compute(src, ser_t, ser_deps);
-            let x = g.xfer(src, r, 0, msg_bytes, vec![ser]);
+            let ser = g.compute(members[src], ser_t, ser_deps);
+            let x = g.xfer(members[src], members[r], 0, msg_bytes, vec![ser]);
             let mut deps = vec![x];
             deps.extend(cur[r]);
-            cur[r] = Some(g.compute(r, deser_merge_t, deps));
+            cur[r] = Some(g.compute(members[r], deser_merge_t, deps));
         }
         d *= 2;
     }
-    match cur[0] {
-        Some(root) => vec![root],
-        None => Vec::new(),
-    }
+    cur[0]
 }
 
 /// Two-level hierarchical reduce-scatter: members stream their channel
@@ -237,27 +260,10 @@ fn build_hierarchical(
         leader_ready.push(per_channel);
     }
 
-    if l <= 1 {
-        return leader_ready.into_iter().flatten().collect();
-    }
-    // Leaders-only ring over msg/(P·L) segments.
+    // Leaders-only ring over msg/(P·L) segments (no steps for one node).
     let seg = msg_bytes / (p * l) as f64;
-    let seg_merge_t = seg / cluster.merge_bandwidth;
-    let mut finals = Vec::new();
-    for t in 0..p {
-        let mut send_ready: Vec<OpId> = (0..l).map(|gi| leader_ready[gi][t]).collect();
-        for _step in 0..l - 1 {
-            let xfers: Vec<OpId> = (0..l)
-                .map(|i| g.xfer(leaders[i], leaders[(i + 1) % l], t, seg, vec![send_ready[i]]))
-                .collect();
-            for i in 0..l {
-                let from_prev = xfers[(i + l - 1) % l];
-                send_ready[i] = g.compute(leaders[i], seg_merge_t, vec![from_prev]);
-            }
-        }
-        finals.extend(send_ready);
-    }
-    finals
+    let ready = |t: usize, i: usize| Some(leader_ready[i][t]);
+    build_ring(g, &leaders, p, 1, seg, seg / cluster.merge_bandwidth, ready, keep)
 }
 
 #[cfg(test)]

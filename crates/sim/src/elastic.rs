@@ -34,6 +34,7 @@ use sparker_net::profile::TransportKind;
 use sparker_net::topology::ExecutorId;
 
 use crate::aggsim::{des_params_for, simulate_aggregation, Strategy};
+use crate::algosim::{build_ring, build_tree};
 use crate::cluster::SimCluster;
 use crate::des::{OpGraph, OpId};
 
@@ -135,50 +136,33 @@ fn ring_with_plan(
     let mut link_seq: HashMap<(usize, usize), u64> = HashMap::new();
     let mut sent_by: HashMap<usize, u64> = HashMap::new();
     let mut faults = Vec::new();
-    let mut finals = Vec::new();
-    for t in 0..p {
-        let mut send_ready: Vec<Option<OpId>> = vec![None; e];
-        for _step in 0..e - 1 {
-            let xfers: Vec<OpId> = (0..e)
-                .map(|r| {
-                    let (src, dst) = (members[r], members[(r + 1) % e]);
-                    let deps = send_ready[r].map(|d| vec![d]).unwrap_or_default();
-                    let mut x = g.xfer(src, dst, t, piece, deps);
-                    let (sid, did) = (ExecutorId(src as u32), ExecutorId(dst as u32));
-                    let seq = {
-                        let c = link_seq.entry((src, dst)).or_insert(0);
-                        let s = *c;
-                        *c += 1;
-                        s
-                    };
-                    let nth_send = {
-                        let c = sent_by.entry(src).or_insert(0);
-                        let s = *c;
-                        *c += 1;
-                        s
-                    };
-                    if let Some(d) = plan.delay_of_nth(sid, did, seq) {
-                        x = g.delay(d.as_secs_f64(), vec![x]);
-                    }
-                    if plan.drops_nth(sid, did, seq) {
-                        faults.push(FaultEvent { op: x, detect_after: timings.deadline });
-                    } else if plan.corrupts_nth(sid, did, seq) {
-                        // Checksums catch corruption at delivery time.
-                        faults.push(FaultEvent { op: x, detect_after: 0.0 });
-                    }
-                    if plan.kill_threshold(sid).is_some_and(|k| nth_send >= k) {
-                        faults.push(FaultEvent { op: x, detect_after: timings.suspicion });
-                    }
-                    x
-                })
-                .collect();
-            for r in 0..e {
-                let from_prev = xfers[(r + e - 1) % e];
-                send_ready[r] = Some(g.compute(members[r], merge_t, vec![from_prev]));
-            }
+    let on_xfer = |g: &mut OpGraph, src: usize, dst: usize, mut x: OpId| {
+        let (sid, did) = (ExecutorId(src as u32), ExecutorId(dst as u32));
+        let seq = {
+            let c = link_seq.entry((src, dst)).or_insert(0);
+            *c += 1;
+            *c - 1
+        };
+        let nth_send = {
+            let c = sent_by.entry(src).or_insert(0);
+            *c += 1;
+            *c - 1
+        };
+        if let Some(d) = plan.delay_of_nth(sid, did, seq) {
+            x = g.delay(d.as_secs_f64(), vec![x]);
         }
-        finals.extend(send_ready.into_iter().flatten());
-    }
+        if plan.drops_nth(sid, did, seq) {
+            faults.push(FaultEvent { op: x, detect_after: timings.deadline });
+        } else if plan.corrupts_nth(sid, did, seq) {
+            // Checksums catch corruption at delivery time.
+            faults.push(FaultEvent { op: x, detect_after: 0.0 });
+        }
+        if plan.kill_threshold(sid).is_some_and(|k| nth_send >= k) {
+            faults.push(FaultEvent { op: x, detect_after: timings.suspicion });
+        }
+        x
+    };
+    let finals = build_ring(g, members, p, 1, piece, merge_t, |_, _| None, on_xfer);
     (finals, faults)
 }
 
@@ -207,32 +191,9 @@ fn run_ring_attempt(
 /// Whole-aggregator binomial tree over `members` — the naive fallback a
 /// non-elastic engine would take after losing a ring member.
 fn tree_fallback_secs(cluster: &SimCluster, members: &[usize], msg_bytes: f64) -> f64 {
-    let e = members.len();
-    if e <= 1 {
-        return 0.0;
-    }
     let params = des_params_for(cluster, TransportKind::ScalableComm, true);
-    let ser_t = msg_bytes / cluster.ser_bandwidth;
-    let deser_merge_t = msg_bytes / cluster.deser_bandwidth + msg_bytes / cluster.merge_bandwidth;
     let mut g = OpGraph::new();
-    let mut cur: Vec<Option<OpId>> = vec![None; e];
-    let mut d = 1;
-    while d < e {
-        for r in (0..e).step_by(2 * d) {
-            let src = r + d;
-            if src >= e {
-                continue;
-            }
-            let ser_deps = cur[src].map(|x| vec![x]).unwrap_or_default();
-            let ser = g.compute(members[src], ser_t, ser_deps);
-            let x = g.xfer(members[src], members[r], 0, msg_bytes, vec![ser]);
-            let mut deps = vec![x];
-            deps.extend(cur[r]);
-            cur[r] = Some(g.compute(members[r], deser_merge_t, deps));
-        }
-        d *= 2;
-    }
-    match cur[0] {
+    match build_tree(&mut g, cluster, members, msg_bytes) {
         Some(root) => g.run(&params).finish[root],
         None => 0.0,
     }

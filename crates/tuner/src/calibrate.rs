@@ -1,7 +1,7 @@
 //! Offline calibration: fit alpha-beta link parameters from obs step spans.
 //!
 //! Every collective step emits a `Layer::Step` span (`ring.step`,
-//! `allgather.step`, `hier.fold`, `hier.bcast`) carrying `rank`, `peer`,
+//! `allgather.step`, `hier.fold`) carrying `rank`, `peer`,
 //! and byte counts — the `collective.step` family. Given a run's span
 //! snapshot and a way to classify each (rank, peer) pair as intra- or
 //! inter-node, this module least-squares-fits `time = alpha + beta·bytes`
@@ -15,7 +15,7 @@ use sparker_obs::{Layer, SpanRecord};
 use crate::cost::{CostModel, LinkParams};
 
 /// Step-span names that count as the `collective.step` family.
-const STEP_NAMES: [&str; 4] = ["ring.step", "allgather.step", "hier.fold", "hier.bcast"];
+const STEP_NAMES: [&str; 3] = ["ring.step", "allgather.step", "hier.fold"];
 
 /// One fitted run: parameters per class plus how much data backed them.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -9,6 +9,8 @@
 //! a [`sparker_net::NetProfile`], or fitted offline from obs-recorded step
 //! spans (see [`crate::calibrate`]).
 
+use sparker_net::codec::{Decoder, Encoder, Payload};
+use sparker_net::error::{NetError, NetResult};
 use sparker_net::profile::NetProfile;
 
 /// The algorithm menu the selector ranks. One entry per reduction path the
@@ -57,6 +59,38 @@ impl Algo {
             Algo::ChunkedRing(c) => *c as usize,
             _ => 1,
         }
+    }
+}
+
+/// The one wire form of an algorithm choice: a tag byte, plus the chunk
+/// count for [`Algo::ChunkedRing`]. An unknown tag is a typed codec error.
+impl Payload for Algo {
+    fn encode_into(&self, enc: &mut Encoder) {
+        match self {
+            Algo::FlatRing => enc.put_u8(0),
+            Algo::ChunkedRing(c) => {
+                enc.put_u8(1);
+                enc.put_u8(*c);
+            }
+            Algo::Halving => enc.put_u8(2),
+            Algo::Tree => enc.put_u8(3),
+            Algo::Hierarchical => enc.put_u8(4),
+        }
+    }
+
+    fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
+        match dec.get_u8()? {
+            0 => Ok(Algo::FlatRing),
+            1 => Ok(Algo::ChunkedRing(dec.get_u8()?)),
+            2 => Ok(Algo::Halving),
+            3 => Ok(Algo::Tree),
+            4 => Ok(Algo::Hierarchical),
+            tag => Err(NetError::Codec(format!("unknown reduction algorithm tag {tag}"))),
+        }
+    }
+
+    fn size_hint(&self) -> usize {
+        1 + usize::from(matches!(self, Algo::ChunkedRing(_)))
     }
 }
 

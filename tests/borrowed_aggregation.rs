@@ -4,10 +4,9 @@
 //!   in order, for every RDD kind (cold and warm for a cached one).
 //! * `split_aggregate` over a warm cached dataset clones no item and no
 //!   aggregator that anything has been folded or merged into, on the ring
-//!   path, with `ImmMode::SharedFold`, on the tree fallback and for
-//!   executors that own no partition. Clones of the pristine zero (one per
-//!   compute task, one per stage closure) are the only ones left, and their
-//!   number is pinned.
+//!   path, on the tree fallback and for executors that own no partition.
+//!   Clones of the pristine zero (one per compute task, one per stage
+//!   closure) are the only ones left, and their number is pinned.
 //! * A gang retry re-reads the borrowed input: an injected task failure and
 //!   a dropped frame both give the exact result on the second attempt, and a
 //!   gang that exhausts its budget still finds the aggregators intact for
@@ -233,17 +232,6 @@ fn ring_path_clones_no_item_and_no_folded_aggregator() {
     assert!(!m.downgraded);
     // Pristine zeros: the two stage closures and one per compute task.
     assert_eq!(clones, (0, 2 + 8, 0));
-}
-
-#[test]
-fn shared_fold_clones_one_zero_per_executor() {
-    let opts = SplitAggOpts {
-        imm_mode: ImmMode::SharedFold,
-        ..Default::default()
-    };
-    let (clones, _) = clones_of(4, 8, opts);
-    // Only the first task of an executor initialises its shared value.
-    assert_eq!(clones, (0, 2 + 4, 0));
 }
 
 #[test]

@@ -2,10 +2,12 @@
 //!
 //! * reduce-scatter (ring and halving) followed by reassembly equals a
 //!   sequential reduction, for arbitrary cluster shapes and values;
+//! * the engine's one dispatch runs every reduce-scatter algorithm so that
+//!   each index of its segment space is owned exactly once, fully reduced;
 //! * allreduce leaves every rank with the same, correct result;
 //! * the producer form of the ring (each lane splits its own indices) owns
-//!   exactly what the `Vec` form owns, and a rank runs its `P` lanes on
-//!   itself plus `P − 1` threads;
+//!   exactly what `ring_reduce_scatter_chunked` owns, and a rank runs its
+//!   `P` lanes on itself plus `P − 1` threads;
 //! * the codec round-trips arbitrary payloads;
 //! * `slice_bounds` tiles any length exactly.
 
@@ -16,9 +18,11 @@ use sparker::collectives::gather::gather_segments;
 use sparker::collectives::halving::recursive_halving_reduce_scatter;
 use sparker::collectives::lanes::run_lanes;
 use sparker::collectives::ring::{
-    ring_reduce_scatter, ring_reduce_scatter_chunked_by, ring_reduce_scatter_produced_by,
+    ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_produced_by,
 };
+use sparker::collectives::segment::Segment;
 use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
+use sparker::engine::ops::reduce::{reduce_scatter, segment_count};
 use sparker::prelude::*;
 
 fn cfg() -> Config {
@@ -106,23 +110,56 @@ fn halving_reduce_scatter_equals_sequential() {
     });
 }
 
-/// Runs both forms of the chunked ring over `make(rank, g)` and requires
-/// identical owned segments on every rank, and `P` distinct lane threads per
-/// rank of which one is the rank's own.
+#[test]
+fn every_dispatched_algorithm_owns_each_segment_once_fully_reduced() {
+    check(&cfg(), |src| {
+        let nodes = src.usize_in(1..4);
+        let epn = src.usize_in(1..3);
+        let parallelism = src.usize_in(1..4);
+        let base = arb_base(src, 6);
+        let spec = RingClusterSpec::unshaped(nodes, epn, parallelism);
+        let n = spec.total_executors();
+        for algo in Algo::candidates().into_iter().filter(|a| *a != Algo::Tree) {
+            let per_rank = run_ring_cluster(&spec, |comm| {
+                let total = segment_count(algo, comm.ring());
+                let values: Vec<i64> = (0..total).map(|i| base[i % base.len()]).collect();
+                let segs = seed(comm.rank(), &values);
+                let produce = |g: usize| segs[g].clone();
+                let merge = |a: &mut U64SumSegment, b: U64SumSegment| a.merge_from(&b);
+                (values, reduce_scatter(&comm, algo, &produce, &merge).unwrap())
+            });
+            let values = &per_rank[0].0;
+            let mut seen = vec![false; values.len()];
+            for (_, owned) in &per_rank {
+                for o in owned {
+                    tk_assert!(!seen[o.index], "{algo:?}: segment {} owned twice", o.index);
+                    seen[o.index] = true;
+                    tk_assert_eq!(o.segment.0[0], expected(o.index, values, n), "{algo:?}");
+                }
+            }
+            tk_assert!(seen.iter().all(|&s| s), "{algo:?}: not all segments owned: {seen:?}");
+        }
+        Ok(())
+    });
+}
+
+/// Runs the producer form and `ring_reduce_scatter_chunked` over
+/// `make(rank, g)` and requires identical owned segments on every rank, and
+/// `P` distinct lane threads per rank of which one is the rank's own.
 fn check_producer_form<V>(
     spec: &RingClusterSpec,
     chunks: usize,
     make: impl Fn(usize, usize) -> V + Send + Sync,
-    merge: impl Fn(&mut V, V) + Send + Sync,
 ) -> Result<(), sparker_testkit::PropError>
 where
-    V: Payload + PartialEq + std::fmt::Debug,
+    V: Segment + PartialEq + std::fmt::Debug,
 {
     let p = spec.parallelism;
     let total = p * spec.total_executors() * chunks;
+    let merge = |acc: &mut V, incoming: V| acc.merge_from(&incoming);
     let by_vec = run_ring_cluster(spec, |comm| {
         let segs = (0..total).map(|g| make(comm.rank(), g)).collect();
-        ring_reduce_scatter_chunked_by(&comm, segs, &merge, chunks).unwrap()
+        ring_reduce_scatter_chunked(&comm, segs, chunks).unwrap()
     });
     let by_producer = run_ring_cluster(spec, |comm| {
         let threads = std::sync::Mutex::new(std::collections::HashSet::new());
@@ -156,30 +193,18 @@ fn producer_form_owns_exactly_what_the_vec_form_owns() {
         let lens: Vec<usize> = (0..p * n * chunks).map(|_| src.usize_in(0..6)).collect();
         let value = |rank: usize, g: usize, i: usize| (rank * 131 + g * 17 + i) as u64;
 
-        check_producer_form(
-            &spec,
-            chunks,
-            |rank, g| U64SumSegment((0..lens[g]).map(|i| value(rank, g, i)).collect()),
-            |a: &mut U64SumSegment, b| {
-                for (x, y) in a.0.iter_mut().zip(b.0) {
-                    *x = x.wrapping_add(y);
-                }
-            },
-        )?;
+        check_producer_form(&spec, chunks, |rank, g| {
+            U64SumSegment((0..lens[g]).map(|i| value(rank, g, i)).collect())
+        })?;
         // Mostly-zero values through the density-adaptive segments: sparse
         // frames, and the switch to dense as the merges fill them in.
         let threshold = src.choose(&[0.0, 0.5, 2.0]);
-        check_producer_form(
-            &spec,
-            chunks,
-            |rank, g| {
-                let dense = (0..lens[g])
-                    .map(|i| if (rank + g + i) % 3 == 0 { value(rank, g, i) as f64 } else { 0.0 })
-                    .collect();
-                DenseOrSparse::from_dense(dense, threshold)
-            },
-            |a: &mut DenseOrSparse, b| a.merge(&b),
-        )
+        check_producer_form(&spec, chunks, |rank, g| {
+            let dense = (0..lens[g])
+                .map(|i| if (rank + g + i) % 3 == 0 { value(rank, g, i) as f64 } else { 0.0 })
+                .collect();
+            DenseOrSparse::from_dense(dense, threshold)
+        })
     });
 }
 

@@ -4,14 +4,19 @@
 //!
 //! This is what lets `Segment::payload_bytes` default to `size_hint` and
 //! benches/metrics report one unified wire-bytes number — if any impl
-//! drifts from its encoder, this suite fails.
+//! drifts from its encoder, this suite fails. Frames whose counts announce
+//! more items than they carry decode to a typed error, never a panic or an
+//! allocation sized by the count.
 
-use sparker_testkit::{check, tk_assert_eq, Config, Source};
+use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
 use sparker::collectives::composite::CompositeAgg;
+use sparker::collectives::ring::OwnedSegment;
 use sparker::collectives::segment::Segment as _;
+use sparker::engine::multiproc::{JobSpec, MembershipView};
 use sparker::ml::aggregator::{DenseOrSparse, SparseSegment};
 use sparker::ml::LabeledPoint;
+use sparker::net::{ByteBuf, NetError};
 use sparker::prelude::*;
 
 fn cfg() -> Config {
@@ -133,4 +138,61 @@ fn adaptive_segment_has_exact_size_hint_in_both_arms() {
         tk_assert_eq!(seg.payload_bytes(), seg.size_hint(), "unified accounting");
         Ok(())
     });
+}
+
+#[test]
+fn owned_segments_have_exact_size_hints() {
+    check(&cfg(), |src| {
+        let index = src.usize_in(0..1 << 20);
+        exact(&OwnedSegment { index, segment: F64Array(src.vec_of(0..64, finite_f64)) })?;
+        let dense: Vec<f64> = src.vec_of(0..64, |s| if s.bool_any() { finite_f64(s) } else { 0.0 });
+        let segment = DenseOrSparse::from_dense(dense, src.choose(&[0.0, 0.5, 2.0]));
+        exact(&OwnedSegment { index, segment })?;
+        // The gather frame: count, then (index, segment)*.
+        let owned: Vec<OwnedSegment<SumSegment>> = src.vec_of(0..6, |s| OwnedSegment {
+            index: s.usize_in(0..64),
+            segment: SumSegment(s.vec_of(0..8, finite_f64)),
+        });
+        exact(&owned)
+    });
+}
+
+#[test]
+fn algos_and_job_specs_have_exact_size_hints() {
+    check(&cfg(), |src| {
+        for algo in Algo::candidates() {
+            exact(&algo)?;
+        }
+        let mut spec = JobSpec::sparse(src.u64_any(), src.u64_any(), 64, 4, 0.5);
+        spec.algo = src.choose(&Algo::candidates());
+        spec.nodes = src.usize_in(0..4);
+        spec.view = MembershipView { generation: src.u64_any(), members: vec![0, 2, 3] };
+        spec.assigned = src.vec_of(0..4, |s| s.vec_of(0..4, |s| s.u64_any()));
+        exact(&spec)?;
+        // The algorithm tag follows id, sparse, threshold, seed, dim,
+        // density, total_parts and parallelism: 57 bytes in.
+        let mut raw = spec.to_frame().to_vec();
+        raw[57] = 5 + src.u8_any() % 250;
+        let decoded = JobSpec::from_frame(ByteBuf::from(raw));
+        tk_assert!(matches!(decoded, Err(NetError::Codec(_))), "unknown tag: {decoded:?}");
+        Ok(())
+    });
+}
+
+/// A frame whose leading count announces `count` items but carries one.
+fn announcing(count: u64, item: &impl Payload) -> ByteBuf {
+    let mut raw = count.to_le_bytes().to_vec();
+    raw.extend_from_slice(&item.to_frame());
+    ByteBuf::from(raw)
+}
+
+#[test]
+fn oversized_counts_decode_typed_without_panicking() {
+    let owned = OwnedSegment { index: 0, segment: SumSegment(vec![1.0]) };
+    for count in [1u64 << 40, u64::MAX] {
+        let got = Vec::<OwnedSegment<SumSegment>>::from_frame(announcing(count, &owned));
+        assert!(matches!(got, Err(NetError::Codec(_))), "{count}: {got:?}");
+        let got = CompositeAgg::from_frame(announcing(count, &vec![1.0f64]));
+        assert!(matches!(got, Err(NetError::Codec(_))), "{count}: {got:?}");
+    }
 }

@@ -1,12 +1,12 @@
 //! Property-based tests on the auto-tuned collectives:
 //!
 //! * the hierarchical reduce-scatter equals a sequential reduction for
-//!   arbitrary node groupings, parallelism, and chunk counts — and is
-//!   therefore bit-exact with the flat ring, which satisfies the same
-//!   invariant (`prop_collectives`) on the same logical aggregator;
+//!   arbitrary node groupings and parallelism — and is therefore bit-exact
+//!   with the flat ring, which satisfies the same invariant
+//!   (`prop_collectives`) on the same logical aggregator;
 //! * leaders jointly own every global segment exactly once, non-leaders
-//!   own nothing, and [`hierarchical_segment_count`] is the count the
-//!   cluster actually requires;
+//!   own nothing, and [`segment_count`] is the count the cluster actually
+//!   requires;
 //! * the selector is deterministic: a fixed calibration and shape always
 //!   yield the same decision, including across selector instances and
 //!   through the text round-trip of the model;
@@ -14,11 +14,9 @@
 
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
-use sparker::collectives::hierarchical::{
-    hierarchical_allreduce, hierarchical_reduce_scatter, hierarchical_segment_count,
-};
-use sparker::collectives::segment::Segment;
+use sparker::collectives::hierarchical::hierarchical_reduce_scatter;
 use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
+use sparker::engine::ops::reduce::segment_count;
 use sparker::net::topology::{round_robin_layout, RingOrder, RingTopology};
 use sparker::prelude::*;
 use sparker_tuner::{Algo, CostModel, JobShape, Selector};
@@ -60,24 +58,16 @@ fn arb_cluster(src: &mut Source) -> (RingClusterSpec, RingTopology) {
 fn hierarchical_reduce_scatter_equals_sequential() {
     check(&cfg(), |src| {
         let (spec, ring) = arb_cluster(src);
-        let chunks = src.usize_in(1..4);
         let n = spec.total_executors();
-        let total = hierarchical_segment_count(&ring, chunks);
+        let total = segment_count(Algo::Hierarchical, &ring);
         // The grouping helper shared with `RingTopology` puts every host in
-        // one group, so the count must be P·L·C with L = physical nodes.
-        tk_assert_eq!(total, spec.parallelism * spec.nodes.min(n) * chunks);
+        // one group, so the count must be P·L with L = physical nodes.
+        tk_assert_eq!(total, spec.parallelism * spec.nodes.min(n));
         let base = src.vec_of(1..6, |s| s.i64_any());
         let values: Vec<i64> = (0..total).map(|i| base[i % base.len()]).collect();
         let v2 = values.clone();
         let per_rank = run_ring_cluster(&spec, move |comm| {
-            let segs = seed(comm.rank(), &v2);
-            sparker::collectives::hierarchical::hierarchical_reduce_scatter_chunked_by(
-                &comm,
-                segs,
-                &|acc: &mut U64SumSegment, inc: U64SumSegment| acc.merge_from(&inc),
-                chunks,
-            )
-            .unwrap()
+            hierarchical_reduce_scatter(&comm, seed(comm.rank(), &v2)).unwrap()
         });
         let mut seen = vec![false; total];
         for owned in &per_rank {
@@ -91,29 +81,6 @@ fn hierarchical_reduce_scatter_equals_sequential() {
         // Exactly the leaders hold segments: one owner group per node.
         let owners = per_rank.iter().filter(|r| !r.is_empty()).count();
         tk_assert_eq!(owners, if n == 1 { 1 } else { spec.nodes.min(n) });
-        Ok(())
-    });
-}
-
-#[test]
-fn hierarchical_allreduce_agrees_on_every_rank() {
-    check(&cfg(), |src| {
-        let (spec, ring) = arb_cluster(src);
-        let n = spec.total_executors();
-        let total = hierarchical_segment_count(&ring, 1);
-        let base = src.vec_of(1..5, |s| s.i64_any());
-        let values: Vec<i64> = (0..total).map(|i| base[i % base.len()]).collect();
-        let v2 = values.clone();
-        let per_rank = run_ring_cluster(&spec, move |comm| {
-            let segs = seed(comm.rank(), &v2);
-            hierarchical_allreduce(&comm, segs).unwrap()
-        });
-        for result in &per_rank {
-            tk_assert_eq!(result.len(), total);
-            for (g, seg) in result.iter().enumerate() {
-                tk_assert_eq!(seg.0[0], expected(g, &values, n));
-            }
-        }
         Ok(())
     });
 }
