@@ -4,11 +4,14 @@
 //! Run with no flags and this binary becomes the *driver*: it binds a
 //! rendezvous coordinator on loopback, re-executes itself `--execs` times as
 //! executor child processes, waits for them to join (rank assignment + peer
-//! address exchange, DESIGN.md §5g), and then drives seven jobs through
+//! address exchange, DESIGN.md §5g), and then drives seventeen jobs through
 //! [`sparker_engine::multiproc`] over the resulting TCP mesh:
 //!
 //! 1. **dense** — chunk-pipelined ring reduce-scatter of [`sparker_net::codec::F64Array`]
 //!    segments; must match the driver-side oracle bit-for-bit in one attempt.
+//!    Ten more dense jobs follow between two [`MultiProcDriver::collect_metrics`]
+//!    calls, and each executor's minor page faults and CPU ticks per job
+//!    (`proc.minflt`, `proc.cpu_ticks`) are printed.
 //! 2. **sparse** — the same job with density-adaptive
 //!    [`sparker_sparse::DenseOrSparse`] segments at 1% density; bit-exact
 //!    *and* far fewer gathered bytes than the dense job.
@@ -46,6 +49,9 @@ use sparker_net::tcp::TcpConfig;
 use sparker_tuner::Algo;
 
 const CHANNELS: usize = 2;
+
+/// Dense jobs run after job 1 to measure executor work per job.
+const WORK_JOBS: u64 = 10;
 
 /// The transport tunables exposed as flags (values in milliseconds),
 /// forwarded verbatim from the driver invocation to every executor child.
@@ -97,6 +103,19 @@ fn reap(child: &mut Child, deadline: Duration) -> i32 {
             }
         }
     }
+}
+
+/// `(rank, proc.minflt, proc.cpu_ticks)` of every live executor so far; 0
+/// where an executor could not read its `/proc/self/stat`.
+fn executor_work(driver: &mut MultiProcDriver) -> Vec<(usize, u64, u64)> {
+    driver
+        .collect_metrics()
+        .into_iter()
+        .map(|(rank, pairs)| {
+            let get = |name: &str| pairs.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v);
+            (rank, get("proc.minflt"), get("proc.cpu_ticks"))
+        })
+        .collect()
 }
 
 fn check_exact(name: &str, outcome: &JobOutcome, expect: &[f64]) {
@@ -189,6 +208,23 @@ fn main() {
     record("dense", &o);
     let dense_bytes = o.result_bytes;
 
+    // Executor work per dense job, in steady state (job 1 warmed up).
+    let before = executor_work(&mut driver);
+    for id in 10..10 + WORK_JOBS {
+        let spec = base(id);
+        let o = driver.run_job(&spec).expect("dense work job");
+        check_exact("dense work", &o, &oracle(&spec));
+    }
+    for ((rank, faults0, ticks0), (_, faults1, ticks1)) in
+        before.iter().zip(executor_work(&mut driver))
+    {
+        println!(
+            "executor rank {rank}: {} minor faults, {} CPU ticks per {dim}-dim dense job",
+            faults1.saturating_sub(*faults0) / WORK_JOBS,
+            ticks1.saturating_sub(*ticks0) as f64 / WORK_JOBS as f64
+        );
+    }
+
     // 2. Sparse at 1% density: bit-exact and cheaper on the wire.
     let mut sparse = JobSpec::sparse(2, 0x5EED ^ 2, dim, parts, 0.01);
     sparse.recv_deadline_ms = deadline_ms;
@@ -257,7 +293,8 @@ fn main() {
 
     table.print();
     println!(
-        "\nall 7 jobs bit-exact across {execs} OS processes ({} survived the kill)",
+        "\nall {} jobs bit-exact across {execs} OS processes ({} survived the kill)",
+        7 + WORK_JOBS,
         execs - 1
     );
 }

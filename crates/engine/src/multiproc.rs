@@ -684,7 +684,10 @@ fn admit_dial(joined: &Joined, rank: u32, addr: &str) -> NetResult<()> {
 }
 
 /// Flattens the local metric registry for the driver: counters and gauges as
-/// `(name, value)`, histograms as `name.count` / `name.sum`.
+/// `(name, value)`, histograms as `name.count` / `name.sum`. Where
+/// `/proc/self/stat` is readable it appends the process's work so far:
+/// `proc.minflt` (minor page faults) and `proc.cpu_ticks` (user + system
+/// time in clock ticks).
 fn flattened_metrics() -> Vec<(String, u64)> {
     let mut pairs = Vec::new();
     for m in metrics::snapshot() {
@@ -697,7 +700,22 @@ fn flattened_metrics() -> Vec<(String, u64)> {
             }
         }
     }
+    let stat = std::fs::read_to_string("/proc/self/stat").ok();
+    if let Some((minflt, cpu_ticks)) = stat.as_deref().and_then(parse_proc_stat) {
+        pairs.push(("proc.minflt".into(), minflt));
+        pairs.push(("proc.cpu_ticks".into(), cpu_ticks));
+    }
     pairs
+}
+
+/// `(minor faults, user + system ticks)` from a `/proc/[pid]/stat` line:
+/// fields 10, 14 and 15, counted from 1. Field 2, `comm`, is the
+/// parenthesised executable name and may itself hold spaces or `)`, so the
+/// fields are counted from the last `)`, after which field 3 starts.
+fn parse_proc_stat(line: &str) -> Option<(u64, u64)> {
+    let fields: Vec<&str> = line[line.rfind(')')? + 1..].split_whitespace().collect();
+    let field = |n: usize| fields.get(n - 3)?.parse::<u64>().ok();
+    Some((field(10)?, field(14)? + field(15)?))
 }
 
 /// How long an executor waits for links to view members to come up before
@@ -1449,6 +1467,19 @@ mod tests {
             let back = MembershipView::from_frame(view.to_frame()).unwrap();
             assert_eq!(back, view);
             assert_eq!(view.to_frame().len(), view.size_hint());
+        }
+    }
+
+    #[test]
+    fn proc_stat_fields_count_from_the_last_paren() {
+        let line = "4242 (exec (w 2)) S 1 4242 4242 0 -1 4194560 1234 0 0 0 \
+                    56 7 0 0 20 0 3 0 671006 2703360 306 18446744073709551615";
+        assert_eq!(parse_proc_stat(line), Some((1234, 63)));
+        assert_eq!(parse_proc_stat("4242 (exec) S 1 4242"), None, "truncated line");
+        assert_eq!(parse_proc_stat("no parenthesis"), None);
+        let own = std::fs::read_to_string("/proc/self/stat").ok();
+        if let Some(own) = own {
+            assert!(parse_proc_stat(&own).is_some(), "own stat line {own:?}");
         }
     }
 
