@@ -49,7 +49,9 @@
 //! All job values are integer-valued `f64`s, so sums are exact in any merge
 //! order and every path (ring, survivor ring, tree, driver-side [`oracle`])
 //! must agree **bit-for-bit** — the acceptance check is exact equality, not
-//! tolerance.
+//! tolerance. The same exactness lets an executor fold each of its
+//! partitions straight into its one aggregator (IMM inside the process,
+//! PAPER.md §3.2) instead of building and adding a vector per partition.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -518,24 +520,36 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The vector contributed by partition `part` — deterministic, so any
-/// executor can recompute any partition (the lineage property fallback
-/// recovery rests on). Values are small integers: `f64` sums of integers
-/// this size are exact in every association order, which is what makes
-/// "bit-exact across ring, tree, and oracle" a meaningful acceptance check.
-pub fn part_vector(seed: u64, part: u64, dim: usize, density: f64) -> Vec<f64> {
-    let mut v = vec![0.0; dim];
+/// Adds partition `part`'s contribution into `agg`, whose length is the
+/// dimension: `ceil(dim · density)` (at least one) draws of an index and a
+/// value, each added where it lands. This is the one definition of a
+/// partition. It is deterministic, so any executor can recompute any
+/// partition (the lineage property fallback recovery rests on).
+///
+/// Every value is an integer in `1..=512` and every partial sum an integer
+/// far below 2^53, so `f64` addition is exact in any association order.
+/// That is what makes "bit-exact across ring, tree and oracle" a meaningful
+/// acceptance check, and why folding each draw straight into an executor's
+/// one aggregator gives the same bits as summing finished per-partition
+/// vectors.
+fn fold_part(agg: &mut [f64], seed: u64, part: u64, density: f64) {
+    let dim = agg.len();
     if dim == 0 {
-        return v;
+        return;
     }
-    let nnz = (((dim as f64) * density).ceil() as usize).clamp(1, dim.max(1));
+    let nnz = (((dim as f64) * density).ceil() as usize).clamp(1, dim);
     let base = splitmix64(seed ^ splitmix64(part.wrapping_add(1)));
     for k in 0..nnz {
         let h = splitmix64(base.wrapping_add(k as u64));
-        let idx = (h % dim as u64) as usize;
-        let val = ((h >> 32) % 512) as f64 + 1.0;
-        v[idx] += val;
+        agg[(h % dim as u64) as usize] += ((h >> 32) % 512) as f64 + 1.0;
     }
+}
+
+/// The vector partition `part` contributes: its draws folded into zeros.
+/// Small integers, deterministic in `(seed, part)`.
+pub fn part_vector(seed: u64, part: u64, dim: usize, density: f64) -> Vec<f64> {
+    let mut v = vec![0.0; dim];
+    fold_part(&mut v, seed, part, density);
     v
 }
 
@@ -544,12 +558,12 @@ pub fn oracle(spec: &JobSpec) -> Vec<f64> {
     local_aggregate(spec, &(0..spec.total_parts as u64).collect::<Vec<_>>())
 }
 
+/// IMM inside the executor process: one aggregator, every assigned
+/// partition folded into it (PAPER.md §3.2).
 fn local_aggregate(spec: &JobSpec, parts: &[u64]) -> Vec<f64> {
     let mut agg = vec![0.0; spec.dim];
     for &part in parts {
-        for (a, x) in agg.iter_mut().zip(part_vector(spec.seed, part, spec.dim, spec.density)) {
-            *a += x;
-        }
+        fold_part(&mut agg, spec.seed, part, spec.density);
     }
     agg
 }
@@ -918,9 +932,11 @@ impl MultiProcDriver {
         &self.view
     }
 
-    fn send_to(&mut self, rank: usize, msg: &DriverMsg) {
+    /// Sends an encoded [`DriverMsg`] to `rank`; a failed send closes the
+    /// control link.
+    fn send_to(&mut self, rank: usize, frame: &[u8]) {
         let failed = match &mut self.controls[rank] {
-            Some(conn) => conn.send(&msg.to_frame()).is_err(),
+            Some(conn) => conn.send(frame).is_err(),
             None => false,
         };
         if failed {
@@ -973,24 +989,28 @@ impl MultiProcDriver {
             if gang.is_empty() {
                 break;
             }
-            let mut spec = base.clone();
-            spec.attempt = attempts;
-            spec.view = self.view.clone();
-            spec.assigned = assign_parts(base.total_parts, &gang, n_total);
+            // One encoding per attempt, the same bytes to every member.
+            let run = DriverMsg::Run(JobSpec {
+                attempt: attempts,
+                view: self.view.clone(),
+                assigned: assign_parts(base.total_parts, &gang, n_total),
+                ..base.clone()
+            })
+            .to_frame();
             attempts += 1;
             if attempts > 1 {
                 count_ring_retry();
             }
             for &rank in &gang {
-                self.send_to(rank, &DriverMsg::Run(spec.clone()));
+                self.send_to(rank, &run);
             }
             let mut oks: Vec<ByteBuf> = Vec::new();
             let mut failures: Vec<String> = Vec::new();
             for &rank in &gang {
                 match self.recv_from(rank) {
-                    Some(ExecMsg::JobOk { id, segments }) if id == spec.id => oks.push(segments),
+                    Some(ExecMsg::JobOk { id, segments }) if id == base.id => oks.push(segments),
                     Some(ExecMsg::JobErr { id, rank: r, view_gen, dead_peers, error })
-                        if id == spec.id =>
+                        if id == base.id =>
                     {
                         failures.push(format!(
                             "rank {r} (view {view_gen}, dead peers {dead_peers:?}): {error}"
@@ -1009,7 +1029,9 @@ impl MultiProcDriver {
             }
             self.last_ring_error = failures.join("; ");
             if oks.len() == gang.len() {
-                let count = segment_count(spec.algo, &job_ring(&spec.view.members, &spec));
+                // The view is the one the attempt ran under: only
+                // `refresh_view`, at the top of the loop, changes it.
+                let count = segment_count(base.algo, &job_ring(&self.view.members, base));
                 let (value, wire_segments, result_bytes) =
                     assemble(base, count, oks).map_err(|e| EngineError::TaskFailed {
                         stage: job_stage(base.id, self.view.generation),
@@ -1055,14 +1077,12 @@ impl MultiProcDriver {
         }
         let assigned = assign_parts(base.total_parts, &survivors, self.size());
         for &rank in &survivors {
-            self.send_to(
-                rank,
-                &DriverMsg::Fallback {
-                    id: base.id,
-                    spec: base.clone(),
-                    parts: assigned[rank].clone(),
-                },
-            );
+            let msg = DriverMsg::Fallback {
+                id: base.id,
+                spec: base.clone(),
+                parts: assigned[rank].clone(),
+            };
+            self.send_to(rank, &msg.to_frame());
         }
         let mut aggs = Vec::with_capacity(survivors.len());
         for &rank in &survivors {
@@ -1127,15 +1147,9 @@ impl MultiProcDriver {
         // ranks during its join; higher ranks dial its kept listener now).
         let next_gen = self.view.generation + 1;
         let dialers: Vec<usize> = live.iter().copied().filter(|&r| r > rank).collect();
+        let admit = DriverMsg::Admit { rank: rank as u32, addr, generation: next_gen }.to_frame();
         for &r in &dialers {
-            self.send_to(
-                r,
-                &DriverMsg::Admit {
-                    rank: rank as u32,
-                    addr: addr.clone(),
-                    generation: next_gen,
-                },
-            );
+            self.send_to(r, &admit);
         }
         self.last_admit_errors.clear();
         for &r in &dialers {
@@ -1158,8 +1172,9 @@ impl MultiProcDriver {
     /// Gathers flattened recovery metrics from every live executor.
     pub fn collect_metrics(&mut self) -> Vec<(usize, Vec<(String, u64)>)> {
         let live = self.alive();
+        let metrics = DriverMsg::Metrics.to_frame();
         for &rank in &live {
-            self.send_to(rank, &DriverMsg::Metrics);
+            self.send_to(rank, &metrics);
         }
         let mut out = Vec::new();
         for &rank in &live {
@@ -1172,8 +1187,9 @@ impl MultiProcDriver {
 
     /// Sends a clean shutdown to every surviving executor.
     pub fn shutdown(&mut self) {
+        let shutdown = DriverMsg::Shutdown.to_frame();
         for rank in 0..self.size() {
-            self.send_to(rank, &DriverMsg::Shutdown);
+            self.send_to(rank, &shutdown);
         }
     }
 }
@@ -1262,6 +1278,7 @@ fn tree_merge(mut aggs: Vec<Vec<f64>>) -> Vec<f64> {
 mod tests {
     use super::*;
     use sparker_net::tcp::rendezvous::Coordinator;
+    use sparker_testkit::{check, tk_assert_eq, Config};
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -1481,6 +1498,51 @@ mod tests {
         if let Some(own) = own {
             assert!(parse_proc_stat(&own).is_some(), "own stat line {own:?}");
         }
+    }
+
+    /// The formulation `local_aggregate` replaced: a fresh `part_vector`
+    /// per partition, added into the aggregator.
+    fn sum_of_part_vectors(spec: &JobSpec, parts: &[u64]) -> Vec<f64> {
+        let mut agg = vec![0.0; spec.dim];
+        for &part in parts {
+            for (a, x) in agg.iter_mut().zip(part_vector(spec.seed, part, spec.dim, spec.density)) {
+                *a += x;
+            }
+        }
+        agg
+    }
+
+    #[test]
+    fn folding_partitions_is_bit_identical_to_summing_part_vectors() {
+        check(&Config::with_cases(64), |src| {
+            let dim = src.choose(&[0usize, 1, 63, 64, 4097]);
+            let density = src.choose(&[1e-3, 0.25, 1.0]);
+            let seed = src.u64_any();
+            // Few distinct parts, so lists repeat parts; length 0 is empty.
+            let parts = src.vec_of(0..6, |s| s.u64_in(0..4));
+            let spec = JobSpec::sparse(1, seed, dim, 4, density);
+            tk_assert_eq!(
+                bits(&local_aggregate(&spec, &parts)),
+                bits(&sum_of_part_vectors(&spec, &parts)),
+                "dim {dim}, density {density}, parts {parts:?}"
+            );
+            for &part in &parts {
+                let mut folded = vec![0.0; dim];
+                fold_part(&mut folded, seed, part, density);
+                tk_assert_eq!(bits(&part_vector(seed, part, dim, density)), bits(&folded));
+            }
+            Ok(())
+        });
+    }
+
+    /// `part_vector` is the dataset the benchmark's probes and cached
+    /// partitions are built from: its bits must never drift.
+    #[test]
+    fn part_vector_output_is_pinned() {
+        let digest = |v: Vec<f64>| v.iter().fold(0u64, |h, x| splitmix64(h ^ x.to_bits()));
+        assert_eq!(digest(part_vector(42, 3, 4097, 0.25)), 0xe21a_93ca_8385_bda5);
+        assert_eq!(digest(part_vector(0x5EED, 0, 64, 1.0)), 0x7511_e070_f17c_1cae);
+        assert_eq!(digest(part_vector(7, 11, 63, 1e-3)), 0x2515_01a4_1a62_c2bc);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! referenced anywhere — a zero-copy slice, a clone queued in a transport —
 //! simply drops normally and is never reused under a reader.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sparker_obs::metrics::{self, Counter, Gauge};
@@ -45,8 +45,7 @@ const MAX_CLASS: u32 = 22;
 /// Retained buffers per size class; excess recycles are dropped.
 const MAX_PER_CLASS: usize = 32;
 
-/// Point-in-time counters of a [`FramePool`] (monotonic since creation or
-/// the last [`FramePool::reset_stats`]).
+/// Point-in-time counters of a [`FramePool`] (monotonic since creation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Acquires served from the freelist (no allocation).
@@ -80,7 +79,7 @@ pub struct FramePool {
     /// acquires on an *enabled* pool are tracked, mirroring exactly the
     /// buffers [`FramePool::recycle_vec`] would accept back.
     in_use: Vec<AtomicI64>,
-    enabled: AtomicBool,
+    enabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes_reused: AtomicU64,
@@ -98,7 +97,7 @@ impl FramePool {
         Self {
             classes: (MIN_CLASS..=MAX_CLASS).map(|_| Mutex::new(Vec::new())).collect(),
             in_use: (MIN_CLASS..=MAX_CLASS).map(|_| AtomicI64::new(0)).collect(),
-            enabled: AtomicBool::new(true),
+            enabled: true,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes_reused: AtomicU64::new(0),
@@ -108,19 +107,12 @@ impl FramePool {
     /// A pool that never reuses: every acquire allocates (and counts a miss),
     /// every recycle is dropped. The unpooled baseline for A/B benchmarks.
     pub fn disabled() -> Self {
-        let p = Self::new();
-        p.set_enabled(false);
-        p
+        Self { enabled: false, ..Self::new() }
     }
 
-    /// Turns reuse on or off at runtime (stats keep counting either way).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether buffer reuse is currently on.
+    /// Whether buffer reuse is on.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled
     }
 
     /// Freelist class that buffers of `capacity` are stored under: buffers in
@@ -248,14 +240,6 @@ impl FramePool {
             bytes_reused: self.bytes_reused.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes the counters (freelists are kept); benches measure deltas
-    /// between phases with this.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.bytes_reused.store(0, Ordering::Relaxed);
-    }
 }
 
 fn obs_hit(bytes: u64) {
@@ -284,7 +268,7 @@ fn obs_in_use(class: usize, delta: i64) {
 }
 
 /// The process-wide pool the hot paths (epoch wrapping, ring passes) draw
-/// from. Benches flip it with [`FramePool::set_enabled`] for A/B runs.
+/// from. An unpooled baseline is a separate [`FramePool::disabled`].
 pub fn global() -> &'static FramePool {
     static GLOBAL: OnceLock<FramePool> = OnceLock::new();
     GLOBAL.get_or_init(FramePool::new)
@@ -440,17 +424,5 @@ mod tests {
         assert!(pool.occupancy().iter().all(|c| c.in_use == 0));
         pool.recycle_vec(a);
         assert!(pool.occupancy().iter().all(|c| c.in_use == 0));
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters_but_keeps_buffers() {
-        let pool = FramePool::new();
-        pool.recycle_vec(Vec::with_capacity(256));
-        let _ = pool.acquire(256);
-        pool.reset_stats();
-        assert_eq!(pool.stats(), PoolStats::default());
-        pool.recycle_vec(Vec::with_capacity(256));
-        assert!(pool.acquire(256).capacity() >= 256);
-        assert_eq!(pool.stats().hits, 1);
     }
 }

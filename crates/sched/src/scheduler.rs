@@ -215,11 +215,6 @@ impl<B: Backend> Scheduler<B> {
         Ok(JobHandle { job_id, epoch_ns, rx })
     }
 
-    /// Pending (admitted, not yet dispatched) jobs.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().pending.len()
-    }
-
     /// Jobs currently executing on lanes.
     pub fn inflight(&self) -> usize {
         self.shared.state.lock().inflight
