@@ -1,43 +1,29 @@
-//! `figures <id>… | --list` — the paper's tables, its shaped-transport
-//! figures and this repo's ablations, one function per id.
+//! `figures <id>… | --list` — the paper's tables and the ablations that
+//! have no other generator, one function per id.
 //!
-//! Everything here runs the *threaded* engine or the shaped in-process
-//! transports (modeled waits dominate real CPU at the sizes used, so the
-//! ratios between columns are the signal). Paper-scale DES replay is
-//! `paper_eval`'s job and wall-clock cost is `benchmark/run.sh`'s.
+//! `tab1`–`tab3` print the paper's tables from this repo's constants;
+//! `imm_bytes` and `sparse_density` run the threaded engine and report byte
+//! and message counts, which do not depend on the host. Paper-scale curves
+//! are `paper_eval`'s series and wall-clock cost is `benchmark/run.sh`'s.
 //!
 //! `--smoke` shrinks `sparse_density` to the one small shape CI runs
 //! (`tools/check_hermetic.sh` step 6); no other id has a smoke shape, so
 //! `--smoke` with any other id is a usage error.
 
-use std::sync::Arc;
-
 use sparker::sparse::SparseAccum;
-use sparker_bench::{
-    fmt_bytes, fmt_secs, print_header, scaled_elems, shaped_bic, ArraySum, MetricsCsv, Table,
-};
+use sparker_bench::{fmt_bytes, fmt_secs, print_header, ArraySum, MetricsCsv, Table};
 use sparker_data::profiles::{all_profiles, TaskKind};
 use sparker_data::rng::{SplitMix64, Zipf};
 use sparker_engine::cluster::LocalCluster;
 use sparker_engine::config::ClusterSpec;
 use sparker_engine::metrics::AggMetrics;
-use sparker_engine::ops::split_aggregate::{SelectorOpts, SplitAggOpts};
+use sparker_engine::ops::split_aggregate::SplitAggOpts;
 use sparker_engine::ops::tree_aggregate::TreeAggOpts;
-use sparker_ml::glm::AggregationMode;
-use sparker_ml::lda::{train as lda_train, LdaConfig};
+use sparker_ml::lda::LdaConfig;
 use sparker_ml::logistic::LogisticRegression;
-use sparker_ml::point::LabeledPoint;
 use sparker_ml::svm::LinearSvm;
-use sparker_net::bench::{measure_latency, measure_throughput};
-use sparker_net::blockmanager::BlockManagerTransport;
 use sparker_net::codec::F64Array;
-use sparker_net::profile::{NetProfile, TransportKind};
-use sparker_net::topology::round_robin_layout;
-use sparker_net::transport::{MeshTransport, Transport};
-use sparker_sim::aggsim::{simulate_aggregation, Strategy};
 use sparker_sim::cluster::SimCluster;
-use sparker_sim::p2p::{latency, throughput};
-use sparker_tuner::Algo;
 
 const MB: f64 = 1024.0 * 1024.0;
 
@@ -47,13 +33,6 @@ const FIGURES: &[Figure] = &[
     ("tab1", "Table 1: configuration of the two evaluation clusters", tab1),
     ("tab2", "Table 2: datasets and their synthetic stand-ins", tab2),
     ("tab3", "Table 3: MLlib models and their hyperparameters", tab3),
-    ("fig02", "Figure 2 on the threaded engine: stage-history aggregation share", fig02),
-    ("fig12", "Figure 12: p2p latency, BlockManager vs communicator vs MPI", fig12),
-    ("fig13", "Figure 13: p2p throughput vs message size and parallelism", fig13),
-    ("fig16", "Figure 16 on the threaded engine: tree vs tree+IMM vs split", fig16),
-    ("algorithms", "ablation: ring vs recursive-halving reduce-scatter", algorithms),
-    ("allreduce", "ablation: split aggregation vs the allreduce extension", allreduce),
-    ("backend", "ablation: threaded engine vs simulator tree/split ratio", backend),
     ("imm_bytes", "ablation: serialized bytes and messages per strategy", imm_bytes),
     ("sparse_density", "ablation: dense vs sparse vs adaptive segments", sparse_density),
 ];
@@ -180,339 +159,24 @@ fn tab3() {
     finish(&t, "tab3_models");
 }
 
-/// Trains `which` ("LR" or "LDA") at laptop scale, leaving its stages in
-/// the cluster's history.
-fn train_workload(cluster: &LocalCluster, which: &str, mode: AggregationMode) {
-    cluster.history().clear();
-    let parts = 2 * cluster.num_executors();
-    if which == "LR" {
-        let gen = sparker_data::profiles::avazu()
-            .feature_scaled(2e-3) // 2000 features
-            .classification_gen();
-        let data = cluster
-            .generate(parts, move |p| {
-                gen.partition(p, parts, 2000).into_iter().map(LabeledPoint::from).collect()
-            })
-            .cache();
-        data.count().unwrap();
-        LogisticRegression { iterations: 5, ..Default::default() }
-            .with_mode(mode)
-            .train(&data, 2000)
-            .unwrap();
-    } else {
-        let profile = sparker_data::profiles::enron().scaled(5e-3).feature_scaled(0.02);
-        let gen = profile.corpus_gen(8);
-        let (docs, vocab) = (profile.samples(), profile.features());
-        let data = cluster.generate(parts, move |p| gen.partition(p, parts, docs)).cache();
-        data.count().unwrap();
-        lda_train(&data, LdaConfig { iterations: 5, ..LdaConfig::new(8, vocab) }.with_mode(mode))
-            .unwrap();
-    }
-}
-
-/// The stage-history analysis the paper ran on Spark's history logs
-/// (§2.3), replayed on the real engine: decompose the recorded stage time
-/// of LR and LDA training into aggregation vs everything else.
-fn fig02() {
-    print_header(
-        "Figure 2 (threaded)",
-        "Stage-history decomposition of real training runs (shaped engine)",
-        "Replays the paper's history-log methodology on this engine; compare the\n\
-         aggregation share against Figure 2's 67% geo-mean (at our laptop scale the\n\
-         aggregators are smaller, so shares are lower for LR and high for LDA).",
-    );
-    let mut t = Table::new(vec!["Workload", "Mode", "Agg share", "Top stage kinds"]);
-    for which in ["LR", "LDA"] {
-        for mode in [AggregationMode::Tree, AggregationMode::split()] {
-            let cluster = LocalCluster::new(shaped_bic(2, 2));
-            train_workload(&cluster, which, mode);
-            let share = cluster.history().aggregation_share();
-            let top: Vec<String> = cluster
-                .history()
-                .summary()
-                .into_iter()
-                .take(3)
-                .map(|(k, d, _)| format!("{k}={}", fmt_secs(d.as_secs_f64())))
-                .collect();
-            t.row(vec![
-                which.to_string(),
-                mode.name().to_string(),
-                format!("{:.0}%", share * 100.0),
-                top.join("  "),
-            ]);
-        }
-    }
-    finish(&t, "fig02_history_threaded");
-}
-
-/// Real ping-pong over the in-process transports with BIC shaping enforced
-/// by the precise waiter, next to the closed-form profile numbers the
-/// simulator uses.
-fn fig12() {
-    print_header(
-        "Figure 12",
-        "Point-to-point one-way latency on BIC: BM vs SC vs MPI",
-        "Paper reference: MPI 15.94us; SC 72.73us (4.56x MPI); BM 3861.25us (242x MPI).",
-    );
-    // One executor per node so the path is inter-node.
-    let execs = round_robin_layout(2, 1, 1);
-    let profile = NetProfile::bic();
-    let mpi = MeshTransport::new(&execs, 1, profile.clone(), TransportKind::MpiRef);
-    let sc = MeshTransport::new(&execs, 1, profile.clone(), TransportKind::ScalableComm);
-    let bm_wire = MeshTransport::new(&execs, 1, profile, TransportKind::MpiRef);
-    let bm = BlockManagerTransport::with_default_costs(bm_wire);
-    let sim = SimCluster::bic();
-    let one_way_us =
-        |t: Arc<dyn Transport>, iters| measure_latency(t, 8, 20, iters).as_secs_f64() * 1e6;
-    let rows = [
-        ("MPI", one_way_us(mpi, 200), TransportKind::MpiRef, 15.94),
-        ("SC", one_way_us(sc, 200), TransportKind::ScalableComm, 72.73),
-        ("BM", one_way_us(bm, 50), TransportKind::BlockManager, 3861.25),
-    ];
-    let mut t = Table::new(vec![
-        "Transport",
-        "Measured (us)",
-        "Model (us)",
-        "Paper (us)",
-        "x MPI (measured)",
-    ]);
-    let mpi_us = rows[0].1;
-    for (name, m_us, kind, paper) in rows {
-        t.row(vec![
-            name.to_string(),
-            format!("{m_us:.2}"),
-            format!("{:.2}", latency(&sim, kind) * 1e6),
-            format!("{paper:.2}"),
-            format!("{:.1}x", m_us / mpi_us),
-        ]);
-    }
-    finish(&t, "fig12_p2p_latency");
-}
-
-/// Measured rows use the real shaped transports at 1/32 of paper message
-/// sizes with a 32x-slowed profile (same byte-time products — see
-/// `NetProfile::scaled`); model rows evaluate the closed form at paper
-/// scale.
-fn fig13() {
-    print_header(
-        "Figure 13",
-        "P2P throughput vs message size: SC parallelism 1/2/4 vs MPI",
-        "Paper reference: MPI 1185 MB/s max; SC@4 1152 MB/s (97.1% of line rate).",
-    );
-    const SCALE: f64 = 32.0;
-    let execs = round_robin_layout(2, 1, 1);
-    let profile = NetProfile::bic().scaled(SCALE);
-    let sc = MeshTransport::new(&execs, 4, profile.clone(), TransportKind::ScalableComm);
-    // MPI over verbs fills the pipe with a single stream: lift the TCP
-    // single-stream cap to the wire rate for its mesh.
-    let mut mpi_profile = profile;
-    mpi_profile.inter_node.bandwidth = mpi_profile.mpi_bandwidth;
-    mpi_profile.per_channel_bandwidth = mpi_profile.mpi_bandwidth;
-    let mpi = MeshTransport::new(&execs, 1, mpi_profile, TransportKind::MpiRef);
-    let sim = SimCluster::bic();
-
-    let mut t = Table::new(vec![
-        "Msg size",
-        "SC P=1 (MB/s)",
-        "SC P=2 (MB/s)",
-        "SC P=4 (MB/s)",
-        "MPI (MB/s)",
-        "model SC@4",
-        "model MPI",
-    ]);
-    // Paper sweeps 1KB..256MB; we measure the scaled-down equivalents and
-    // report at paper-equivalent sizes.
-    for exp in [10, 13, 16, 19, 21, 23, 25, 28] {
-        let paper_bytes = 2f64.powi(exp);
-        let scaled_bytes = ((paper_bytes / SCALE) as usize).max(64);
-        let count = (64.0 * MB / SCALE / scaled_bytes as f64).clamp(4.0, 256.0) as usize;
-        let mut cells = vec![fmt_bytes(paper_bytes)];
-        for p in [1usize, 2, 4] {
-            let mbps = measure_throughput(sc.clone() as Arc<dyn Transport>, scaled_bytes, count, p);
-            cells.push(format!("{mbps:.0}"));
-        }
-        let mbps = measure_throughput(mpi.clone() as Arc<dyn Transport>, scaled_bytes, count, 1);
-        cells.push(format!("{mbps:.0}"));
-        cells.push(format!(
-            "{:.0}",
-            throughput(&sim, TransportKind::ScalableComm, paper_bytes, 4) / MB
-        ));
-        cells.push(format!("{:.0}", throughput(&sim, TransportKind::MpiRef, paper_bytes, 1) / MB));
-        t.row(cells);
-    }
-    println!(
-        "Note: measured columns are in the 32x-scaled domain (divide paper MB/s by 32 to\n\
-         compare; ratios between columns are the figure's signal and are scale-invariant).\n"
-    );
-    finish(&t, "fig13_p2p_throughput");
-}
-
-/// The real engine summing an RDD of fixed-length arrays (the paper's
-/// micro-benchmark) on the 16x-scaled BIC profile; strategy *ratios* are
-/// the signal. The paper-scale sweep is `paper_eval`'s `fig16_agg_speedup`.
-fn fig16() {
-    print_header(
-        "Figure 16 (threaded)",
-        "Tree vs Tree+IMM vs Split aggregation scalability (1KB / 8MB / 64MB)",
-        "Paper reference: split 6.48x over tree at 256MB/8 nodes; IMM 1.46x; ties at 1KB.\n\
-         Sizes are paper-equivalent, capped at 64MB so real CPU work stays negligible\n\
-         next to shaped waits on small hosts.",
-    );
-    let mut t = Table::new(vec!["Size", "Nodes", "Tree", "Tree+IMM", "Split", "Tree/Split"]);
-    let mut csv = MetricsCsv::new(vec!["size", "nodes"]);
-    for (label, paper_bytes) in [("1KB", 1024.0), ("8MB", 8.0 * MB), ("64MB", 64.0 * MB)] {
-        for nodes in [1usize, 2, 4] {
-            let sum = ArraySum::new(shaped_bic(nodes, 2), 4, scaled_elems(paper_bytes));
-            let tree = sum.tree(TreeAggOpts { depth: 2, imm: false });
-            let imm = sum.tree(TreeAggOpts { depth: 2, imm: true });
-            let split = sum.split(SplitAggOpts::default());
-            for m in [&tree, &imm, &split] {
-                csv.row(vec![label.to_string(), nodes.to_string()], m);
-            }
-            let secs = |m: &AggMetrics| m.total().as_secs_f64();
-            t.row(vec![
-                label.to_string(),
-                nodes.to_string(),
-                fmt_secs(secs(&tree)),
-                fmt_secs(secs(&imm)),
-                fmt_secs(secs(&split)),
-                format!("{:.2}x", secs(&tree) / secs(&split)),
-            ]);
-        }
-    }
-    t.print();
-    let path = csv.write("fig16_aggregation_threaded").expect("csv");
-    println!("\nwrote {}", path.display());
-}
-
-/// Sparker picks the ring; the MPI literature also uses recursive halving
-/// (DESIGN.md §4.3). Same split aggregation, both algorithms.
-fn algorithms() {
-    print_header(
-        "Ablation: reduce-scatter algorithm",
-        "Ring (paper's choice) vs recursive halving, split-aggregation reduce time",
-        "Both move (N-1)/N of one aggregator per executor; the ring sends smaller messages\n\
-         over neighbours only (topology-friendly), halving sends log2(N) larger exchanges\n\
-         across node boundaries.",
-    );
-    let mut t = Table::new(vec!["Paper size", "Nodes", "Ring reduce", "Halving reduce"]);
-    for (label, paper_bytes) in [("8MB", 8.0 * MB), ("64MB", 64.0 * MB)] {
-        for nodes in [2usize, 4] {
-            let reduce = |algo| {
-                let opts = SplitAggOpts {
-                    parallelism: Some(4),
-                    selector: SelectorOpts::Forced(algo),
-                    ..Default::default()
-                };
-                let sum = ArraySum::new(shaped_bic(nodes, 2), 2, scaled_elems(paper_bytes));
-                fmt_secs(sum.split(opts).reduce.as_secs_f64())
-            };
-            t.row(vec![
-                label.to_string(),
-                nodes.to_string(),
-                reduce(Algo::FlatRing),
-                reduce(Algo::Halving),
-            ]);
-        }
-    }
-    finish(&t, "ablation_algorithms");
-}
-
-/// Split aggregation still funnels one aggregator into the driver per
-/// iteration and broadcasts the model back; allreduce leaves the reduced
-/// value resident on every executor (the extension addressing the paper's
-/// §6 limitation).
-fn allreduce() {
-    print_header(
-        "Ablation: allreduce extension",
-        "Split aggregation (gather to driver) vs allreduce (resident everywhere)",
-        "Same IMM + ring reduce-scatter; allreduce swaps the driver gather for an\n\
-         allgather. Driver bytes stop depending on anything.",
-    );
-    let mut t = Table::new(vec![
-        "Paper size",
-        "Nodes",
-        "Split reduce",
-        "Allreduce reduce",
-        "Split driver KiB",
-        "Allreduce driver KiB",
-    ]);
-    // Both variants report `strategy = split`; the `variant` key tells the
-    // gather-to-driver and allgather rows apart.
-    let mut csv = MetricsCsv::new(vec!["size", "nodes", "variant"]);
-    for (label, paper_bytes) in [("8MB", 8.0 * MB), ("64MB", 64.0 * MB)] {
-        for nodes in [2usize, 4] {
-            let sum = ArraySum::new(shaped_bic(nodes, 2), 2, scaled_elems(paper_bytes));
-            let split = sum.split(SplitAggOpts::default());
-            let all = sum.allreduce();
-            csv.row(vec![label.to_string(), nodes.to_string(), "split".into()], &split);
-            csv.row(vec![label.to_string(), nodes.to_string(), "allreduce".into()], &all);
-            t.row(vec![
-                label.to_string(),
-                nodes.to_string(),
-                fmt_secs(split.reduce.as_secs_f64()),
-                fmt_secs(all.reduce.as_secs_f64()),
-                (split.bytes_to_driver / 1024).to_string(),
-                (all.bytes_to_driver / 1024).to_string(),
-            ]);
-        }
-    }
-    t.print();
-    println!("\n(allreduce moves more data between executors — the allgather — but frees the");
-    println!(" driver; in iterative training it also replaces the next broadcast)");
-    let path = csv.write("ablation_allreduce").expect("csv");
-    println!("wrote {}", path.display());
-}
-
-/// The threaded engine and the discrete-event simulator consume the same
-/// network profiles and execute the same algorithm step structure
-/// (DESIGN.md §4.1); agreement in *shape* is the criterion — absolute
-/// times differ by design (the threaded engine also pays real memory
-/// traffic).
-fn backend() {
-    print_header(
-        "Ablation: backend",
-        "Tree/Split speedup — threaded engine vs discrete-event simulator",
-        "Pass criterion: both backends agree that the speedup grows with aggregator size\n\
-         and stays >= 1 everywhere.",
-    );
-    let mut t = Table::new(vec!["Paper size", "Nodes", "Threaded ratio", "Simulated ratio"]);
-    let mut ok = true;
-    for (label, paper_bytes) in [("8MB", 8.0 * MB), ("64MB", 64.0 * MB)] {
-        for nodes in [1usize, 2, 4] {
-            let sum = ArraySum::new(shaped_bic(nodes, 2), 4, scaled_elems(paper_bytes));
-            let threaded = sum.tree(TreeAggOpts::default()).total().as_secs_f64()
-                / sum.split(SplitAggOpts::default()).total().as_secs_f64();
-            let c = SimCluster::bic().with_nodes(nodes);
-            let parts = 4 * c.executors();
-            let sim = |s| simulate_aggregation(&c, s, paper_bytes, parts, 0.05).total();
-            let split = Strategy::Split { parallelism: 4, topology_aware: true };
-            let simulated = sim(Strategy::Tree) / sim(split);
-            ok &= threaded >= 1.0 && simulated >= 1.0;
-            t.row(vec![
-                label.to_string(),
-                nodes.to_string(),
-                format!("{threaded:.2}x"),
-                format!("{simulated:.2}x"),
-            ]);
-        }
-    }
-    println!("backends agree on split >= tree everywhere: {}\n", if ok { "YES" } else { "NO" });
-    finish(&t, "ablation_backend");
-}
-
 /// IMM's benefit is measured in *bytes never serialized* (DESIGN.md §4.2):
 /// without it every task result crosses the codec; with it, one aggregator
-/// per executor does. Unshaped engine, so byte counters are the signal.
+/// per executor does. The allreduce row is the §6 extension: its reduced
+/// value also stays resident on every executor, and the driver's share
+/// stays one aggregator at any partition count. Byte and message counters
+/// are the signal, not time.
 fn imm_bytes() {
     print_header(
         "Ablation: IMM serialized bytes",
-        "Serialized bytes & messages per aggregation strategy (unshaped engine)",
+        "Serialized bytes & messages per aggregation strategy (threaded engine)",
         "Aggregator = 1 MiB of f64. IMM shrinks serialized volume from O(partitions) to\n\
-         O(executors); split aggregation shrinks driver traffic to O(1) aggregators.",
+         O(executors); split aggregation and allreduce shrink driver traffic to O(1)\n\
+         aggregators.",
     );
     let mut t = Table::new(vec!["Partitions", "Strategy", "Ser MiB", "Messages", "Driver MiB"]);
-    let mut csv = MetricsCsv::new(vec!["partitions"]);
+    // `AggMetrics` names split and allreduce both `split`; `variant` tells
+    // the rows apart.
+    let mut csv = MetricsCsv::new(vec!["partitions", "variant"]);
     for per_executor in [2usize, 8, 32] {
         let partitions = (4 * per_executor).to_string();
         let sum = ArraySum::new(ClusterSpec::local(4, 2), per_executor, 128 * 1024);
@@ -520,8 +184,9 @@ fn imm_bytes() {
             ("tree", sum.tree(TreeAggOpts { depth: 2, imm: false })),
             ("tree+imm", sum.tree(TreeAggOpts { depth: 2, imm: true })),
             ("split", sum.split(SplitAggOpts::default())),
+            ("allreduce", sum.allreduce()),
         ] {
-            csv.row(vec![partitions.clone()], &m);
+            csv.row(vec![partitions.clone(), name.to_string()], &m);
             let mib = |b: u64| format!("{:.1}", b as f64 / MB);
             t.row(vec![
                 partitions.clone(),
@@ -709,4 +374,80 @@ fn density_sweep(dim: usize, densities: &[f64]) {
     let path = csv.write("ablation_sparse_density").expect("csv");
     println!("wrote {}", path.display());
     println!("all density/equivalence bounds held");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FIGURES;
+
+    /// The `figures` ids a document cites: the words after `` `figures `` or
+    /// `--bin figures` (flags skipped) up to the end of that code span.
+    fn cited_ids(text: &str) -> Vec<String> {
+        let mut ids = Vec::new();
+        for line in text.lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for (i, w) in words.iter().enumerate() {
+                let after_bin = i > 0 && words[i - 1].trim_start_matches('`') == "--bin";
+                let opens = *w == "`figures" || (*w == "figures" && after_bin);
+                if !opens {
+                    continue;
+                }
+                for next in &words[i + 1..] {
+                    let t = next.trim_end_matches([',', '.', ';', ':', ')']);
+                    let closes = t.ends_with('`');
+                    let word = t.trim_end_matches('`');
+                    let is_id = !word.is_empty()
+                        && word
+                            .chars()
+                            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+                    if is_id {
+                        ids.push(word.to_string());
+                    } else if !word.starts_with("--") {
+                        break;
+                    }
+                    if closes {
+                        break;
+                    }
+                }
+            }
+        }
+        ids
+    }
+
+    #[test]
+    fn citation_parser_reads_code_spans_and_command_lines() {
+        let text = "see `figures tab1`, and run `--bin figures -- --smoke sparse_density`\n\
+                    `figures --list` prints ids; `figures <id>` is a placeholder";
+        assert_eq!(cited_ids(text), ["tab1", "sparse_density"]);
+    }
+
+    #[test]
+    fn every_figures_id_the_docs_cite_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut docs: Vec<_> =
+            ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
+                .iter()
+                .map(|d| root.join(d))
+                .collect();
+        for entry in std::fs::read_dir(root.join("tools")).expect("tools/") {
+            let path = entry.expect("tools/ entry").path();
+            if path.extension().is_some_and(|e| e == "sh") {
+                docs.push(path);
+            }
+        }
+        let mut cited = 0;
+        for doc in &docs {
+            let text =
+                std::fs::read_to_string(doc).unwrap_or_else(|e| panic!("{}: {e}", doc.display()));
+            for id in cited_ids(&text) {
+                assert!(
+                    FIGURES.iter().any(|f| f.0 == id),
+                    "{} cites `figures {id}`, which `figures --list` does not name",
+                    doc.display()
+                );
+                cited += 1;
+            }
+        }
+        assert!(cited > 0, "no document cites a figures id; the parser is broken");
+    }
 }

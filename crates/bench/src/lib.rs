@@ -1,11 +1,9 @@
 //! Shared infrastructure for the `figures` runner (`src/bin/figures.rs`).
 //!
-//! Each `figures` id regenerates one shaped-transport table, figure or
-//! ablation of the paper: it prints an aligned text table of the series the
-//! paper plots, notes the paper's reference numbers next to ours, and drops
-//! a CSV under `results/` for external plotting. Wall-clock cost is
-//! `benchmark/run.sh`'s question and paper-scale DES replay is
-//! `paper_eval`'s; neither is answered here.
+//! Each `figures` id regenerates one table of the paper or one ablation:
+//! it prints an aligned text table, and drops a CSV under `results/` for
+//! external plotting. Wall-clock cost is `benchmark/run.sh`'s question and
+//! paper-scale DES replay is `paper_eval`'s; neither is answered here.
 
 use std::fmt::Write as _;
 
@@ -149,21 +147,6 @@ impl MetricsCsv {
         let header = format!("{},{}", csv_line(&self.key_headers), AggMetrics::csv_header());
         write_results(name, std::iter::once(header).chain(self.rows.iter().cloned()))
     }
-}
-
-/// Time scale of the shaped threaded clusters: network and serializer are
-/// slowed 16x so that 16x-smaller messages keep the paper's byte-time
-/// products (see `NetProfile::scaled`); strategy *ratios* are the signal.
-const TIME_SCALE: f64 = 16.0;
-
-/// `f64` elements of a `paper_bytes` aggregator in the scaled domain.
-pub fn scaled_elems(paper_bytes: f64) -> usize {
-    ((paper_bytes / TIME_SCALE / 8.0) as usize).max(8)
-}
-
-/// `nodes` BIC nodes of two executors each, slowed by `TIME_SCALE`.
-pub fn shaped_bic(nodes: usize, cores_per_executor: usize) -> ClusterSpec {
-    ClusterSpec::bic(nodes, TIME_SCALE).with_shape(2, cores_per_executor)
 }
 
 /// The paper's aggregation micro-benchmark (§5.3): sum an RDD of

@@ -34,8 +34,8 @@
 //! points are single calls into it with [`Segment::merge_from`].
 //!
 //! All algorithms are written against [`comm::RingComm`] — a rank-bound view
-//! of a transport plus ring topology — so the same code runs unshaped in unit
-//! tests, shaped in benchmarks, and inside the engine's executors.
+//! of a transport plus ring topology — so the same code runs in unit tests,
+//! in the benchmark's probes, inside the engine's executors and over TCP.
 
 pub mod allreduce;
 pub mod comm;

@@ -4,11 +4,10 @@
 //! one thread per executor. [`run_ring_cluster`] builds a layout, mesh and
 //! ring, spawns one thread per rank, runs the supplied closure on each, and
 //! returns the per-rank results in rank order. Used by unit tests, property
-//! tests, integration tests and the figure harnesses alike.
+//! tests, integration tests and the benchmark probes alike.
 
 use std::sync::Arc;
 
-use sparker_net::profile::{NetProfile, TransportKind};
 use sparker_net::topology::{round_robin_layout, RingOrder, RingTopology};
 use sparker_net::transport::MeshTransport;
 
@@ -22,21 +21,12 @@ pub struct RingClusterSpec {
     /// PDR channel parallelism (the paper's `P`).
     pub parallelism: usize,
     pub order: RingOrder,
-    pub profile: NetProfile,
-    pub kind: TransportKind,
 }
 
 impl RingClusterSpec {
-    /// Unshaped spec used by correctness tests.
+    /// A topology-aware ring of `nodes × executors_per_node` ranks.
     pub fn unshaped(nodes: usize, executors_per_node: usize, parallelism: usize) -> Self {
-        Self {
-            nodes,
-            executors_per_node,
-            parallelism,
-            order: RingOrder::TopologyAware,
-            profile: NetProfile::unshaped(),
-            kind: TransportKind::ScalableComm,
-        }
+        Self { nodes, executors_per_node, parallelism, order: RingOrder::TopologyAware }
     }
 
     pub fn total_executors(&self) -> usize {
@@ -52,12 +42,7 @@ where
     F: Fn(RingComm) -> R + Send + Sync,
 {
     let execs = round_robin_layout(spec.nodes, spec.executors_per_node, 1);
-    let net = MeshTransport::new(
-        &execs,
-        spec.parallelism,
-        spec.profile.clone(),
-        spec.kind,
-    );
+    let net = MeshTransport::unshaped(&execs, spec.parallelism);
     let ring = Arc::new(RingTopology::new(execs, spec.order, spec.parallelism));
     run_on_ring(net, ring, &f)
 }

@@ -3,9 +3,10 @@
 //! Rust reproduction of **"Sparker: Efficient Reduction for More Scalable
 //! Machine Learning with Spark"** (Yu, Cao, Shan, Wang, Tang, Chen —
 //! ICPP 2021), including every substrate the paper depends on: a mini
-//! Spark-like engine, a shaped communication layer, scalable reduction
-//! collectives, an MLlib-like model zoo, synthetic Table 2 datasets, and a
-//! discrete-event cluster simulator for paper-scale experiments.
+//! Spark-like engine, in-process and TCP communication layers, scalable
+//! reduction collectives, an MLlib-like model zoo, synthetic Table 2
+//! datasets, and a discrete-event cluster simulator for paper-scale
+//! experiments.
 //!
 //! ## The paper in one paragraph
 //!
@@ -81,7 +82,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`sparker_obs`] | span tracing, metrics, Chrome-trace + Fig 2 exporters |
-//! | [`sparker_net`] | codec, shaped transports, PDR topology |
+//! | [`sparker_net`] | codec, in-process mesh + TCP transports, PDR topology |
 //! | [`sparker_collectives`] | ring reduce-scatter, tree, halving, allreduce |
 //! | [`sparker_sparse`] | sparse & density-adaptive segments (SparCML-style SSAR) |
 //! | [`sparker_engine`] | RDDs, driver/executors, tree & split aggregation, IMM |
@@ -147,7 +148,6 @@ pub mod prelude {
     pub use sparker_collectives::segment::{slice_bounds, SumSegment, U64SumSegment};
     pub use sparker_engine::cluster::LocalCluster;
     pub use sparker_engine::config::ClusterSpec;
-    pub use sparker_engine::cost::SerdeCost;
     pub use sparker_engine::dataset::Dataset;
     pub use sparker_engine::metrics::{AggMetrics, AggStrategy};
     pub use sparker_engine::ops::allreduce_aggregate::{

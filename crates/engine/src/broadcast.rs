@@ -3,12 +3,10 @@
 //! Every training iteration Spark broadcasts the current model to all
 //! executors (torrent broadcast); the paper counts this in the "Non-agg"
 //! component and the LDA workloads broadcast the whole K × V topic matrix.
-//! This module gives the threaded engine the same mechanism and the same
-//! costs: the driver serializes the value **once** (modeled serializer),
-//! ships one copy to every executor over the BlockManager-class transport
-//! (shaped: driver egress NIC serializes the copies, like the torrent
-//! seed-out), and each executor deserializes and pins it in its mutable
-//! object manager.
+//! This module gives the threaded engine the same mechanism: the driver
+//! serializes the value **once**, ships one copy to every executor over the
+//! BlockManager-class mesh (the torrent seed-out), and each executor
+//! deserializes and pins it in its mutable object manager.
 //!
 //! Tasks read the executor-local copy through [`Broadcast::value`], which
 //! resolves the current executor via the thread-local task context — the
@@ -64,8 +62,7 @@ impl LocalCluster {
         // Serialize once at the driver (the torrent seed).
         let frame = value.to_frame();
         let frame_bytes = frame.len();
-        inner.charge_driver_ser(frame_bytes);
-        // Seed one copy per executor through the shaped BM transport.
+        // Seed one copy per executor through the BM mesh.
         for e in 0..inner.num_executors() {
             inner.bm_send_raw_from_driver(ExecutorId(e as u32), frame.clone())?;
         }

@@ -6,15 +6,16 @@
 //! stages, schedules tasks onto executors, and recovers from failures. Two
 //! transports connect everything, mirroring Figure 9:
 //!
-//! * the **BlockManager-class** transport carries what stock Spark carries —
-//!   serialized task results to the driver and tree-aggregation shuffle
-//!   blocks — with its control-plane RPC costs;
+//! * the **BlockManager-class** (BM) mesh carries what stock Spark carries —
+//!   serialized task results to the driver, tree-aggregation shuffle blocks
+//!   and broadcast copies;
 //! * the **scalable communicator** (the paper's JeroMQ-based addition)
 //!   carries ring reduce-scatter traffic over the parallel directed ring.
 //!
-//! The driver occupies its own node in the network model, so result fan-in
-//! from all executors serializes through the driver NIC — the physical root
-//! of the paper's "reduction does not scale" observation.
+//! Both are in-process [`MeshTransport`]s labelled by their
+//! [`TransportKind`], so a trace tells `bm.*` hops from `sc.*` hops. The
+//! driver occupies its own node, so driver-bound traffic counts as
+//! inter-node in the mesh statistics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,9 +24,9 @@ use std::sync::Arc;
 use sparker_net::ByteBuf;
 use sparker_net::sync::{channel, Mutex, Receiver, Sender};
 
-use sparker_net::blockmanager::BlockManagerTransport;
 use sparker_net::error::NetError;
 use sparker_net::fault::FaultyTransport;
+use sparker_net::profile::TransportKind;
 use sparker_net::topology::{round_robin_layout, ExecutorId, ExecutorInfo, RingTopology};
 use sparker_net::transport::{MeshTransport, NetStatsSnapshot, Transport};
 
@@ -77,7 +78,8 @@ pub struct ClusterInner {
     /// The scalable communicator as collectives see it: the raw mesh, or the
     /// mesh behind a [`FaultyTransport`] when the spec injects faults.
     sc_dyn: Arc<dyn Transport>,
-    bm: Arc<BlockManagerTransport>,
+    /// The BM mesh: task results, tree shuffle and broadcast.
+    bm: Arc<MeshTransport>,
     executors: Vec<ExecutorHandle>,
     fault_plan: Arc<FaultPlan>,
     op_counter: AtomicU64,
@@ -119,19 +121,8 @@ impl LocalCluster {
             node: spec.nodes,
             cores: 1,
         });
-        let sc = MeshTransport::new(
-            &all,
-            SC_CHANNELS,
-            spec.profile.clone(),
-            sparker_net::profile::TransportKind::ScalableComm,
-        );
-        let bm_wire = MeshTransport::new(
-            &all,
-            1,
-            spec.profile.clone(),
-            sparker_net::profile::TransportKind::MpiRef,
-        );
-        let bm = BlockManagerTransport::new(bm_wire, spec.bm_costs);
+        let sc = MeshTransport::new(&all, SC_CHANNELS, TransportKind::ScalableComm);
+        let bm = MeshTransport::new(&all, 1, TransportKind::BlockManager);
         let sc_dyn: Arc<dyn Transport> = match &spec.sc_fault {
             Some(plan) => FaultyTransport::new(sc.clone(), (**plan).clone()),
             None => sc.clone(),
@@ -332,14 +323,13 @@ impl ClusterInner {
     }
 
     /// Sends a serialized payload from an executor to another executor over
-    /// the BlockManager-class path, charging the modeled serializer.
+    /// the BM mesh.
     pub fn bm_send(
         &self,
         from: ExecutorId,
         to: ExecutorId,
         frame: ByteBuf,
     ) -> Result<(), TaskFailure> {
-        self.spec.cost.charge_ser(frame.len());
         self.bm.send(from, to, 0, frame).map_err(TaskFailure::from)
     }
 
@@ -348,34 +338,22 @@ impl ClusterInner {
         self.bm_send(from, self.driver, frame)
     }
 
-    /// Charges the driver's modeled serializer for `bytes` (broadcast seed).
-    pub fn charge_driver_ser(&self, bytes: usize) {
-        self.spec.cost.charge_ser(bytes);
-    }
-
     /// Ships an already-serialized frame from the driver to an executor
-    /// without re-charging the serializer (broadcast replicates one encoded
-    /// copy; the wire and NIC shaping still apply per copy).
+    /// (broadcast replicates one encoded copy).
     pub fn bm_send_raw_from_driver(&self, to: ExecutorId, frame: ByteBuf) -> EngineResult<()> {
         self.bm.send(self.driver, to, 0, frame).map_err(EngineError::from)
     }
 
-    /// Executor-side receive on the BlockManager path, charging the modeled
-    /// deserializer.
+    /// Executor-side receive on the BM mesh.
     pub fn bm_recv(&self, at: ExecutorId, from: ExecutorId) -> Result<ByteBuf, TaskFailure> {
-        let f = self.bm.recv(at, from, 0).map_err(TaskFailure::from)?;
-        self.spec.cost.charge_deser(f.len());
-        Ok(f)
+        self.bm.recv(at, from, 0).map_err(TaskFailure::from)
     }
 
     /// Driver-side receive of a task result frame sent by `from`.
     pub fn driver_recv(&self, from: ExecutorId) -> EngineResult<ByteBuf> {
-        let f = self
-            .bm
+        self.bm
             .recv_timeout(self.driver, from, 0, self.spec.stage_timeout)
-            .map_err(EngineError::from)?;
-        self.spec.cost.charge_deser(f.len());
-        Ok(f)
+            .map_err(EngineError::from)
     }
 
     /// Runs one stage: `assignments[i]` is the executor of task `i`, `make`

@@ -1,20 +1,16 @@
 //! Cluster specifications.
 //!
 //! A [`ClusterSpec`] is the engine-level mirror of the paper's Table 1 rows:
-//! node count, executors per node, cores per executor, plus the network
-//! profile, BlockManager control costs, serializer model and PDR settings.
-//! Presets cover the two evaluation clusters and an unshaped local spec for
-//! tests.
+//! node count, executors per node, cores per executor, plus the PDR
+//! settings and the stage/collective retry budgets. [`ClusterSpec::local`]
+//! is the one constructor; the builders reshape it. The paper's two
+//! clusters at full scale are the simulator's (`sparker_sim::cluster`).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use sparker_net::blockmanager::BlockManagerCosts;
 use sparker_net::fault::NetFaultPlan;
-use sparker_net::profile::NetProfile;
 use sparker_net::topology::RingOrder;
-
-use crate::cost::SerdeCost;
 
 /// Generous default: local stages finish in milliseconds, so a wait this
 /// long only ever fires on a genuine hang.
@@ -36,13 +32,6 @@ pub struct ClusterSpec {
     pub executors_per_node: usize,
     /// Concurrent task slots per executor (paper: 4 on BIC, 8 on AWS).
     pub cores_per_executor: usize,
-    /// Network shaping shared by all transports.
-    pub profile: NetProfile,
-    /// Control-plane costs of the BlockManager-class paths (task results,
-    /// tree-aggregation shuffle).
-    pub bm_costs: BlockManagerCosts,
-    /// Modeled serializer.
-    pub cost: SerdeCost,
     /// Rank policy of the parallel directed ring.
     pub ring_order: RingOrder,
     /// PDR channel parallelism (the paper settles on 4, §5.2.2).
@@ -66,65 +55,15 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// Unshaped local cluster: fastest possible, for correctness tests.
+    /// A one-node cluster of `executors` executors with
+    /// `cores_per_executor` task slots each.
     pub fn local(executors: usize, cores_per_executor: usize) -> Self {
         Self {
             nodes: 1,
             executors_per_node: executors,
             cores_per_executor,
-            profile: NetProfile::unshaped(),
-            bm_costs: BlockManagerCosts {
-                control_rpc: std::time::Duration::ZERO,
-                poll_quantum: std::time::Duration::ZERO,
-            },
-            cost: SerdeCost::free(),
             ring_order: RingOrder::TopologyAware,
             ring_parallelism: 2,
-            tree_depth: 2,
-            stage_timeout: DEFAULT_STAGE_TIMEOUT,
-            max_task_attempts: DEFAULT_MAX_TASK_ATTEMPTS,
-            max_collective_attempts: DEFAULT_MAX_COLLECTIVE_ATTEMPTS,
-            collective_recv_timeout: DEFAULT_COLLECTIVE_RECV_TIMEOUT,
-            sc_fault: None,
-        }
-    }
-
-    /// Paper's BIC cluster (Table 1), shrunk by `nodes` and time-scaled.
-    ///
-    /// `time_scale < 1` is not supported here — pass the factor by which to
-    /// *slow* the network so that proportionally smaller messages reproduce
-    /// full-size behaviour (see `NetProfile::scaled`). Use `1.0` for
-    /// unscaled shaping.
-    pub fn bic(nodes: usize, time_scale: f64) -> Self {
-        Self {
-            nodes,
-            executors_per_node: 6,
-            cores_per_executor: 4,
-            profile: NetProfile::bic().scaled(time_scale),
-            bm_costs: BlockManagerCosts::default(),
-            cost: SerdeCost::jvm_class().scaled(time_scale),
-            ring_order: RingOrder::TopologyAware,
-            ring_parallelism: 4,
-            tree_depth: 2,
-            stage_timeout: DEFAULT_STAGE_TIMEOUT,
-            max_task_attempts: DEFAULT_MAX_TASK_ATTEMPTS,
-            max_collective_attempts: DEFAULT_MAX_COLLECTIVE_ATTEMPTS,
-            collective_recv_timeout: DEFAULT_COLLECTIVE_RECV_TIMEOUT,
-            sc_fault: None,
-        }
-    }
-
-    /// Paper's AWS cluster (Table 1), shrunk by `nodes` and time-scaled.
-    pub fn aws(nodes: usize, time_scale: f64) -> Self {
-        Self {
-            nodes,
-            executors_per_node: 12,
-            cores_per_executor: 8,
-            profile: NetProfile::aws().scaled(time_scale),
-            bm_costs: BlockManagerCosts::default(),
-            cost: SerdeCost::jvm_class().scaled(time_scale),
-            ring_order: RingOrder::TopologyAware,
-            ring_parallelism: 4,
             tree_depth: 2,
             stage_timeout: DEFAULT_STAGE_TIMEOUT,
             max_task_attempts: DEFAULT_MAX_TASK_ATTEMPTS,
@@ -157,13 +96,7 @@ impl ClusterSpec {
         self
     }
 
-    /// Builder-style override of the serializer model.
-    pub fn with_cost(mut self, cost: SerdeCost) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Builder-style override of executor shape (for scaled-down benches).
+    /// Builder-style override of executor shape.
     pub fn with_shape(mut self, executors_per_node: usize, cores_per_executor: usize) -> Self {
         assert!(executors_per_node >= 1 && cores_per_executor >= 1);
         self.executors_per_node = executors_per_node;
@@ -209,22 +142,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_shapes() {
-        let bic = ClusterSpec::bic(8, 1.0);
-        assert_eq!(bic.num_executors(), 48);
-        assert_eq!(bic.total_cores(), 192);
-        let aws = ClusterSpec::aws(10, 1.0);
-        assert_eq!(aws.num_executors(), 120);
-        assert_eq!(aws.total_cores(), 960);
-    }
-
-    #[test]
-    fn local_spec_is_unshaped_and_free() {
+    fn local_spec_is_one_node() {
         let s = ClusterSpec::local(4, 2);
         assert_eq!(s.num_executors(), 4);
-        assert!(s.profile.inter_node.bandwidth.is_infinite());
-        assert!(s.cost.ser_bandwidth.is_infinite());
-        assert_eq!(s.bm_costs.control_rpc, std::time::Duration::ZERO);
+        assert_eq!(s.total_cores(), 8);
+        let two_nodes = ClusterSpec { nodes: 2, ..ClusterSpec::local(2, 1) };
+        assert_eq!(two_nodes.num_executors(), 4);
     }
 
     #[test]

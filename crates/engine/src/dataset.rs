@@ -45,7 +45,7 @@ impl LocalCluster {
         Dataset { cluster: self.clone(), rdd: Arc::new(GeneratedRdd::new(partitions, gen)) }
     }
 
-    /// Boots an unshaped local cluster (tests, examples).
+    /// Boots a one-node local cluster (tests, examples).
     pub fn local(executors: usize, cores_per_executor: usize) -> Self {
         LocalCluster::new(ClusterSpec::local(executors, cores_per_executor))
     }

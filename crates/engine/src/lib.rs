@@ -2,8 +2,8 @@
 //!
 //! A mini Spark-like distributed dataflow engine — the substrate the Sparker
 //! paper modifies. Executors are OS-thread pools inside one process,
-//! inter-executor and executor↔driver traffic flows through the shaped
-//! transports of `sparker-net`, and every value crossing an executor
+//! inter-executor and executor↔driver traffic flows through the in-process
+//! mesh transports of `sparker-net`, and every value crossing an executor
 //! boundary passes the explicit serialization codec. The engine reproduces
 //! the Spark execution structure the paper's costs hang off:
 //!
@@ -36,7 +36,6 @@ pub mod blockstore;
 pub mod broadcast;
 pub mod cluster;
 pub mod config;
-pub mod cost;
 pub mod dataset;
 pub mod history;
 pub mod metrics;
@@ -50,7 +49,6 @@ pub mod task;
 pub use broadcast::Broadcast;
 pub use cluster::LocalCluster;
 pub use config::ClusterSpec;
-pub use cost::SerdeCost;
 pub use dataset::Dataset;
 pub use metrics::AggMetrics;
 pub use ops::split_aggregate::{SelectorOpts, SplitAggOpts};

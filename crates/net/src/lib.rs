@@ -23,15 +23,12 @@
 //!   inter-node links, single-stream (per-channel) caps, NIC line rate, and
 //!   per-transport software overheads. Presets reproduce the paper's two
 //!   clusters (`BIC`: 8× 56-core nodes on 100 Gbps IPoIB, `AWS`: 10×
-//!   96-core m5d.24xlarge on 25 Gbps Ethernet).
-//! * [`transport`] — the [`transport::Transport`] trait plus the shaped
-//!   in-process mesh transport used by executors. Message delivery pays the
-//!   profiled latency + size/bandwidth delay, with separate accounting for
-//!   per-channel streams and the node NIC, which is what makes the paper's
-//!   "parallel channels are required to fill a TCP pipe" observation
-//!   reproducible in-process.
-//! * [`blockmanager`] — a deliberately slow polling key-value transport that
-//!   emulates Spark BlockManager-based message passing (the paper's strawman).
+//!   96-core m5d.24xlarge on 25 Gbps Ethernet). The simulator and the tuner
+//!   read them; no transport waits on them.
+//! * [`transport`] — the [`transport::Transport`] trait plus the in-process
+//!   mesh the threaded engine's executors talk over: one FIFO channel per
+//!   directed `(from, to, channel)` stream, with traffic counters and
+//!   per-kind trace spans.
 //! * [`fault`] — deterministic transport-level fault injection: a
 //!   [`fault::FaultyTransport`] decorator replaying a [`fault::NetFaultPlan`]
 //!   (drops, delays, corruption, executor kills, partitions) against any
@@ -55,13 +52,9 @@
 //!   DESIGN.md §5g) with pooled zero-allocation send/receive, plus the
 //!   driver-rooted rendezvous that assembles the peer mesh
 //!   ([`tcp::rendezvous`]).
-//! * [`mod@bench`] — ping-pong latency and streaming throughput micro-benchmarks
-//!   used by the Figure 12/13 harnesses.
 
 #![warn(missing_docs)]
 
-pub mod bench;
-pub mod blockmanager;
 pub mod bytebuf;
 pub mod codec;
 pub mod epoch;
@@ -72,7 +65,6 @@ pub mod pool;
 pub mod profile;
 pub mod sync;
 pub mod tcp;
-pub mod time;
 pub mod topology;
 pub mod transport;
 

@@ -1,4 +1,4 @@
-//! Network profiles.
+//! Network profiles: the paper's two clusters as numbers.
 //!
 //! The paper evaluates on two clusters (Table 1):
 //!
@@ -15,9 +15,8 @@
 //! per-link latency and bandwidth for intra-node and inter-node hops, the
 //! single-stream (per-channel) bandwidth cap that makes parallel channels
 //! necessary, the node NIC line rate that bounds their sum, and per-transport
-//! software overheads. The in-process transports enforce these numbers with
-//! real waits; the discrete-event simulator consumes the same numbers as a
-//! cost model, so both backends reproduce the same crossover points.
+//! software overheads. The discrete-event simulator and the tuner's
+//! profile-derived cost model read them; no transport enforces them.
 
 use std::time::Duration;
 
@@ -27,35 +26,21 @@ pub struct LinkProfile {
     /// One-way propagation + protocol latency.
     pub latency: Duration,
     /// Sustainable bandwidth of a single stream on this link, in bytes/sec.
-    /// `f64::INFINITY` disables bandwidth shaping.
     pub bandwidth: f64,
 }
 
 impl LinkProfile {
-    /// A link with no artificial delay (used by unit tests).
-    pub const fn unshaped() -> Self {
-        Self { latency: Duration::ZERO, bandwidth: f64::INFINITY }
-    }
-
-    /// Time for `bytes` to stream over this link, excluding latency.
-    pub fn serialization_delay(&self, bytes: usize) -> Duration {
-        if self.bandwidth.is_infinite() || bytes == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64(bytes as f64 / self.bandwidth)
-        }
-    }
-
     /// Full one-way message time: latency plus streaming time.
     pub fn transfer_time(&self, bytes: usize) -> Duration {
-        self.latency + self.serialization_delay(bytes)
+        self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth)
     }
 }
 
 /// Which communication implementation a channel models.
 ///
 /// The paper compares three (Figure 12); they differ only in software
-/// overhead added on top of the wire, which is how we model them.
+/// overhead added on top of the wire, which is how we model them. The
+/// in-process mesh also uses the kind to name its trace spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Sparker's purpose-built communicator (JeroMQ-based in the paper).
@@ -97,8 +82,6 @@ impl TransportKind {
 /// Full network model for a cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetProfile {
-    /// Human-readable profile name ("bic", "aws", ...).
-    pub name: &'static str,
     /// Links between executors on the same node (shared memory / loopback).
     pub intra_node: LinkProfile,
     /// Links between executors on different nodes.
@@ -109,26 +92,11 @@ pub struct NetProfile {
     pub nic_bandwidth: f64,
     /// MPI reference single-stream bandwidth in bytes/sec (Figure 13/15).
     pub mpi_bandwidth: f64,
-    /// Scale factor applied to all delays (see [`NetProfile::scaled`]).
-    pub time_scale: f64,
 }
 
 const MB: f64 = 1024.0 * 1024.0;
 
 impl NetProfile {
-    /// No shaping at all: unit tests and pure-correctness runs.
-    pub fn unshaped() -> Self {
-        Self {
-            name: "unshaped",
-            intra_node: LinkProfile::unshaped(),
-            inter_node: LinkProfile::unshaped(),
-            per_channel_bandwidth: f64::INFINITY,
-            nic_bandwidth: f64::INFINITY,
-            mpi_bandwidth: f64::INFINITY,
-            time_scale: 1.0,
-        }
-    }
-
     /// The paper's in-house cluster: 100 Gbps IPoIB, TCP/IP from the JVM.
     ///
     /// Effective numbers (Figures 12–13): wire latency ≈ 16 µs, JVM TCP line
@@ -136,7 +104,6 @@ impl NetProfile {
     /// at memory-ish speed through loopback.
     pub fn bic() -> Self {
         Self {
-            name: "bic",
             intra_node: LinkProfile {
                 latency: Duration::from_micros(8),
                 bandwidth: 5200.0 * MB,
@@ -148,14 +115,12 @@ impl NetProfile {
             per_channel_bandwidth: 390.0 * MB,
             nic_bandwidth: 1185.0 * MB,
             mpi_bandwidth: 1185.0 * MB,
-            time_scale: 1.0,
         }
     }
 
     /// The paper's EC2 cluster: 25 Gbps Ethernet (≈ 2900 MB/s effective).
     pub fn aws() -> Self {
         Self {
-            name: "aws",
             intra_node: LinkProfile {
                 latency: Duration::from_micros(10),
                 bandwidth: 4800.0 * MB,
@@ -167,45 +132,12 @@ impl NetProfile {
             per_channel_bandwidth: 850.0 * MB,
             nic_bandwidth: 2680.0 * MB,
             mpi_bandwidth: 2680.0 * MB,
-            time_scale: 1.0,
-        }
-    }
-
-    /// Returns a copy with all delays multiplied by `factor`.
-    ///
-    /// Real-time micro-benchmarks on a laptop cannot afford to stream 256 MB
-    /// at 390 MB/s per hop, so the harness scales both message sizes and
-    /// delays down together; ratios between strategies are preserved because
-    /// every path is shaped through the same profile.
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor > 0.0, "time scale must be positive");
-        let scale_link = |l: &LinkProfile| LinkProfile {
-            latency: l.latency.mul_f64(factor),
-            bandwidth: l.bandwidth / factor,
-        };
-        Self {
-            name: self.name,
-            intra_node: scale_link(&self.intra_node),
-            inter_node: scale_link(&self.inter_node),
-            per_channel_bandwidth: self.per_channel_bandwidth / factor,
-            nic_bandwidth: self.nic_bandwidth / factor,
-            mpi_bandwidth: self.mpi_bandwidth / factor,
-            time_scale: self.time_scale * factor,
-        }
-    }
-
-    /// Link profile between two executors given their hosts.
-    pub fn link(&self, same_host: bool) -> &LinkProfile {
-        if same_host {
-            &self.intra_node
-        } else {
-            &self.inter_node
         }
     }
 
     /// One-way latency of `kind` over an inter-node hop.
     pub fn one_way_latency(&self, kind: TransportKind) -> Duration {
-        self.inter_node.latency + kind.software_overhead().mul_f64(self.time_scale)
+        self.inter_node.latency + kind.software_overhead()
     }
 
     /// Aggregate bandwidth available to `channels` parallel streams on one
@@ -220,13 +152,6 @@ impl NetProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unshaped_has_no_delay() {
-        let p = NetProfile::unshaped();
-        assert_eq!(p.inter_node.transfer_time(1 << 30), Duration::ZERO);
-        assert_eq!(p.intra_node.transfer_time(0), Duration::ZERO);
-    }
 
     #[test]
     fn transfer_time_combines_latency_and_bandwidth() {
@@ -265,28 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn scaled_preserves_byte_time_products() {
-        let p = NetProfile::bic();
-        let s = p.scaled(100.0);
-        // A 100x-smaller message over a 100x-slower link takes the same time.
-        let t_full = p.inter_node.transfer_time(1_000_000);
-        let t_scaled = s.inter_node.transfer_time(10_000);
-        let dl_full = t_full.as_secs_f64() - p.inter_node.latency.as_secs_f64();
-        let dl_scaled = t_scaled.as_secs_f64() - s.inter_node.latency.as_secs_f64();
-        assert!((dl_full - dl_scaled).abs() / dl_full < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "time scale must be positive")]
-    fn scaled_rejects_nonpositive() {
-        NetProfile::bic().scaled(0.0);
-    }
-
-    #[test]
     fn intra_node_is_faster_than_inter_node() {
         for p in [NetProfile::bic(), NetProfile::aws()] {
-            assert!(p.intra_node.latency < p.inter_node.latency, "{}", p.name);
-            assert!(p.intra_node.bandwidth > p.inter_node.bandwidth, "{}", p.name);
+            assert!(p.intra_node.latency < p.inter_node.latency, "{p:?}");
+            assert!(p.intra_node.bandwidth > p.inter_node.bandwidth, "{p:?}");
         }
     }
 }

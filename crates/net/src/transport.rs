@@ -1,23 +1,12 @@
-//! Shaped in-process transports.
+//! The transport trait and the in-process mesh.
 //!
-//! Executors in this reproduction are threads in one process, so raw channel
-//! sends complete in nanoseconds. To reproduce the paper's network-bound
-//! behaviour, every message through [`MeshTransport`] is stamped with a
-//! *delivery deadline* computed from the cluster's [`NetProfile`]:
-//!
-//! * each directed stream `(from, to, channel)` serializes its own messages
-//!   at the per-channel (single TCP stream) bandwidth;
-//! * all inter-node messages leaving one node additionally serialize through
-//!   that node's egress NIC at line rate — this is what makes six concurrent
-//!   cross-node flows slower than one, i.e. what topology-awareness buys;
-//! * the profiled one-way latency plus the transport's software overhead
-//!   ([`TransportKind`]) is added on top.
-//!
-//! The sender never blocks (asynchronous sends, like ZeroMQ); the receiver
-//! blocks until the deadline using the precise waiter in [`crate::time`].
-//! Bandwidth bookkeeping uses monotonically advancing `busy_until` marks per
-//! resource, which is the classic store-and-forward queueing model: messages
-//! on a shared resource are served back-to-back, never in parallel.
+//! Executors in the threaded engine are threads in one process, so
+//! [`MeshTransport`] is a grid of FIFO channels, one per directed
+//! `(from, to, channel)` stream. A send enqueues and returns (asynchronous
+//! sends, like ZeroMQ); a receive blocks until the stream's next frame
+//! arrives. Nothing is delayed: the mesh's cost is what the threads and
+//! channels really cost. The paper's network constants live in
+//! [`crate::profile`] and are read by the simulator and the tuner only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -28,16 +17,15 @@ use sparker_obs::trace;
 use sparker_obs::Layer;
 
 use crate::bytebuf::ByteBuf;
-use crate::sync::{channel, Mutex, Receiver, RecvTimeoutError, Sender};
+use crate::sync::{channel, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{NetError, NetResult};
-use crate::profile::{NetProfile, TransportKind};
-use crate::time::wait_until;
+use crate::profile::TransportKind;
 use crate::topology::{ExecutorId, ExecutorInfo};
 
 /// A point-to-point, multi-channel message transport between executors.
 ///
-/// Implementations range from the shaped in-process [`MeshTransport`] to the
+/// Implementations range from the in-process [`MeshTransport`] to the
 /// real-socket [`crate::tcp::TcpTransport`]; collective code is written
 /// against this trait and cannot tell them apart:
 ///
@@ -112,19 +100,15 @@ pub struct NetStatsSnapshot {
     pub inter_node_bytes: u64,
 }
 
-struct InFlight {
-    deliver_at: Instant,
-    payload: ByteBuf,
-}
-
 /// Gated trace/metrics hooks for the wire layer. Span names are keyed by
-/// the transport kind so an exported trace distinguishes SC traffic from
-/// the MPI reference and the BlockManager strawman's wire leg.
+/// the transport kind so an exported trace tells ring traffic (`sc.*`)
+/// from the engine's BlockManager-class results, shuffle and broadcast
+/// (`bm.*`).
 fn send_span_name(kind: TransportKind) -> &'static str {
     match kind {
         TransportKind::MpiRef => "mpi.send",
         TransportKind::ScalableComm => "sc.send",
-        TransportKind::BlockManager => "bmwire.send",
+        TransportKind::BlockManager => "bm.send",
     }
 }
 
@@ -132,7 +116,7 @@ fn recv_span_name(kind: TransportKind) -> &'static str {
     match kind {
         TransportKind::MpiRef => "mpi.recv",
         TransportKind::ScalableComm => "sc.recv",
-        TransportKind::BlockManager => "bmwire.recv",
+        TransportKind::BlockManager => "bm.recv",
     }
 }
 
@@ -178,36 +162,23 @@ fn record_recv(
     RECVS.get_or_init(|| metrics::counter("net.recv.messages")).inc();
 }
 
-/// Fully-connected shaped mesh over in-process channels.
+/// Fully-connected mesh over in-process channels.
 pub struct MeshTransport {
     n: usize,
     channels: usize,
-    profile: NetProfile,
     kind: TransportKind,
     /// Node index per executor (dense by executor id).
     node_of: Vec<usize>,
     /// `links[(from * n + to) * channels + ch]`.
-    tx: Vec<Sender<InFlight>>,
-    rx: Vec<Receiver<InFlight>>,
-    /// Per-stream serialization marks, same indexing as `tx`.
-    stream_busy: Vec<Mutex<Instant>>,
-    /// Per-node egress NIC serialization marks.
-    nic_busy: Vec<Mutex<Instant>>,
-    /// Per-node ingress NIC serialization marks. Fan-in to one node (e.g.
-    /// every executor reporting results to the driver) bottlenecks here.
-    nic_in_busy: Vec<Mutex<Instant>>,
+    tx: Vec<Sender<ByteBuf>>,
+    rx: Vec<Receiver<ByteBuf>>,
     stats: NetStats,
 }
 
 impl MeshTransport {
     /// Builds a mesh over `executors` with `channels` parallel channels per
-    /// directed pair, shaped by `profile`, with `kind`'s software overheads.
-    pub fn new(
-        executors: &[ExecutorInfo],
-        channels: usize,
-        profile: NetProfile,
-        kind: TransportKind,
-    ) -> Arc<Self> {
+    /// directed pair. `kind` names the mesh's spans in a trace.
+    pub fn new(executors: &[ExecutorInfo], channels: usize, kind: TransportKind) -> Arc<Self> {
         assert!(!executors.is_empty());
         assert!(channels > 0);
         let n = executors.len();
@@ -216,37 +187,13 @@ impl MeshTransport {
             assert!(e.id.index() < n, "executor ids must be dense");
             node_of[e.id.index()] = e.node;
         }
-        let num_nodes = node_of.iter().copied().max().unwrap_or(0) + 1;
-        let now = Instant::now();
-        let mut tx = Vec::with_capacity(n * n * channels);
-        let mut rx = Vec::with_capacity(n * n * channels);
-        let mut stream_busy = Vec::with_capacity(n * n * channels);
-        for _ in 0..n * n * channels {
-            let (s, r) = channel();
-            tx.push(s);
-            rx.push(r);
-            stream_busy.push(Mutex::new(now));
-        }
-        let nic_busy = (0..num_nodes).map(|_| Mutex::new(now)).collect();
-        let nic_in_busy = (0..num_nodes).map(|_| Mutex::new(now)).collect();
-        Arc::new(Self {
-            n,
-            channels,
-            profile,
-            kind,
-            node_of,
-            tx,
-            rx,
-            stream_busy,
-            nic_busy,
-            nic_in_busy,
-            stats: NetStats::default(),
-        })
+        let (tx, rx) = (0..n * n * channels).map(|_| channel()).unzip();
+        Arc::new(Self { n, channels, kind, node_of, tx, rx, stats: NetStats::default() })
     }
 
-    /// Convenience constructor with no shaping (tests, pure correctness).
+    /// A scalable-communicator mesh (tests, probes, collectives harness).
     pub fn unshaped(executors: &[ExecutorInfo], channels: usize) -> Arc<Self> {
-        Self::new(executors, channels, NetProfile::unshaped(), TransportKind::ScalableComm)
+        Self::new(executors, channels, TransportKind::ScalableComm)
     }
 
     fn idx(&self, from: ExecutorId, to: ExecutorId, channel: usize) -> NetResult<usize> {
@@ -260,12 +207,7 @@ impl MeshTransport {
         Ok((f * self.n + t) * self.channels + channel)
     }
 
-    /// The network profile this mesh enforces.
-    pub fn profile(&self) -> &NetProfile {
-        &self.profile
-    }
-
-    /// Which transport implementation this mesh models.
+    /// Which transport this mesh's spans are labelled as.
     pub fn kind(&self) -> TransportKind {
         self.kind
     }
@@ -278,66 +220,6 @@ impl MeshTransport {
             inter_node_messages: self.stats.inter_node_messages.load(Ordering::Relaxed),
             inter_node_bytes: self.stats.inter_node_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Computes the delivery deadline for a message and advances the
-    /// `busy_until` marks of every resource it occupies.
-    fn schedule(&self, idx: usize, from: ExecutorId, to: ExecutorId, bytes: usize) -> Instant {
-        let now = Instant::now();
-        let same_node = self.node_of[from.index()] == self.node_of[to.index()];
-        let link = self.profile.link(same_node);
-        // Fully unshaped path (no link delay and no NIC cap): skip the
-        // bookkeeping entirely. NIC accounting must still run when only the
-        // link is unshaped.
-        if link.latency.is_zero()
-            && link.bandwidth.is_infinite()
-            && (same_node || self.profile.nic_bandwidth.is_infinite())
-        {
-            return now;
-        }
-
-        // Per-stream service at single-stream bandwidth.
-        let stream_bw =
-            link.bandwidth.min(self.profile.per_channel_bandwidth) * self.kind.single_stream_efficiency();
-        let stream_time = if stream_bw.is_infinite() || bytes == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64(bytes as f64 / stream_bw)
-        };
-        let stream_done = {
-            let mut busy = self.stream_busy[idx].lock();
-            let start = (*busy).max(now);
-            let done = start + stream_time;
-            *busy = done;
-            done
-        };
-
-        // Inter-node messages additionally serialize through the source
-        // node's egress NIC and the destination node's ingress NIC. The
-        // ingress mark is what turns all-executors-to-driver fan-in into the
-        // bottleneck the paper measures for tree aggregation.
-        let done = if !same_node && self.profile.nic_bandwidth.is_finite() {
-            let nic_time = Duration::from_secs_f64(bytes as f64 / self.profile.nic_bandwidth);
-            let egress_done = {
-                let mut busy = self.nic_busy[self.node_of[from.index()]].lock();
-                let start = (*busy).max(now);
-                let done = start + nic_time;
-                *busy = done;
-                done
-            };
-            let ingress_done = {
-                let mut busy = self.nic_in_busy[self.node_of[to.index()]].lock();
-                let start = (*busy).max(now.max(egress_done - nic_time));
-                let done = start + nic_time;
-                *busy = done;
-                done
-            };
-            stream_done.max(egress_done).max(ingress_done)
-        } else {
-            stream_done
-        };
-
-        done + link.latency + self.kind.software_overhead().mul_f64(self.profile.time_scale)
     }
 }
 
@@ -353,16 +235,13 @@ impl Transport for MeshTransport {
     fn send(&self, from: ExecutorId, to: ExecutorId, channel: usize, msg: ByteBuf) -> NetResult<()> {
         let idx = self.idx(from, to, channel)?;
         let nbytes = msg.len();
-        let deliver_at = self.schedule(idx, from, to, nbytes);
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(nbytes as u64, Ordering::Relaxed);
         if self.node_of[from.index()] != self.node_of[to.index()] {
             self.stats.inter_node_messages.fetch_add(1, Ordering::Relaxed);
             self.stats.inter_node_bytes.fetch_add(nbytes as u64, Ordering::Relaxed);
         }
-        self.tx[idx]
-            .send(InFlight { deliver_at, payload: msg })
-            .map_err(|_| NetError::Disconnected)?;
+        self.tx[idx].send(msg).map_err(|_| NetError::Disconnected)?;
         if trace::enabled() {
             record_send(self.kind, from, to, channel, nbytes);
         }
@@ -373,11 +252,10 @@ impl Transport for MeshTransport {
         let started = trace::enabled().then(Instant::now);
         let idx = self.idx(from, at, channel)?;
         let m = self.rx[idx].recv().map_err(|_| NetError::Disconnected)?;
-        wait_until(m.deliver_at);
         if let Some(t0) = started {
-            record_recv(self.kind, at, from, channel, m.payload.len(), t0);
+            record_recv(self.kind, at, from, channel, m.len(), t0);
         }
-        Ok(m.payload)
+        Ok(m)
     }
 
     fn recv_timeout(
@@ -396,11 +274,10 @@ impl Transport for MeshTransport {
             RecvTimeoutError::Timeout => NetError::Timeout,
             RecvTimeoutError::Disconnected => NetError::Disconnected,
         })?;
-        wait_until(m.deliver_at);
         if let Some(t0) = started {
-            record_recv(self.kind, at, from, channel, m.payload.len(), t0);
+            record_recv(self.kind, at, from, channel, m.len(), t0);
         }
-        Ok(m.payload)
+        Ok(m)
     }
 
     fn drain_all(&self) -> usize {
@@ -461,7 +338,6 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::LinkProfile;
     use crate::topology::round_robin_layout;
 
     fn two_execs() -> Vec<ExecutorInfo> {
@@ -515,85 +391,6 @@ mod tests {
             .recv_timeout(ExecutorId(1), ExecutorId(0), 0, Duration::from_millis(5))
             .unwrap_err();
         assert_eq!(err, NetError::Timeout);
-    }
-
-    #[test]
-    fn latency_is_enforced() {
-        let mut profile = NetProfile::unshaped();
-        profile.inter_node = LinkProfile {
-            latency: Duration::from_millis(3),
-            bandwidth: f64::INFINITY,
-        };
-        let execs = two_execs();
-        let net = MeshTransport::new(&execs, 1, profile, TransportKind::MpiRef);
-        let start = Instant::now();
-        net.send(ExecutorId(0), ExecutorId(1), 0, ByteBuf::from_static(b"x"))
-            .unwrap();
-        net.recv(ExecutorId(1), ExecutorId(0), 0).unwrap();
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(3), "latency skipped: {elapsed:?}");
-        assert!(elapsed < Duration::from_millis(30), "latency overshot: {elapsed:?}");
-    }
-
-    #[test]
-    fn bandwidth_serializes_messages_on_one_stream() {
-        // 1 MB/s, two 10 KB messages back to back => ~20 ms total.
-        let mut profile = NetProfile::unshaped();
-        profile.inter_node = LinkProfile { latency: Duration::ZERO, bandwidth: 1e6 };
-        profile.per_channel_bandwidth = 1e6;
-        let execs = two_execs();
-        let net = MeshTransport::new(&execs, 1, profile, TransportKind::MpiRef);
-        let start = Instant::now();
-        let payload = ByteBuf::from(vec![0u8; 10_000]);
-        net.send(ExecutorId(0), ExecutorId(1), 0, payload.clone()).unwrap();
-        net.send(ExecutorId(0), ExecutorId(1), 0, payload).unwrap();
-        net.recv(ExecutorId(1), ExecutorId(0), 0).unwrap();
-        net.recv(ExecutorId(1), ExecutorId(0), 0).unwrap();
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(20), "bandwidth not enforced: {elapsed:?}");
-        assert!(elapsed < Duration::from_millis(60), "overshot: {elapsed:?}");
-    }
-
-    #[test]
-    fn intra_node_is_not_nic_limited() {
-        // Same node: NIC mark must not advance.
-        let mut profile = NetProfile::unshaped();
-        profile.nic_bandwidth = 1.0; // absurdly slow NIC
-        profile.intra_node = LinkProfile { latency: Duration::ZERO, bandwidth: f64::INFINITY };
-        let execs = round_robin_layout(1, 2, 1); // both executors on node 0
-        let net = MeshTransport::new(&execs, 1, profile, TransportKind::MpiRef);
-        let start = Instant::now();
-        net.send(ExecutorId(0), ExecutorId(1), 0, ByteBuf::from(vec![0u8; 1 << 20]))
-            .unwrap();
-        net.recv(ExecutorId(1), ExecutorId(0), 0).unwrap();
-        assert!(start.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn driver_ingress_fan_in_serializes() {
-        // Many nodes sending to one node simultaneously: the receiver's
-        // ingress NIC serializes the flows even though every sender has its
-        // own egress NIC — the physical root of the tree-aggregation driver
-        // bottleneck.
-        let mut profile = NetProfile::unshaped();
-        profile.inter_node = LinkProfile { latency: Duration::ZERO, bandwidth: f64::INFINITY };
-        profile.per_channel_bandwidth = f64::INFINITY;
-        profile.nic_bandwidth = 1e6; // 1 MB/s NICs
-        let execs = round_robin_layout(5, 1, 1); // 5 nodes, 1 executor each
-        let net = MeshTransport::new(&execs, 1, profile, TransportKind::MpiRef);
-        let start = Instant::now();
-        // Executors 1..4 all send 10 KB to executor 0 (node 0).
-        for src in 1..5u32 {
-            net.send(ExecutorId(src), ExecutorId(0), 0, ByteBuf::from(vec![0u8; 10_000]))
-                .unwrap();
-        }
-        for src in 1..5u32 {
-            net.recv(ExecutorId(0), ExecutorId(src), 0).unwrap();
-        }
-        let elapsed = start.elapsed();
-        // 4 x 10 KB through a 1 MB/s ingress NIC = 40 ms serialized.
-        assert!(elapsed >= Duration::from_millis(40), "ingress not serialized: {elapsed:?}");
-        assert!(elapsed < Duration::from_millis(120), "overshot: {elapsed:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests on the network-profile algebra: scaling must preserve
-//! byte·time products, and derived quantities must stay physical.
+//! Property tests on the network-profile algebra: derived quantities must
+//! stay physical and the paper's transport ordering must hold.
 
 use sparker_testkit::{check, tk_assert, Config};
 
@@ -7,33 +7,6 @@ use sparker_net::profile::{NetProfile, TransportKind};
 
 fn cfg() -> Config {
     Config::with_cases(128)
-}
-
-#[test]
-fn scaling_preserves_byte_time_products() {
-    check(&cfg(), |src| {
-        let factor = src.f64_in(0.01..100.0);
-        let bytes = src.usize_in(1..100_000_000);
-        for p in [NetProfile::bic(), NetProfile::aws()] {
-            let s = p.scaled(factor);
-            // Equivalent message in the scaled domain.
-            let scaled_bytes = (bytes as f64 / factor).max(1.0) as usize;
-            let t_full = p.inter_node.serialization_delay(bytes).as_secs_f64();
-            let t_scaled = s.inter_node.serialization_delay(scaled_bytes).as_secs_f64();
-            // Integer truncation of scaled_bytes bounds the error.
-            let tolerance = (1.0 / (s.inter_node.bandwidth)).max(1e-12) + t_full * 1e-6;
-            tk_assert!(
-                (t_full - t_scaled).abs() <= tolerance + 1e-9,
-                "factor {factor}, bytes {bytes}: {t_full} vs {t_scaled}"
-            );
-            // Latency scales linearly (Duration quantizes to nanoseconds,
-            // so allow 1 ns of absolute slack).
-            let want = p.inter_node.latency.as_secs_f64() * factor;
-            let got = s.inter_node.latency.as_secs_f64();
-            tk_assert!((got - want).abs() <= 1e-9 + want * 1e-9, "{got} vs {want}");
-        }
-        Ok(())
-    });
 }
 
 #[test]
@@ -54,17 +27,14 @@ fn parallel_bandwidth_is_monotone_and_capped() {
 }
 
 #[test]
-fn latency_ordering_is_stable_under_scaling() {
-    check(&cfg(), |src| {
-        let factor = src.f64_in(0.01..100.0);
-        let p = NetProfile::bic().scaled(factor);
+fn latency_ordering_holds_on_both_clusters() {
+    for p in [NetProfile::bic(), NetProfile::aws()] {
         let mpi = p.one_way_latency(TransportKind::MpiRef);
         let sc = p.one_way_latency(TransportKind::ScalableComm);
         let bm = p.one_way_latency(TransportKind::BlockManager);
-        tk_assert!(mpi < sc, "MPI < SC at any scale");
-        tk_assert!(sc < bm, "SC < BM at any scale");
-        Ok(())
-    });
+        assert!(mpi < sc, "MPI < SC: {p:?}");
+        assert!(sc < bm, "SC < BM: {p:?}");
+    }
 }
 
 #[test]

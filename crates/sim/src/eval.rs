@@ -10,6 +10,8 @@
 //!   {dense, sparse} ladder with the auto-tuner's pick checked against DES
 //!   ground truth under a model calibrated *from DES traces*;
 //! * **Fig 17** — geo-mean end-to-end LR/SVM/LDA speedup;
+//! * **Fig 12/13** — point-to-point latency and throughput of the three
+//!   transports, from the [`crate::p2p`] closed forms on the BIC profile;
 //! * **elastic scenarios** the paper never ran ([`crate::elastic`]):
 //!   executor leave with survivor ring re-formation, join at a job
 //!   boundary, SIGSTOP-style straggler, flapping link, lost frame with
@@ -45,6 +47,7 @@ use crate::elastic::{
     simulate_straggler, ElasticTimings,
 };
 use crate::mlrun::{geo_mean, simulate_training, TrainingBreakdown};
+use crate::p2p;
 use crate::workloads::{all_workloads, by_name, Workload};
 
 const KB: f64 = 1024.0;
@@ -823,6 +826,28 @@ fn replay_series(
         });
         let name = format!("{name}_driver_non_agg");
         series("sec6_driver_bottleneck", &name, "cores", "seconds", rest);
+    }
+
+    // Fig 12 / Fig 13: the three transports point to point on BIC. These
+    // replay the paper-calibrated constants in closed form, so they are the
+    // same at every scale.
+    use sparker_net::profile::TransportKind::{BlockManager, MpiRef, ScalableComm};
+    for (name, kind) in [("mpi", MpiRef), ("sc", ScalableComm), ("bm", BlockManager)] {
+        let us = vec![(8.0, p2p::latency(&sw.bic, kind) * 1e6)];
+        series("fig12_p2p_latency", name, "message_bytes", "one_way_us", us);
+    }
+    let sizes = [10, 13, 16, 19, 21, 23, 25, 28].map(|exp| 2f64.powi(exp));
+    for (name, kind, channels) in [
+        ("sc_p1", ScalableComm, 1),
+        ("sc_p2", ScalableComm, 2),
+        ("sc_p4", ScalableComm, 4),
+        ("mpi", MpiRef, 1),
+    ] {
+        let points = sizes
+            .iter()
+            .map(|&b| (b / KB, p2p::throughput(&sw.bic, kind, b, channels) / MB))
+            .collect();
+        series("fig13_p2p_throughput", name, "message_kib", "mb_per_s", points);
     }
 }
 

@@ -164,9 +164,10 @@ impl CostModel {
         }
     }
 
-    /// Derives the model from a shaped [`NetProfile`] (the DES and the
-    /// in-process mesh use the same profiles, so this is the exact model
-    /// for simulated ground truth).
+    /// Derives the model from a [`NetProfile`]. The DES runs on the same
+    /// profiles, so this is the exact model for simulated ground truth; it
+    /// says nothing about the in-process mesh or TCP, which only the
+    /// span-fitted model ([`crate::calibrate`]) describes.
     pub fn from_profile(profile: &NetProfile, merge_bandwidth: f64, margin_permille: u32) -> Self {
         Self {
             intra: LinkParams {

@@ -24,7 +24,7 @@ fn main() {
         profile.name, samples, dim, profile.nnz_per_sample
     );
 
-    let cluster = LocalCluster::new(ClusterSpec::bic(2, 16.0).with_shape(2, 2));
+    let cluster = LocalCluster::new(ClusterSpec { nodes: 2, ..ClusterSpec::local(2, 2) });
     let parts = 2 * cluster.num_executors();
     let gen = profile.classification_gen();
     let g = gen.clone();

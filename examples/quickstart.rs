@@ -5,24 +5,22 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Builds a 4-executor cluster with the paper's BIC network shaping (scaled
-//! 16x down), sums an RDD of 1 MB `f64` arrays three ways — `treeAggregate`,
-//! `treeAggregate` + in-memory merge, and `splitAggregate` — and prints the
-//! compute/reduce decomposition of each, the same breakdown the paper's
-//! Figure 16 plots.
+//! Builds a 2-node × 2-executor cluster of threads, sums an RDD of 1 MB
+//! `f64` arrays three ways — `treeAggregate`, `treeAggregate` + in-memory
+//! merge, and `splitAggregate` — and prints the compute/reduce
+//! decomposition and serialized bytes of each, the breakdown the paper's
+//! Figure 16 plots. Times are this host's wall clock; the paper-scale
+//! curves are `paper_eval`'s `fig16_agg_speedup/*`.
 
 use sparker::prelude::*;
 
 fn main() {
-    // 2 nodes x 2 executors x 2 cores, BIC-profile network slowed 16x so a
-    // laptop reproduces cluster-like ratios.
-    let spec = ClusterSpec::bic(2, 16.0).with_shape(2, 2);
-    let cluster = LocalCluster::new(spec);
+    // 2 nodes x 2 executors x 2 cores.
+    let cluster = LocalCluster::new(ClusterSpec { nodes: 2, ..ClusterSpec::local(2, 2) });
     println!(
-        "cluster: {} executors x {} cores, profile '{}'",
+        "cluster: {} executors x {} cores",
         cluster.num_executors(),
-        cluster.spec().cores_per_executor,
-        cluster.spec().profile.name
+        cluster.spec().cores_per_executor
     );
 
     // An RDD of dense vectors, generated and cached on the executors
@@ -98,7 +96,7 @@ fn main() {
         );
     }
     println!(
-        "\nsplit aggregation reduced {:.1}x faster than tree aggregation",
+        "\nsplit aggregation reduced {:.1}x faster than tree aggregation on this host",
         tree.reduce.as_secs_f64() / split.reduce.as_secs_f64()
     );
 }

@@ -1,58 +1,49 @@
-//! The collectives layer directly: ring reduce-scatter over a shaped
-//! parallel directed ring, showing what channel parallelism and topology
-//! awareness buy (the paper's Figure 14 at laptop scale).
+//! The collectives layer directly: ring reduce-scatter over the parallel
+//! directed ring on the in-process mesh, at each channel parallelism and in
+//! both ring orders.
 //!
 //! ```bash
 //! cargo run --release --example reduce_scatter
 //! ```
+//!
+//! Times are this host's wall clock for 8 threads sharing its cores, so they
+//! show what the mesh and the ring code cost here, not the paper's network.
+//! The paper's Figure 14 shape (parallelism and topology awareness on the
+//! BIC cluster) is `paper_eval`'s `fig14_parallelism/*` series.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use sparker::collectives::ring::ring_reduce_scatter;
 use sparker::collectives::segment::U64SumSegment;
-use sparker::collectives::testing::{run_on_ring, RingClusterSpec};
-use sparker::net::topology::{round_robin_layout, RingTopology};
-use sparker::net::transport::MeshTransport;
+use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
 use sparker::prelude::*;
 
 fn measure(order: RingOrder, parallelism: usize, elems: usize) -> f64 {
-    // 4 nodes x 2 executors on a 16x-scaled BIC wire.
-    let profile = NetProfile::bic().scaled(16.0);
-    let execs = round_robin_layout(4, 2, 1);
-    let net = MeshTransport::new(&execs, 8, profile, TransportKind::ScalableComm);
-    let ring = Arc::new(RingTopology::new(execs, order, parallelism));
-    let n = ring.size();
+    // 4 nodes x 2 executors, one rank thread each.
+    let spec = RingClusterSpec { order, ..RingClusterSpec::unshaped(4, 2, parallelism) };
+    let segments = parallelism * spec.total_executors();
     let start = Instant::now();
-    run_on_ring(net, ring, &|comm| {
-        let segs: Vec<U64SumSegment> = (0..parallelism * n)
-            .map(|_| U64SumSegment(vec![1; elems / (parallelism * n)]))
-            .collect();
+    let owned = run_ring_cluster(&spec, |comm| {
+        let segs: Vec<U64SumSegment> =
+            (0..segments).map(|_| U64SumSegment(vec![1; elems / segments])).collect();
         ring_reduce_scatter(&comm, segs).unwrap()
     });
-    start.elapsed().as_secs_f64()
+    let secs = start.elapsed().as_secs_f64();
+    // Every rank contributed 1 per element: each reduced element is the rank count.
+    for seg in owned.iter().flatten() {
+        assert!(seg.segment.0.iter().all(|&x| x == spec.total_executors() as u64));
+    }
+    secs
 }
 
 fn main() {
-    let _ = RingClusterSpec::unshaped(1, 1, 1); // (re-exported harness, see tests)
-    // 16 MB aggregate (paper-equivalent 256 MB under the 16x scale).
-    let elems = 2 * 1024 * 1024;
-    println!("ring reduce-scatter of a 16 MiB aggregate over 8 executors / 4 nodes");
-    println!("(paper-equivalent: 256 MB over the BIC cluster — Figure 14)\n");
-
+    let elems = 2 * 1024 * 1024; // 16 MiB of u64 per rank
+    println!("ring reduce-scatter of a 16 MiB aggregate over 8 executors / 4 nodes\n");
     println!("{:<14} {:>12} {:>12}", "parallelism", "aware", "id-order");
-    let mut p1 = 0.0;
-    let mut p4 = 0.0;
     for p in [1usize, 2, 4] {
         let aware = measure(RingOrder::TopologyAware, p, elems);
         let unaware = measure(RingOrder::ById, p, elems);
-        if p == 1 {
-            p1 = aware;
-        }
-        if p == 4 {
-            p4 = aware;
-        }
-        println!("{:<14} {:>11.0}ms {:>11.0}ms", p, aware * 1e3, unaware * 1e3);
+        println!("{:<14} {:>11.1}ms {:>11.1}ms", p, aware * 1e3, unaware * 1e3);
     }
-    println!("\nparallelism speedup P1 -> P4: {:.2}x (paper: 3.06x for P1 -> P8)", p1 / p4);
+    println!("\n(the paper's P and topology shape at cluster scale: paper_eval fig14_parallelism/*)");
 }

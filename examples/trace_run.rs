@@ -23,7 +23,7 @@ fn main() {
     trace::enable();
 
     // A small in-process cluster; transports, collectives and the scheduler
-    // run the same code paths as the shaped benchmarks.
+    // run the same code paths as the benchmark's mesh workloads.
     let cluster = LocalCluster::new(ClusterSpec::local(4, 2));
     let profile = sparker_data::profiles::avazu().feature_scaled(2e-4); // 200 features
     let dim = profile.features();

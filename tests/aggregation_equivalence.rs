@@ -128,9 +128,10 @@ fn ring_order_does_not_change_results() {
 }
 
 #[test]
-fn shaped_cluster_still_exact() {
-    // Shaping delays messages; it must never change values.
-    let cluster = LocalCluster::new(ClusterSpec::bic(2, 4.0).with_shape(2, 1));
+fn multi_node_cluster_still_exact() {
+    // Two nodes of two executors: ring hops and tree shuffles cross node
+    // boundaries, which must never change values.
+    let cluster = LocalCluster::new(ClusterSpec { nodes: 2, ..ClusterSpec::local(2, 1) });
     let got = run(&cluster, 4, 128, "split", SplitAggOpts::default());
     assert_eq!(got, expected(4, 128));
     let got = run(&cluster, 4, 128, "tree", SplitAggOpts::default());

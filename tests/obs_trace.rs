@@ -159,3 +159,52 @@ fn traced_flat_ring_steps_calibrate_both_link_classes() {
         cal.inter_samples
     );
 }
+
+/// The engine's two meshes name their hops: tree aggregation's task
+/// results and shuffle blocks ride the BlockManager-class mesh (`bm.*`),
+/// the split-aggregation ring rides the scalable communicator (`sc.*`), and
+/// no engine hop is labelled as the MPI reference.
+#[test]
+fn engine_hops_are_labelled_by_the_mesh_that_carries_them() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    trace::enable();
+
+    let cluster = LocalCluster::new(ClusterSpec::local(4, 1));
+    let data = cluster.generate(8, |p| vec![vec![p as f64; 64]; 1]).cache();
+    data.count().unwrap();
+    let add = |mut acc: F64Array, v: &Vec<f64>| {
+        for (a, x) in acc.0.iter_mut().zip(v) {
+            *a += *x;
+        }
+        acc
+    };
+    let net_spans = || -> std::collections::BTreeSet<String> {
+        trace::take().into_iter().filter(|s| s.layer == Layer::Net).map(|s| s.name).collect()
+    };
+    let _ = trace::take(); // drop the preload's spans and any leftovers
+
+    let merge = |mut a: F64Array, b: F64Array| {
+        sparker::dense::merge(&mut a, b);
+        a
+    };
+    data.tree_aggregate(F64Array(vec![0.0; 64]), add, merge, TreeAggOpts::default()).unwrap();
+    let tree = net_spans();
+    assert!(tree.contains("bm.send") && tree.contains("bm.recv"), "tree hops: {tree:?}");
+    assert!(!tree.iter().any(|n| n.starts_with("mpi.")), "tree hops: {tree:?}");
+
+    data.split_aggregate(
+        F64Array(vec![0.0; 64]),
+        add,
+        sparker::dense::merge,
+        sparker::dense::split,
+        sparker::dense::merge_segments,
+        sparker::dense::concat,
+        SplitAggOpts::default(),
+    )
+    .unwrap();
+    let split = net_spans();
+    assert!(split.contains("sc.send") && split.contains("sc.recv"), "split hops: {split:?}");
+    assert!(!split.iter().any(|n| n.starts_with("mpi.")), "split hops: {split:?}");
+
+    trace::disable();
+}
