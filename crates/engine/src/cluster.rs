@@ -90,7 +90,7 @@ pub struct ClusterInner {
     /// operations share the per-executor→driver streams, so interleaved
     /// actions would steal each other's frames. Spark's driver similarly
     /// serializes result handling per job.
-    action_guard: sparker_net::sync::ReentrantMutex,
+    action_guard: Mutex<()>,
     /// Per-stage event log (the engine's Spark history log).
     history: History,
 }
@@ -142,7 +142,7 @@ impl LocalCluster {
                 fault_plan: Arc::new(FaultPlan::new()),
                 op_counter: AtomicU64::new(1),
                 gang_cancel: Mutex::new(HashMap::new()),
-                action_guard: sparker_net::sync::ReentrantMutex::new(),
+                action_guard: Mutex::new(()),
                 history: History::new(),
             }),
         }
@@ -245,9 +245,9 @@ impl ClusterInner {
     }
 
     /// Takes the driver action lock. Every op (collect, aggregate, ...)
-    /// holds this across its stages and result fetches; reentrant so ops
-    /// can compose.
-    pub fn lock_action(&self) -> sparker_net::sync::ReentrantMutexGuard<'_> {
+    /// holds this across its stages and result fetches; no op takes it
+    /// while holding it.
+    pub fn lock_action(&self) -> std::sync::MutexGuard<'_, ()> {
         self.action_guard.lock()
     }
 

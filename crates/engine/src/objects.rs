@@ -11,30 +11,13 @@
 //! objects of many aggregator types across stages. Typed access panics on a
 //! type mismatch, which is always an engine bug, not user error.
 //!
-//! # Striped merging
-//!
-//! A single per-slot lock serializes every task on an executor behind one
-//! mutex — with 8+ task threads funnelling into one IMM slot, the lock is
-//! the hot path. Each slot is therefore *striped*: it holds `S` independent
-//! sub-values behind `S` locks, [`MutableObjectManager::merge_in`] picks a
-//! stripe round-robin, and the stripes are folded together only when the
-//! value is read back ([`MutableObjectManager::take`] /
-//! [`MutableObjectManager::with`]) at stage end. Consolidation locks the
-//! stripes in index order (so it cannot deadlock against single-stripe
-//! lockers) and folds the surviving values pairwise, adjacent pairs in
-//! stripe-index order — a deterministic order, so two consolidations of the
-//! same stripe contents produce bitwise-identical results.
-//!
-//! The first `merge_in` on a slot installs a type-erased copy of its merge
-//! closure; consolidation replays it across stripes. Since the engine always
-//! uses one combine function per slot (the user's `combOp`), this is the
-//! same function the unsharded path would have applied — only the grouping
-//! changes, which is exact for the associative/commutative combiners the
-//! aggregation contract already requires.
+//! Each slot is one value behind one lock. [`MutableObjectManager::merge_in`]
+//! installs the first arrival and merges every later one into it in place,
+//! so a slot's value is the merge of its inputs in completion order. Only
+//! the value is stored: the merge closure does not outlive the call.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sparker_net::sync::Mutex;
@@ -50,162 +33,57 @@ pub struct ObjectId {
     pub slot: u64,
 }
 
-type Value = Box<dyn Any + Send>;
-/// Type-erased combine: folds the right value into the left. Installed once
-/// per slot by the first `merge_in` and replayed during consolidation.
-type Combiner = Box<dyn Fn(&mut Value, Value) + Send + Sync>;
-
-struct Slot {
-    stripes: Vec<Mutex<Option<Value>>>,
-    /// Round-robin cursor for stripe assignment.
-    next: AtomicUsize,
-    combiner: OnceLock<Combiner>,
-}
-
-impl Slot {
-    fn new(stripes: usize) -> Self {
-        Self {
-            stripes: (0..stripes).map(|_| Mutex::new(None)).collect(),
-            next: AtomicUsize::new(0),
-            combiner: OnceLock::new(),
-        }
-    }
-
-    fn any_live(&self) -> bool {
-        self.stripes.iter().any(|s| s.lock().is_some())
-    }
-
-    /// Folds every live stripe into stripe 0. Locks stripes in index order;
-    /// pairwise-folds adjacent survivors in rounds for a deterministic merge
-    /// tree. No-op when at most one stripe is live.
-    fn consolidate(&self) {
-        let mut guards: Vec<_> = self.stripes.iter().map(|s| s.lock()).collect();
-        let mut values: Vec<Value> = guards.iter_mut().filter_map(|g| g.take()).collect();
-        if values.is_empty() {
-            return;
-        }
-        if values.len() > 1 {
-            let combine = self
-                .combiner
-                .get()
-                .expect("striped slot holds several values but no combiner: engine bug");
-            // Pairwise rounds: (0,1)(2,3)... then again, preserving order.
-            while values.len() > 1 {
-                let mut folded = Vec::with_capacity(values.len().div_ceil(2));
-                let mut it = values.into_iter();
-                while let Some(mut left) = it.next() {
-                    if let Some(right) = it.next() {
-                        combine(&mut left, right);
-                    }
-                    folded.push(left);
-                }
-                values = folded;
-            }
-            obs_consolidation();
-        }
-        *guards[0] = values.pop();
-    }
-}
+type Slot = Arc<Mutex<Option<Box<dyn Any + Send>>>>;
 
 /// Per-executor store of shared mutable objects.
+#[derive(Default)]
 pub struct MutableObjectManager {
     // Two-level locking: the map lock is held only to find/create the slot;
-    // per-stripe locks inside each slot serialize merges so concurrent tasks
-    // on different objects (or different stripes) don't contend.
-    slots: Mutex<HashMap<ObjectId, Arc<Slot>>>,
-    stripes: usize,
-}
-
-impl Default for MutableObjectManager {
-    fn default() -> Self {
-        Self::new()
-    }
+    // each slot's own lock serializes merges into it, so concurrent tasks on
+    // different objects don't contend.
+    slots: Mutex<HashMap<ObjectId, Slot>>,
 }
 
 impl MutableObjectManager {
-    /// A manager with one stripe per available core, capped at 8 — past
-    /// that, round-robin spreading stops paying for the consolidation work.
+    /// An empty manager.
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::with_stripes(cores.min(8))
+        Self::default()
     }
 
-    /// A manager with exactly `stripes` stripes per slot. `1` reproduces the
-    /// fully-serialized single-lock behaviour (the benchmark baseline).
-    pub fn with_stripes(stripes: usize) -> Self {
-        Self {
-            slots: Mutex::new(HashMap::new()),
-            stripes: stripes.max(1),
-        }
-    }
-
-    fn slot(&self, id: ObjectId) -> Arc<Slot> {
-        self.slots
-            .lock()
-            .entry(id)
-            .or_insert_with(|| Arc::new(Slot::new(self.stripes)))
-            .clone()
+    fn find(&self, id: ObjectId) -> Option<Slot> {
+        self.slots.lock().get(&id).cloned()
     }
 
     /// Merges `value` into the object at `id`: the first arrival installs
-    /// itself, later arrivals are combined via `merge`. This is the heart of
-    /// In-Memory Merge.
-    ///
-    /// Concurrent callers land on different stripes round-robin and only
-    /// contend `1/S`-th of the time; the stripes fold together on read-back.
-    /// `merge` must be associative and commutative (the same contract the
-    /// distributed reduction already imposes on `combOp`) and every caller
-    /// for a given `id` must pass an equivalent `merge` — the first one is
-    /// captured for consolidation.
-    pub fn merge_in<T, F>(&self, id: ObjectId, value: T, merge: F)
-    where
-        T: Send + 'static,
-        F: Fn(&mut T, T) + Send + Sync + 'static,
-    {
-        let slot = self.slot(id);
-        let merge = Arc::new(merge);
-        {
-            let erased = merge.clone();
-            slot.combiner.get_or_init(move || {
-                Box::new(move |acc: &mut Value, incoming: Value| {
-                    let acc = acc
-                        .downcast_mut::<T>()
-                        .expect("mutable object type mismatch: engine bug");
-                    let incoming = *incoming
-                        .downcast::<T>()
-                        .expect("mutable object type mismatch: engine bug");
-                    erased(acc, incoming);
-                })
-            });
-        }
-        let idx = slot.next.fetch_add(1, Ordering::Relaxed) % slot.stripes.len();
-        let mut guard = slot.stripes[idx].lock();
-        match guard.take() {
+    /// itself, later arrivals are merged into it in place via `merge`, under
+    /// the slot's lock. This is the heart of In-Memory Merge.
+    pub fn merge_in<T: Send + 'static>(
+        &self,
+        id: ObjectId,
+        value: T,
+        merge: impl FnOnce(&mut T, T),
+    ) {
+        let slot = self.slots.lock().entry(id).or_default().clone();
+        let mut guard = slot.lock();
+        match guard.as_mut() {
             None => *guard = Some(Box::new(value)),
-            Some(existing) => {
-                let mut existing = *existing
-                    .downcast::<T>()
-                    .expect("mutable object type mismatch: engine bug");
-                merge(&mut existing, value);
-                *guard = Some(Box::new(existing));
-            }
+            Some(existing) => merge(
+                existing
+                    .downcast_mut::<T>()
+                    .expect("mutable object type mismatch: engine bug"),
+                value,
+            ),
         }
         obs_merge();
     }
 
-    /// Removes and returns the object at `id`, folding its stripes first.
+    /// Removes and returns the object at `id`.
     pub fn take<T: Send + 'static>(&self, id: ObjectId) -> Option<T> {
-        let slot = self.slot(id);
-        slot.consolidate();
-        let mut guard = slot.stripes[0].lock();
-        guard.take().map(|b| {
-            *b.downcast::<T>()
-                .expect("mutable object type mismatch: engine bug")
-        })
+        let value = self.find(id)?.lock().take()?;
+        Some(*value.downcast::<T>().expect("mutable object type mismatch: engine bug"))
     }
 
-    /// Reads the object at `id` through `f` without removing it, folding its
-    /// stripes first.
+    /// Reads the object at `id` through `f` without removing it.
     pub fn with<T: Send + 'static, R>(&self, id: ObjectId, f: impl FnOnce(&T) -> R) -> Option<R> {
         self.peek(id, |value| value.map(f))
     }
@@ -213,8 +91,8 @@ impl MutableObjectManager {
     /// Like [`MutableObjectManager::with`], but `f` always runs: on the
     /// object at `id`, or on `fallback` when there is none.
     ///
-    /// `f` runs under the slot's stripe-0 lock and may hold it for long: the
-    /// ring stage runs its whole collective in here, borrowing the executor's
+    /// `f` runs under the slot lock and may hold it for long: the ring stage
+    /// runs its whole collective in here, borrowing the executor's
     /// aggregator instead of cloning it. That is sound because a gang task is
     /// its slot's only accessor: the action lock admits one op per cluster,
     /// the stage that merged into the slot has completed, and a gang retry is
@@ -229,9 +107,8 @@ impl MutableObjectManager {
     }
 
     fn peek<T: Send + 'static, R>(&self, id: ObjectId, f: impl FnOnce(Option<&T>) -> R) -> R {
-        let slot = self.slot(id);
-        slot.consolidate();
-        let guard = slot.stripes[0].lock();
+        let Some(slot) = self.find(id) else { return f(None) };
+        let guard = slot.lock();
         f(guard.as_ref().map(|b| {
             b.downcast_ref::<T>()
                 .expect("mutable object type mismatch: engine bug")
@@ -249,7 +126,7 @@ impl MutableObjectManager {
     /// Number of live objects (for tests and leak checks).
     pub fn len(&self) -> usize {
         let slots = self.slots.lock();
-        slots.values().filter(|s| s.any_live()).count()
+        slots.values().filter(|s| s.lock().is_some()).count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -260,11 +137,6 @@ impl MutableObjectManager {
 fn obs_merge() {
     static MERGES: OnceLock<Arc<Counter>> = OnceLock::new();
     MERGES.get_or_init(|| metrics::counter("engine.imm.merges")).inc();
-}
-
-fn obs_consolidation() {
-    static FOLDS: OnceLock<Arc<Counter>> = OnceLock::new();
-    FOLDS.get_or_init(|| metrics::counter("engine.imm.consolidations")).inc();
 }
 
 #[cfg(test)]
@@ -309,19 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn with_consolidates_across_stripes() {
-        // More merges than stripes, then a read-back without take: the read
-        // must see the total, and a later take must still see it (the fold
-        // is not lossy or repeated).
-        let m = MutableObjectManager::with_stripes(4);
-        for _ in 0..10 {
-            m.merge_in(ID, 1u64, |a, b| *a += b);
-        }
-        assert_eq!(m.with(ID, |v: &u64| *v), Some(10));
-        assert_eq!(m.take::<u64>(ID), Some(10));
-    }
-
-    #[test]
     fn clear_op_removes_only_that_op() {
         let m = MutableObjectManager::new();
         m.merge_in(ObjectId { op: 1, slot: 0 }, 1u64, |a, b| *a += b);
@@ -349,27 +208,6 @@ mod tests {
             }
         });
         assert_eq!(m.take::<u64>(ID), Some(threads * per));
-    }
-
-    #[test]
-    fn striped_matches_single_lock_result() {
-        // Same merge stream through 1 stripe and 8 stripes must agree (sum
-        // is associative/commutative, so grouping cannot matter).
-        for stripes in [1usize, 8] {
-            let m = Arc::new(MutableObjectManager::with_stripes(stripes));
-            std::thread::scope(|s| {
-                for t in 0..8u64 {
-                    let m = m.clone();
-                    s.spawn(move || {
-                        for i in 0..250u64 {
-                            m.merge_in(ID, t * 1000 + i, |a, b| *a += b);
-                        }
-                    });
-                }
-            });
-            let want: u64 = (0..8u64).flat_map(|t| (0..250u64).map(move |i| t * 1000 + i)).sum();
-            assert_eq!(m.take::<u64>(ID), Some(want), "stripes = {stripes}");
-        }
     }
 
     #[test]

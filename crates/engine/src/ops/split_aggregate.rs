@@ -493,15 +493,13 @@ where
 {
     let rdd = rdd.clone();
     let zero = zero.clone();
-    let merge = Arc::new(merge_op);
     let (_, attempts) = inner.run_stage(
         label,
         &partition_assignments(inner, &rdd),
         move |idx, _attempt, ctx| {
             let acc = fold_partition(&rdd, idx, ctx, zero.clone(), &seq_op);
-            let merge = merge.clone();
             let id = ObjectId { op, slot: ctx.executor.0 as u64 };
-            ctx.objects.merge_in(id, acc, move |a, b| merge(a, b));
+            ctx.objects.merge_in(id, acc, &merge_op);
             Ok(())
         },
         RecoveryPolicy::ResubmitStage { op },
@@ -650,6 +648,28 @@ mod tests {
     fn split_aggregate_single_executor() {
         let (v, _) = run_split(1, 2, 4, 10, SplitAggOpts::default());
         assert_eq!(v, expected(10));
+    }
+
+    #[test]
+    fn imm_merges_in_completion_order() {
+        // A one-core executor completes its tasks in partition order, so its
+        // IMM value is the left fold of the partitions. Any other grouping of
+        // these values rounds to a different sum.
+        let cluster = LocalCluster::new(ClusterSpec::local(1, 1));
+        let rdd: RddRef<f64> = Arc::new(ParallelCollection::new(vec![1e16, 1.0, -1e16, 1.0], 4));
+        let (v, _) = split_aggregate(
+            &cluster,
+            rdd,
+            0.0f64,
+            |a: f64, x: &f64| a + x,
+            |a: &mut f64, b: f64| *a += b,
+            |u: &f64, i: usize, _n: usize| if i == 0 { *u } else { 0.0 },
+            |a: &mut f64, b: f64| *a += b,
+            |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
+            SplitAggOpts::default(),
+        )
+        .unwrap();
+        assert_eq!(v, 1.0, "((1e16 + 1) - 1e16) + 1");
     }
 
     #[test]

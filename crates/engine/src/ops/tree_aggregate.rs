@@ -113,11 +113,8 @@ where
             move |idx, _attempt, ctx| {
                 let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
                 let slot = if imm { ctx.executor.0 as u64 } else { idx as u64 };
-                let comb = comb.clone();
-                let zero = zero.clone();
-                ctx.objects.merge_in(ObjectId { op, slot }, acc, move |a, b| {
-                    let old = std::mem::replace(a, zero.clone());
-                    *a = comb(old, b);
+                ctx.objects.merge_in(ObjectId { op, slot }, acc, |a, b| {
+                    combine_into(a, b, &zero, comb.as_ref())
                 });
                 Ok(())
             },
@@ -196,11 +193,22 @@ where
         acc = comb(acc, u);
     }
     metrics.driver_merge = merge_span.finish();
+    // The op's slots are all taken by now; drop them from the maps too.
+    for e in 0..nexec {
+        inner.executor_ctx(ExecutorId(e as u32)).objects.clear_op(op);
+    }
     metrics.reduce = reduce_span.finish();
     // Final-stage frames were already counted by the task-side atomics.
     metrics.ser_bytes = ser_bytes.load(Ordering::Relaxed);
     metrics.messages = messages.load(Ordering::Relaxed);
     Ok((acc, metrics))
+}
+
+/// Merges `b` into `a` with the by-value `comb`, `zero` standing in for `a`
+/// while `comb` owns it.
+fn combine_into<U: Clone>(a: &mut U, b: U, zero: &U, comb: &impl Fn(U, U) -> U) {
+    let old = std::mem::replace(a, zero.clone());
+    *a = comb(old, b);
 }
 
 /// One shuffle round: routes `holders` into `m` reducer slots.
@@ -290,11 +298,8 @@ where
                             let mut dec = Decoder::new(frame);
                             let j = dec.get_usize().map_err(TaskFailure::from)?;
                             let u = U::decode_from(&mut dec).map_err(TaskFailure::from)?;
-                            let comb = comb.clone();
-                            let zero = zero.clone();
-                            ctx.objects.merge_in(ObjectId { op, slot: slot_of(j) }, u, move |a, b| {
-                                let old = std::mem::replace(a, zero.clone());
-                                *a = comb(old, b);
+                            ctx.objects.merge_in(ObjectId { op, slot: slot_of(j) }, u, |a, b| {
+                                combine_into(a, b, &zero, comb.as_ref())
                             });
                         }
                     }

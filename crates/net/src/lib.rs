@@ -17,8 +17,8 @@
 //!   so serialized-byte counts (the quantity In-Memory Merge optimizes) are
 //!   observable everywhere.
 //! * [`sync`] — std-only locks (poison-recovering, see the module's
-//!   convention note), a reentrant mutex, and the unbounded MPMC channel the
-//!   transports and executor work queues run on.
+//!   convention note) and the unbounded MPMC channel the transports and
+//!   executor work queues run on.
 //! * [`profile`] — network profiles: latency/bandwidth of intra-node and
 //!   inter-node links, single-stream (per-channel) caps, NIC line rate, and
 //!   per-transport software overheads. Presets reproduce the paper's two

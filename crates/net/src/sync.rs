@@ -5,10 +5,10 @@
 //! hermetic; this module is the single place the substitutions live.
 //!
 //! **Poisoning convention.** `std::sync` locks poison when a holder panics.
-//! Every guarded value in this workspace is either a monotonic bookkeeping
-//! mark (`busy_until` instants, stat counters), an append-only log, or a
-//! keyed store whose entries are re-derivable from RDD lineage — none can be
-//! left half-updated in a way later readers would misinterpret. We therefore
+//! Every guarded value in this workspace is either a monotonic stat counter,
+//! an append-only log, or a keyed store whose entries are re-derivable from
+//! RDD lineage — none can be left half-updated in a way later readers would
+//! misinterpret. We therefore
 //! *recover* from poisoning (`PoisonError::into_inner`) instead of
 //! propagating it: a worker panic still fails its stage through the task
 //! protocol (and test harnesses still fail through joins), but unrelated
@@ -23,9 +23,7 @@
 //! directly on `Mutex<VecDeque>` + `Condvar`.
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, PoisonError};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// A mutex whose `lock()` recovers from poisoning (see module docs).
@@ -69,75 +67,6 @@ impl<T> RwLock<T> {
     /// Acquires the exclusive write guard, recovering from poisoning.
     pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-#[derive(Debug, Default)]
-struct ReentrantState {
-    owner: Option<ThreadId>,
-    depth: usize,
-}
-
-/// A mutex the owning thread may re-acquire (replaces
-/// `parking_lot::ReentrantMutex`).
-///
-/// The engine's driver action lock needs reentrancy because composite ops
-/// (e.g. allreduce built on split-aggregate) take the lock around an op that
-/// itself takes the lock.
-#[derive(Debug, Default)]
-pub struct ReentrantMutex {
-    state: Mutex<ReentrantState>,
-    unlocked: Condvar,
-}
-
-impl ReentrantMutex {
-    /// An unlocked reentrant mutex.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Acquires the lock, immediately if this thread already holds it.
-    pub fn lock(&self) -> ReentrantMutexGuard<'_> {
-        let me = std::thread::current().id();
-        let mut s = self.state.lock();
-        loop {
-            match s.owner {
-                None => {
-                    s.owner = Some(me);
-                    s.depth = 1;
-                    break;
-                }
-                Some(owner) if owner == me => {
-                    s.depth += 1;
-                    break;
-                }
-                Some(_) => {
-                    s = self.unlocked.wait(s).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        ReentrantMutexGuard { lock: self, _not_send: PhantomData }
-    }
-}
-
-/// Guard for [`ReentrantMutex`]; releases one level of the lock on drop.
-///
-/// `!Send`: the release must happen on the acquiring thread.
-pub struct ReentrantMutexGuard<'a> {
-    lock: &'a ReentrantMutex,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for ReentrantMutexGuard<'_> {
-    fn drop(&mut self) {
-        let mut s = self.lock.state.lock();
-        debug_assert_eq!(s.owner, Some(std::thread::current().id()));
-        s.depth -= 1;
-        if s.depth == 0 {
-            s.owner = None;
-            drop(s);
-            self.lock.unlocked.notify_one();
-        }
     }
 }
 
@@ -403,50 +332,5 @@ mod tests {
         assert_eq!(l.read().len(), 3);
         l.write().push(4);
         assert_eq!(l.read().len(), 4);
-    }
-
-    #[test]
-    fn reentrant_mutex_allows_nested_acquisition() {
-        let m = ReentrantMutex::new();
-        let g1 = m.lock();
-        let g2 = m.lock();
-        drop(g1);
-        drop(g2);
-        // Fully released: another thread can take it.
-        let m = Arc::new(m);
-        let m2 = m.clone();
-        std::thread::spawn(move || {
-            let _g = m2.lock();
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn reentrant_mutex_excludes_other_threads() {
-        let m = Arc::new(ReentrantMutex::new());
-        let counter = Arc::new(Mutex::new((0u32, 0u32))); // (inside, max_inside)
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let m = m.clone();
-            let counter = counter.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let _outer = m.lock();
-                    let _inner = m.lock(); // reentrant on this thread
-                    {
-                        let mut c = counter.lock();
-                        c.0 += 1;
-                        c.1 = c.1.max(c.0);
-                    }
-                    std::thread::yield_now();
-                    counter.lock().0 -= 1;
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.lock().1, 1, "two threads were inside the lock at once");
     }
 }

@@ -11,8 +11,10 @@
 //!   a dropped frame both give the exact result on the second attempt, and a
 //!   gang that exhausts its budget still finds the aggregators intact for
 //!   the tree fallback.
+//! * `tree_aggregate` retains no aggregator once it returns, with or
+//!   without IMM.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,6 +23,8 @@ use sparker::engine::rdds::{
     CachedRdd, FilterRdd, FlatMapRdd, GeneratedRdd, MapPartitionsRdd, MapRdd, ParallelCollection,
     SpawnRdd, UnionRdd,
 };
+use sparker::net::codec::{Decoder, Encoder};
+use sparker::net::error::NetResult;
 use sparker::net::{ExecutorId, NetFaultPlan};
 use sparker::prelude::*;
 use sparker_testkit::{check, tk_assert_eq, Config};
@@ -313,4 +317,72 @@ fn exhausted_gang_downgrades_to_the_tree_on_intact_aggregators() {
     );
     // The ring stage's closure and the seeding stage's each captured a zero.
     assert_eq!(clones.read(), (0, 3 + 8, 0));
+}
+
+// ---------------------------------------------------------------------------
+// Retained aggregators
+// ---------------------------------------------------------------------------
+
+/// `Live` values in existence: construction and `Clone` count up, `Drop`
+/// counts down. Only one test builds them.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+struct Live(u64);
+
+impl Live {
+    fn new(sum: u64) -> Self {
+        LIVE.fetch_add(1, Ordering::SeqCst);
+        Self(sum)
+    }
+}
+
+impl Clone for Live {
+    fn clone(&self) -> Self {
+        Self::new(self.0)
+    }
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Payload for Live {
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.0);
+    }
+    fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
+        Ok(Self::new(dec.get_u64()?))
+    }
+    fn size_hint(&self) -> usize {
+        8
+    }
+}
+
+#[test]
+fn tree_aggregate_retains_no_aggregator() {
+    let cluster = LocalCluster::local(4, 1);
+    let data = cluster.parallelize((1..=64u64).collect::<Vec<_>>(), 16);
+    // A later task on every one-core executor, so no finished stage closure
+    // still holds its zero when the count is read.
+    let live = || {
+        assert_eq!(data.count().unwrap(), 64);
+        LIVE.load(Ordering::SeqCst)
+    };
+    let start = live();
+    for imm in [false, true] {
+        for _ in 0..10 {
+            let (sum, _) = data
+                .tree_aggregate(
+                    Live::new(0),
+                    |acc, x| Live::new(acc.0 + x),
+                    |a, b| Live::new(a.0 + b.0),
+                    TreeAggOpts { depth: 2, imm },
+                )
+                .unwrap();
+            assert_eq!(sum.0, 64 * 65 / 2);
+        }
+        assert_eq!(live(), start, "aggregators retained after 10 ops, imm: {imm}");
+    }
 }
