@@ -89,6 +89,9 @@ where
     // back from them, so the metrics view and the exported trace agree.
     let scope = inner.history().scope();
 
+    // One zero per op: every stage closure borrows it.
+    let zero = Arc::new(zero);
+
     // --- Stage 1: reduced-result stage (IMM, LocalFold) ------------------
     let compute_span =
         ScopedSpan::begin(scope, Layer::Driver, format!("allreduce-compute-op{op}"));

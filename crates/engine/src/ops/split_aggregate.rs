@@ -2,11 +2,13 @@
 //!
 //! The pipeline exactly follows the paper:
 //!
-//! 1. **Reduced-result stage (IMM)** — one task per partition folds its
-//!    partition with `seqOp` and merges the result into the executor's
-//!    shared aggregator in the mutable object manager. After the stage there
-//!    is exactly one aggregator `U` per executor (executors with no
-//!    partitions hold the zero value). Nothing has been serialized yet.
+//! 1. **Reduced-result stage (IMM)** — the paper's SpawnRDD fold: every
+//!    executor runs one lane task per core, each folding a contiguous block
+//!    of the executor's partitions, in index order, into one accumulator with
+//!    `seqOp`, then merging it into the executor's shared aggregator in the
+//!    mutable object manager (`imm_stage`). After the stage there is
+//!    exactly one aggregator `U` per executor (executors with no partitions
+//!    hold the zero value). Nothing has been serialized yet.
 //! 2. **Statically-scheduled ring stage (the paper's `SpawnRDD`)** — one
 //!    task pinned to every executor. Each task splits its aggregator into
 //!    `P·N` segments by calling the user's `splitOp(u, i, n)` from `P`
@@ -24,6 +26,7 @@
 //! driver receives exactly one aggregator's worth of bytes regardless of
 //! cluster size.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,6 +38,7 @@ use sparker_net::topology::ExecutorId;
 
 use sparker_collectives::gather::in_index_order;
 use sparker_collectives::ring::OwnedSegment;
+use sparker_collectives::segment::slice_bounds;
 
 use sparker_tuner::{Algo, CostModel, Decision, JobShape, Selector};
 
@@ -203,6 +207,9 @@ where
     // back from them, so the metrics view and the exported trace agree.
     let scope = inner.history().scope();
 
+    // One zero per op: every stage closure borrows it.
+    let zero = Arc::new(zero);
+
     // --- Stage 1: reduced-result stage (IMM) ----------------------------
     let compute_span =
         ScopedSpan::begin(scope, Layer::Driver, format!("{}-compute-op{op}", strategy.name()));
@@ -362,7 +369,7 @@ where
                     a
                 })
             };
-            let fb_zero: Vec<V> = Vec::new();
+            let fb_zero: Arc<Vec<V>> = Arc::new(Vec::new());
             let mut holders: Vec<(ExecutorId, u64)> = all_execs
                 .iter()
                 .map(|e| (*e, FALLBACK_SLOT_BASE | e.0 as u64))
@@ -460,28 +467,35 @@ where
 
 /// Runs `f` on the aggregator the IMM stage of `op` left on this executor,
 /// borrowed in place from the object manager (see
-/// [`crate::objects::MutableObjectManager::with_or`]), or on `zero` when the
-/// executor owns no partition.
-pub(crate) fn with_aggregator<U: Send + 'static, R>(
+/// [`crate::objects::MutableObjectManager::with_or`]), or on the op's shared
+/// `zero` when the executor owns no partition.
+pub(crate) fn with_aggregator<U: Send + Sync + 'static, R>(
     ctx: &TaskContext,
     op: u64,
-    zero: &U,
+    zero: &Arc<U>,
     f: impl FnOnce(&U) -> R,
 ) -> R {
-    ctx.objects.with_or(ObjectId { op, slot: ctx.executor.0 as u64 }, zero, f)
+    ctx.objects.with_or(ObjectId { op, slot: ctx.executor.0 as u64 }, zero.as_ref(), f)
 }
 
-/// Stage 1 of split and allreduce aggregation, the reduced-result stage
-/// (IMM): one task per partition folds it with `seq_op` and merges the
-/// result into its executor's aggregator of `op`, so after the stage there
-/// is exactly one aggregator per executor and nothing has been serialized.
-/// Returns the stage's task attempts.
+/// The reduced-result stage (IMM) of split, allreduce and IMM tree
+/// aggregation, in the shape of the paper's SpawnRDD fold (§4).
+///
+/// Every executor runs `min(cores_per_executor, its partitions)` lane
+/// tasks. A lane owns a contiguous block of that executor's partitions, in
+/// index order: it clones `zero` once, folds every partition of its block
+/// into that one accumulator with `seq_op`, and merges it into the
+/// executor's aggregator of `op` once. With one core per executor `merge_op`
+/// never runs; with more, lanes merge in completion order. After the stage
+/// there is exactly one aggregator per executor and nothing has been
+/// serialized. A failed lane resubmits the whole stage. Returns the stage's
+/// task attempts.
 pub(crate) fn imm_stage<T, U, S, M>(
     inner: &Arc<ClusterInner>,
     rdd: &RddRef<T>,
     op: u64,
     label: &str,
-    zero: &U,
+    zero: &Arc<U>,
     seq_op: S,
     merge_op: M,
 ) -> EngineResult<u32>
@@ -491,20 +505,42 @@ where
     S: Fn(U, &T) -> U + Send + Sync + 'static,
     M: Fn(&mut U, U) + Send + Sync + 'static,
 {
+    let lanes = imm_lanes(&partition_assignments(inner, rdd), inner.spec().cores_per_executor);
+    let executors: Vec<ExecutorId> = lanes.iter().map(|(e, _)| *e).collect();
     let rdd = rdd.clone();
     let zero = zero.clone();
     let (_, attempts) = inner.run_stage(
         label,
-        &partition_assignments(inner, &rdd),
-        move |idx, _attempt, ctx| {
-            let acc = fold_partition(&rdd, idx, ctx, zero.clone(), &seq_op);
-            let id = ObjectId { op, slot: ctx.executor.0 as u64 };
-            ctx.objects.merge_in(id, acc, &merge_op);
+        &executors,
+        move |lane, _attempt, ctx| {
+            let acc = lanes[lane].1.iter().fold(U::clone(&zero), |acc, &part| {
+                fold_partition(&rdd, part, ctx, acc, &seq_op)
+            });
+            ctx.objects.merge_in(ObjectId { op, slot: ctx.executor.0 as u64 }, acc, &merge_op);
             Ok(())
         },
         RecoveryPolicy::ResubmitStage { op },
     )?;
     Ok(attempts)
+}
+
+/// Splits each executor's partitions, in index order, into
+/// `min(cores, partitions)` contiguous blocks: one `(executor, block)` per
+/// lane, executors in id order.
+fn imm_lanes(assignments: &[ExecutorId], cores: usize) -> Vec<(ExecutorId, Vec<usize>)> {
+    let mut by_executor: BTreeMap<ExecutorId, Vec<usize>> = BTreeMap::new();
+    for (part, exec) in assignments.iter().enumerate() {
+        by_executor.entry(*exec).or_default().push(part);
+    }
+    let mut lanes = Vec::new();
+    for (exec, parts) in by_executor {
+        let n = cores.clamp(1, parts.len());
+        for lane in 0..n {
+            let (lo, hi) = slice_bounds(parts.len(), lane, n);
+            lanes.push((exec, parts[lo..hi].to_vec()));
+        }
+    }
+    lanes
 }
 
 #[cfg(test)]
@@ -651,12 +687,22 @@ mod tests {
     }
 
     #[test]
-    fn imm_merges_in_completion_order() {
-        // A one-core executor completes its tasks in partition order, so its
-        // IMM value is the left fold of the partitions. Any other grouping of
-        // these values rounds to a different sum.
+    fn imm_lane_folds_its_block_in_partition_order() {
+        // One lane folds both partitions into one accumulator: the serial
+        // left fold. Folding each partition from zero and merging the two
+        // rounds differently: 1e16 + 4 rather than 1e16.
+        use crate::rdds::GeneratedRdd;
+        let items = [1e16, 1.0, 1.0, 1.0, 1.0];
+        let serial = items.iter().fold(0.0f64, |a, x| a + x);
+        assert_ne!(serial, items[0] + items[1..].iter().sum::<f64>());
         let cluster = LocalCluster::new(ClusterSpec::local(1, 1));
-        let rdd: RddRef<f64> = Arc::new(ParallelCollection::new(vec![1e16, 1.0, -1e16, 1.0], 4));
+        let rdd: RddRef<f64> = Arc::new(GeneratedRdd::new(2, move |p| {
+            if p == 0 {
+                items[..1].to_vec()
+            } else {
+                items[1..].to_vec()
+            }
+        }));
         let (v, _) = split_aggregate(
             &cluster,
             rdd,
@@ -669,7 +715,47 @@ mod tests {
             SplitAggOpts::default(),
         )
         .unwrap();
-        assert_eq!(v, 1.0, "((1e16 + 1) - 1e16) + 1");
+        assert_eq!(v.to_bits(), serial.to_bits(), "{v} vs the serial fold's {serial}");
+    }
+
+    #[test]
+    fn imm_runs_one_task_per_lane() {
+        // (executors, cores, partitions) -> IMM tasks: min(cores, its
+        // partitions) lanes per executor, none on an executor without any.
+        for (executors, cores, parts, lanes) in [(2, 2, 6, 4), (3, 1, 2, 2), (4, 1, 8, 4)] {
+            let cluster = LocalCluster::new(ClusterSpec::local(executors, cores));
+            let data: Vec<u64> = (1..=64).collect();
+            let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(data, parts));
+            let (v, _) = split_aggregate(
+                &cluster,
+                rdd,
+                0.0f64,
+                |acc, x| acc + *x as f64,
+                |a, b| *a += b,
+                |u, i, _n| if i == 0 { *u } else { 0.0 },
+                |a, b| *a += b,
+                |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
+                SplitAggOpts::default(),
+            )
+            .unwrap();
+            assert_eq!(v, 2080.0, "{executors}x{cores}, {parts} partitions");
+            let imm = cluster
+                .history()
+                .snapshot()
+                .into_iter()
+                .find(|e| e.label == "split-imm-op1")
+                .expect("IMM stage recorded");
+            assert_eq!(imm.tasks, lanes, "{executors}x{cores}, {parts} partitions");
+        }
+    }
+
+    #[test]
+    fn imm_lanes_are_contiguous_blocks_in_partition_order() {
+        let (e0, e1) = (ExecutorId(0), ExecutorId(1));
+        // Round-robin placement: executor 0 owns 0, 2, 4; executor 1 owns 1, 3.
+        let lanes = imm_lanes(&[e0, e1, e0, e1, e0], 2);
+        assert_eq!(lanes, vec![(e0, vec![0, 2]), (e0, vec![4]), (e1, vec![1]), (e1, vec![3])]);
+        assert_eq!(imm_lanes(&[e1, e1], 4), vec![(e1, vec![0]), (e1, vec![1])]);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! Mirrors `RDD.treeAggregate` in Spark:
 //!
-//! 1. **Compute stage** — one task per partition folds the partition into an
-//!    aggregator with `seqOp`. Stock Spark keeps one aggregator per
-//!    partition; with In-Memory Merge (`imm: true`) tasks merge into a
-//!    single shared aggregator per executor instead (paper §3.2), shrinking
-//!    the number of objects that must ever be serialized.
+//! 1. **Compute stage** — stock Spark runs one task per partition, folding
+//!    it into an aggregator of its own with `seqOp`. With In-Memory Merge
+//!    (`imm: true`) the stage is split aggregation's `imm_stage`, the
+//!    paper's SpawnRDD fold: one lane task per executor core folds a block of
+//!    partitions into one accumulator and merges it into the executor's
+//!    single shared aggregator (paper §3.2), shrinking the number of objects
+//!    that must ever be serialized.
 //! 2. **Shuffle rounds** — while more than `scale + n/scale` aggregators
 //!    remain (`scale = ⌈n^(1/depth)⌉`, Spark's formula), aggregators are
 //!    hashed down to `n/scale` reducers: each is serialized on its source
@@ -32,6 +34,7 @@ use crate::cluster::{LocalCluster, RecoveryPolicy};
 use crate::metrics::{AggMetrics, AggStrategy};
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
+use crate::ops::split_aggregate::imm_stage;
 use crate::rdd::{Data, RddRef};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
@@ -79,9 +82,9 @@ where
     }
     let nexec = inner.num_executors();
     let assignments = partition_assignments(&inner, &rdd);
-    let seq = Arc::new(seq);
     let comb = Arc::new(comb);
-    let zero_shared = zero.clone();
+    // One zero per op: every stage closure borrows it.
+    let zero = Arc::new(zero);
 
     let mut metrics = AggMetrics::new(if opts.imm { AggStrategy::TreeImm } else { AggStrategy::Tree });
     let ser_bytes = Arc::new(AtomicU64::new(0));
@@ -97,32 +100,31 @@ where
         format!("{}-compute-op{op}", metrics.strategy.name()),
     );
     let stage_label = format!("tree-compute-op{op}");
-    let (policy, imm) = if opts.imm {
-        (RecoveryPolicy::ResubmitStage { op }, true)
-    } else {
-        (RecoveryPolicy::RetryTask, false)
-    };
-    {
-        let rdd = rdd.clone();
-        let seq = seq.clone();
+    metrics.task_attempts += if opts.imm {
         let comb = comb.clone();
-        let zero = zero_shared.clone();
+        let merge_zero = zero.clone();
+        imm_stage(&inner, &rdd, op, &stage_label, &zero, seq, move |a, b| {
+            combine_into(a, b, &merge_zero, comb.as_ref())
+        })?
+    } else {
+        let rdd = rdd.clone();
+        let comb = comb.clone();
+        let zero = zero.clone();
         let (_, attempts) = inner.run_stage(
             &stage_label,
             &assignments,
             move |idx, _attempt, ctx| {
-                let acc = fold_partition(&rdd, idx, ctx, zero.clone(), seq.as_ref());
-                let slot = if imm { ctx.executor.0 as u64 } else { idx as u64 };
-                ctx.objects.merge_in(ObjectId { op, slot }, acc, |a, b| {
+                let acc = fold_partition(&rdd, idx, ctx, U::clone(&zero), &seq);
+                ctx.objects.merge_in(ObjectId { op, slot: idx as u64 }, acc, |a, b| {
                     combine_into(a, b, &zero, comb.as_ref())
                 });
                 Ok(())
             },
-            policy,
+            RecoveryPolicy::RetryTask,
         )?;
-        metrics.task_attempts += attempts;
-        metrics.stages += 1;
-    }
+        attempts
+    };
+    metrics.stages += 1;
     metrics.compute = compute_span.finish();
 
     // Holders of live aggregators after the compute stage.
@@ -146,7 +148,7 @@ where
     while holders.len() > scale + holders.len() / scale {
         let m = (holders.len() / scale).max(1);
         holders = shuffle_round(
-            cluster, op, level, &holders, m, nexec, &comb, &zero_shared, &ser_bytes, &messages,
+            cluster, op, level, &holders, m, nexec, &comb, &zero, &ser_bytes, &messages,
             &mut metrics,
         )?;
         level += 1;
@@ -185,7 +187,7 @@ where
         Layer::Driver,
         format!("{}-driver-merge-op{op}", metrics.strategy.name()),
     );
-    let mut acc = zero;
+    let mut acc = Arc::unwrap_or_clone(zero);
     for exec in &final_assignments {
         let frame = inner.driver_recv(*exec)?;
         metrics.bytes_to_driver += frame.len() as u64;
@@ -225,7 +227,7 @@ pub(crate) fn shuffle_round<U, C>(
     m: usize,
     nexec: usize,
     comb: &Arc<C>,
-    zero: &U,
+    zero: &Arc<U>,
     ser_bytes: &Arc<AtomicU64>,
     messages: &Arc<AtomicU64>,
     metrics: &mut AggMetrics,

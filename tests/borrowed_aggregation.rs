@@ -5,8 +5,10 @@
 //! * `split_aggregate` over a warm cached dataset clones no item and no
 //!   aggregator that anything has been folded or merged into, on the ring
 //!   path, on the tree fallback and for executors that own no partition.
-//!   Clones of the pristine zero (one per compute task, one per stage
-//!   closure) are the only ones left, and their number is pinned.
+//!   The only clones left are of the pristine zero, one per IMM lane (one
+//!   lane per core of an executor that owns a partition), and their number
+//!   is pinned. Stage closures borrow the op's one shared zero and clone
+//!   none.
 //! * A gang retry re-reads the borrowed input: an injected task failure and
 //!   a dropped frame both give the exact result on the second attempt, and a
 //!   gang that exhausts its budget still finds the aggregators intact for
@@ -234,8 +236,8 @@ fn clones_of(
 fn ring_path_clones_no_item_and_no_folded_aggregator() {
     let (clones, m) = clones_of(4, 8, SplitAggOpts::default());
     assert!(!m.downgraded);
-    // Pristine zeros: the two stage closures and one per compute task.
-    assert_eq!(clones, (0, 2 + 8, 0));
+    // Pristine zeros: one per lane, four one-core executors.
+    assert_eq!(clones, (0, 4, 0));
 }
 
 #[test]
@@ -246,17 +248,17 @@ fn tree_fallback_clones_no_item_and_no_folded_aggregator() {
     };
     let (clones, m) = clones_of(4, 8, opts);
     assert_eq!(m.strategy, AggStrategy::Split);
-    // The seeding stage's closure takes the place of the ring stage's.
-    assert_eq!(clones, (0, 2 + 8, 0));
+    // The seeding stage borrows the shared zero, as the ring stage does.
+    assert_eq!(clones, (0, 4, 0));
 }
 
 #[test]
 fn executors_without_a_partition_split_the_borrowed_zero() {
-    // 4 partitions on 6 executors: two executors hold no aggregator and
-    // split `&zero` itself.
+    // 4 partitions on 6 executors: two executors run no lane, hold no
+    // aggregator and split `&zero` itself.
     let (clones, m) = clones_of(6, 4, SplitAggOpts::default());
     assert!(!m.downgraded);
-    assert_eq!(clones, (0, 2 + 4, 0));
+    assert_eq!(clones, (0, 4, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -273,8 +275,9 @@ fn retry_spec() -> ClusterSpec {
         .with_stage_timeout(Duration::from_secs(60))
 }
 
-/// 8 compute tasks, then a gang of 4 that ran twice.
-const ATTEMPTS_WITH_ONE_GANG_RETRY: u32 = 8 + 4 + 4;
+/// 4 IMM lanes (8 partitions on 4 one-core executors), then a gang of 4
+/// that ran twice.
+const ATTEMPTS_WITH_ONE_GANG_RETRY: u32 = 4 + 4 + 4;
 
 #[test]
 fn injected_ring_task_failure_retries_on_the_same_input() {
@@ -287,7 +290,7 @@ fn injected_ring_task_failure_retries_on_the_same_input() {
     assert_eq!(v, expected());
     assert!(!m.downgraded);
     assert_eq!(m.task_attempts, ATTEMPTS_WITH_ONE_GANG_RETRY);
-    assert_eq!(clones.read(), (0, 2 + 8, 0));
+    assert_eq!(clones.read(), (0, 4, 0));
 }
 
 #[test]
@@ -300,7 +303,7 @@ fn dropped_frame_retries_on_the_same_input() {
     assert_eq!(v, expected());
     assert!(!m.downgraded);
     assert_eq!(m.task_attempts, ATTEMPTS_WITH_ONE_GANG_RETRY);
-    assert_eq!(clones.read(), (0, 2 + 8, 0));
+    assert_eq!(clones.read(), (0, 4, 0));
 }
 
 #[test]
@@ -315,8 +318,8 @@ fn exhausted_gang_downgrades_to_the_tree_on_intact_aggregators() {
         m.downgraded,
         "both gang attempts fail on the killed executor"
     );
-    // The ring stage's closure and the seeding stage's each captured a zero.
-    assert_eq!(clones.read(), (0, 3 + 8, 0));
+    // Both gang attempts and the seeding stage borrow the shared zero.
+    assert_eq!(clones.read(), (0, 4, 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -123,6 +123,7 @@ run 1 "bench_trend"        tools/bench_trend.sh
 # --- tier 2: chaos + property suites under timeouts ----------------------
 run 2 "chaos_collectives"  timeout 180 cargo test -q --offline -p sparker-repro --test chaos_collectives
 run 2 "fault_tolerance"    timeout 180 cargo test -q --offline -p sparker-repro --test fault_tolerance
+run 2 "borrowed_aggregation" timeout 180 cargo test -q --offline -p sparker-repro --test borrowed_aggregation
 run 2 "prop_payload"       timeout 180 cargo test -q --offline -p sparker-repro --test prop_payload
 run 2 "prop_pool"          timeout 180 cargo test -q --offline -p sparker-repro --test prop_pool
 run 2 "prop_collectives"   timeout 180 cargo test -q --offline -p sparker-repro --test prop_collectives
