@@ -103,13 +103,23 @@ pub fn slice_bounds(len: usize, i: usize, n: usize) -> (usize, usize) {
     (start, end)
 }
 
-/// Inverse of [`slice_bounds`]: joins pieces in order into one vector that
-/// is allocated once at its final length (the `concatOp` every array-backed
-/// aggregator uses).
-pub fn concat<'a>(pieces: impl IntoIterator<Item = &'a [f64]> + Clone) -> Vec<f64> {
-    let mut out = Vec::with_capacity(pieces.clone().into_iter().map(<[f64]>::len).sum());
+/// Inverse of [`slice_bounds`]: joins pieces in order into one vector (the
+/// `concatOp` every array-backed aggregator uses), dropping each piece once
+/// it is copied, so a lazily decoded gather holds one piece at a time.
+///
+/// The output is allocated once, at the first piece's length times the
+/// piece count: exact or a little over for a `slice_bounds` split, whose
+/// first piece is the longest.
+pub fn concat(mut pieces: impl ExactSizeIterator<Item = Vec<f64>>) -> Vec<f64> {
+    let count = pieces.len();
+    let Some(first) = pieces.next() else {
+        return Vec::new();
+    };
+    let mut out = Vec::with_capacity(first.len() * count);
+    out.extend_from_slice(&first);
+    drop(first);
     for piece in pieces {
-        out.extend_from_slice(piece);
+        out.extend_from_slice(&piece);
     }
     out
 }
@@ -169,17 +179,20 @@ mod tests {
     }
 
     #[test]
-    fn concat_inverts_slice_bounds_at_exact_capacity() {
+    fn concat_inverts_slice_bounds_in_one_allocation() {
         let v: Vec<f64> = (0..37).map(f64::from).collect();
-        let pieces: Vec<&[f64]> = (0..5)
+        let pieces: Vec<Vec<f64>> = (0..5)
             .map(|i| {
                 let (s, e) = slice_bounds(v.len(), i, 5);
-                &v[s..e]
+                v[s..e].to_vec()
             })
             .collect();
-        let joined = concat(pieces.iter().copied());
+        let joined = concat(pieces.into_iter());
         assert_eq!(joined, v);
-        assert_eq!(joined.capacity(), v.len());
+        // Pieces of 8, 8, 7, 7, 7: the first is the longest, so 5 × 8 covers
+        // the whole and the output never grew.
+        assert_eq!(joined.capacity(), 40);
+        assert!(concat(Vec::<Vec<f64>>::new().into_iter()).is_empty());
     }
 
     #[test]

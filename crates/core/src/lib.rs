@@ -103,15 +103,11 @@ pub use sparker_tuner as tuner;
 /// paper workload uses — Figure 7's `Array[Double]` pairs).
 pub mod dense {
     pub use sparker_ml::aggregator::{
-        merge_dense as merge, merge_segments, split_dense as split, zeros,
+        concat_segments as concat, merge_dense as merge, merge_segments, split_dense as split,
+        zeros,
     };
     use sparker_collectives::segment::SumSegment;
     use sparker_net::codec::F64Array;
-
-    /// `concatOp` returning the segment type (engine signature).
-    pub fn concat(segments: Vec<SumSegment>) -> SumSegment {
-        SumSegment(sparker_ml::aggregator::concat_dense(segments).0)
-    }
 
     /// Unwraps a concatenated segment into a plain vector.
     pub fn to_vec(seg: SumSegment) -> Vec<f64> {
@@ -145,6 +141,7 @@ pub mod sparse {
 
 /// Everything a typical user needs in scope.
 pub mod prelude {
+    pub use sparker_collectives::gather::Segments;
     pub use sparker_collectives::segment::{slice_bounds, SumSegment, U64SumSegment};
     pub use sparker_engine::cluster::LocalCluster;
     pub use sparker_engine::config::ClusterSpec;
@@ -190,7 +187,7 @@ mod tests {
         acc.add(7, -3.0);
         let segs: Vec<DenseOrSparse> = (0..3).map(|i| crate::sparse::split(&acc, i, 3)).collect();
         assert!(segs.iter().all(DenseOrSparse::is_sparse));
-        let back = crate::sparse::concat(segs);
+        let back = crate::sparse::concat(segs.into());
         assert_eq!(back.to_dense(), acc.to_dense());
     }
 
@@ -198,7 +195,7 @@ mod tests {
     fn dense_helpers_roundtrip() {
         let agg = F64Array(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         let segs: Vec<SumSegment> = (0..3).map(|i| crate::dense::split(&agg, i, 3)).collect();
-        let back = crate::dense::concat(segs);
+        let back = crate::dense::concat(segs.into());
         assert_eq!(crate::dense::to_vec(back), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 }

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use sparker_collectives::gather::Segments;
 use sparker_net::codec::Payload;
 
 use crate::cluster::LocalCluster;
@@ -198,7 +199,7 @@ impl<T: Data> Dataset<T> {
         merge: impl Fn(&mut U, U) + Send + Sync + 'static,
         split: impl Fn(&U, usize, usize) -> V + Send + Sync + 'static,
         reduce: impl Fn(&mut V, V) + Send + Sync + 'static,
-        concat: impl Fn(Vec<V>) -> V + Send + Sync + 'static,
+        concat: impl Fn(Segments<'_, V>) -> V + Send + Sync + 'static,
         parallelism: Option<usize>,
     ) -> EngineResult<crate::ops::allreduce_aggregate::AllReduceOutput<V>>
     where
@@ -227,7 +228,7 @@ impl<T: Data> Dataset<T> {
         merge: impl Fn(&mut U, U) + Send + Sync + 'static,
         split: impl Fn(&U, usize, usize) -> V + Send + Sync + 'static,
         reduce: impl Fn(&mut V, V) + Send + Sync + 'static,
-        concat: impl FnOnce(Vec<V>) -> V,
+        concat: impl FnOnce(Segments<'_, V>) -> V,
         opts: SplitAggOpts,
     ) -> EngineResult<(V, AggMetrics)>
     where

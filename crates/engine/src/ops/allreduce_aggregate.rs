@@ -25,6 +25,7 @@ use sparker_net::codec::Payload;
 use sparker_net::topology::ExecutorId;
 
 use sparker_collectives::allreduce::ring_allreduce_by;
+use sparker_collectives::gather::Segments;
 
 use crate::cluster::{LocalCluster, RecoveryPolicy};
 use crate::metrics::{AggMetrics, AggStrategy};
@@ -73,7 +74,7 @@ where
     M: Fn(&mut U, U) + Send + Sync + 'static,
     Sp: Fn(&U, usize, usize) -> V + Send + Sync + 'static,
     R: Fn(&mut V, V) + Send + Sync + 'static,
-    C: Fn(Vec<V>) -> V + Send + Sync + 'static,
+    C: Fn(Segments<'_, V>) -> V + Send + Sync + 'static,
 {
     let inner = cluster.inner().clone();
     let _action = inner.lock_action();
@@ -131,7 +132,7 @@ where
                 let comm = inner2.collective_comm(&ring, ctx.executor, op, attempt);
                 let all = ring_allreduce_by(&comm, segments, &|a: &mut V, b: V| reduce(a, b))
                     .map_err(TaskFailure::from)?;
-                let value = concat(all);
+                let value = concat(Segments::from(all));
 
                 if ctx.executor == reporter {
                     let frame = value.to_frame();
@@ -199,7 +200,7 @@ mod tests {
                     *x += y;
                 }
             },
-            |segs: Vec<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
+            |segs: Segments<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
             Some(2),
         )
         .inspect(|out| {

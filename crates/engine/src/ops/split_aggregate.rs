@@ -17,9 +17,14 @@
 //!    the user's `reduceOp`. Each executor finishes owning `P` fully-reduced
 //!    segments. (The selected algorithm is run by [`crate::ops::reduce`],
 //!    the same dispatch the multi-process executor uses.)
-//! 3. **Gather + concat** — owned segments are serialized and collected to
-//!    the driver over Spark's normal result path, where the user's
-//!    `concatOp` reassembles the final value `V`.
+//! 3. **Gather + concat** — owned segments are serialized, in index order,
+//!    and collected to the driver over Spark's normal result path, where the
+//!    user's `concatOp` reassembles the final value `V`. Concat receives the
+//!    paper's `Seq[V]` as [`Segments`]: each segment is decoded from its
+//!    executor's frame when concat asks for it, so next to the frames and
+//!    concat's output the driver holds at most one decoded segment, not a
+//!    second, decoded copy of the aggregator. A malformed gather is an
+//!    error and concat's value is dropped.
 //!
 //! Compared to tree aggregation, per-executor traffic drops from
 //! `O(log N)` whole aggregators to `(N−1)/N`-th of one aggregator, and the
@@ -36,7 +41,7 @@ use sparker_obs::Layer;
 use sparker_net::codec::Payload;
 use sparker_net::topology::ExecutorId;
 
-use sparker_collectives::gather::in_index_order;
+use sparker_collectives::gather::{Gather, Segments};
 use sparker_collectives::ring::OwnedSegment;
 use sparker_collectives::segment::slice_bounds;
 
@@ -119,7 +124,8 @@ impl Default for SplitAggOpts {
 /// * `merge_op(&mut a, b)` — merges two aggregators inside one executor.
 /// * `split_op(&u, i, n) -> V` — extracts segment `i` of `n`.
 /// * `reduce_op(&mut a, b)` — merges two aggregator-segments.
-/// * `concat_op(segments) -> V` — reassembles the final value.
+/// * `concat_op(segments) -> V` — reassembles the final value from the
+///   segments in index order, decoded one at a time ([`Segments`]).
 #[allow(clippy::too_many_arguments)]
 pub fn split_aggregate<T, U, V, S, M, Sp, R, C>(
     cluster: &LocalCluster,
@@ -140,7 +146,7 @@ where
     M: Fn(&mut U, U) + Send + Sync + 'static,
     Sp: Fn(&U, usize, usize) -> V + Send + Sync + 'static,
     R: Fn(&mut V, V) + Send + Sync + 'static,
-    C: FnOnce(Vec<V>) -> V,
+    C: FnOnce(Segments<'_, V>) -> V,
 {
     let inner = cluster.inner().clone();
     let _action = inner.lock_action();
@@ -266,13 +272,15 @@ where
                 // gang resubmission re-reads the same input and the tree
                 // fallback finds it intact if the gang exhausts. (A tree
                 // primary never launches this stage.)
-                let owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
+                let mut owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
                     reduce_scatter(&comm, algo, &|g| split(u, g, total_segments), &merge)
                 })
                 .map_err(TaskFailure::from)?;
 
                 // Gather: the owned segments are this task's result over the
-                // normal (BlockManager) result path.
+                // normal (BlockManager) result path, in the ascending index
+                // order the driver's lazy decode reads them in.
+                owned.sort_unstable_by_key(|o| o.index);
                 let frame = owned.to_frame();
                 ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
                 inner2.bm_send_to_driver(ctx.executor, frame)?;
@@ -296,14 +304,15 @@ where
                 Layer::Driver,
                 format!("{}-driver-merge-op{op}", strategy.name()),
             );
-            let mut gathered = Vec::with_capacity(total_segments);
+            let mut frames = Vec::with_capacity(nexec);
             for exec in &all_execs {
                 let frame = inner.driver_recv(*exec)?;
                 metrics.bytes_to_driver += frame.len() as u64;
-                gathered.extend(Vec::<OwnedSegment<V>>::from_frame(frame)?);
+                frames.push(frame);
             }
-            let segments = in_index_order(total_segments, gathered)?;
-            let result = concat_op(segments);
+            let mut gather = Gather::new(total_segments, frames)?;
+            let result = concat_op(gather.segments());
+            gather.finish()?;
             metrics.driver_merge = merge_span.finish();
             extra_messages = nexec as u64;
             result
@@ -438,7 +447,7 @@ where
                     acc.len()
                 )));
             }
-            let result = concat_op(acc);
+            let result = concat_op(Segments::from(acc));
             metrics.driver_merge = merge_span.finish();
             extra_messages = messages.load(Ordering::Relaxed) + final_assignments.len() as u64;
             result
@@ -550,7 +559,9 @@ mod tests {
     use crate::metrics::AggStrategy;
     use crate::rdds::ParallelCollection;
     use sparker_collectives::segment::slice_bounds;
-    use sparker_net::codec::F64Array;
+    use sparker_net::codec::{Decoder, Encoder, F64Array};
+    use sparker_net::error::{NetError, NetResult};
+    use std::sync::atomic::{AtomicBool, AtomicIsize};
 
     /// Sums vectors of f64 across partitions via split aggregation.
     fn run_split(
@@ -599,7 +610,7 @@ mod tests {
                     *x += y;
                 }
             },
-            |segs: Vec<F64Array>| {
+            |segs: Segments<F64Array>| {
                 F64Array(segs.into_iter().flat_map(|s| s.0).collect())
             },
             opts,
@@ -646,7 +657,7 @@ mod tests {
             |a: &mut u64, b: u64| *a += b,
             |u: &u64, i: usize, _n: usize| if i == 0 { *u } else { 0 },
             |a: &mut u64, b: u64| *a += b,
-            |segs: Vec<u64>| segs.into_iter().sum::<u64>(),
+            |segs: Segments<u64>| segs.into_iter().sum::<u64>(),
             opts,
         );
         assert!(matches!(got, Err(EngineError::Invalid(_))), "{got:?}");
@@ -667,7 +678,7 @@ mod tests {
             |a: &mut u64, b: u64| *a += b,
             |u: &u64, i: usize, _n: usize| if i == 0 { *u } else { 0 },
             |a: &mut u64, b: u64| *a += b,
-            |segs: Vec<u64>| segs.into_iter().sum::<u64>(),
+            |segs: Segments<u64>| segs.into_iter().sum::<u64>(),
             opts,
         )
         .unwrap();
@@ -711,7 +722,7 @@ mod tests {
             |a: &mut f64, b: f64| *a += b,
             |u: &f64, i: usize, _n: usize| if i == 0 { *u } else { 0.0 },
             |a: &mut f64, b: f64| *a += b,
-            |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
+            |segs: Segments<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts::default(),
         )
         .unwrap();
@@ -734,7 +745,7 @@ mod tests {
                 |a, b| *a += b,
                 |u, i, _n| if i == 0 { *u } else { 0.0 },
                 |a, b| *a += b,
-                |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
+                |segs: Segments<f64>| segs.into_iter().sum::<f64>(),
                 SplitAggOpts::default(),
             )
             .unwrap();
@@ -862,7 +873,7 @@ mod tests {
             |a, b| *a += b,
             |u, i, _n| if i == 0 { *u } else { 0.0 },
             |a, b| *a += b,
-            |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
+            |segs: Segments<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts {
                 selector: SelectorOpts::Forced(Algo::ChunkedRing(0)),
                 ..Default::default()
@@ -931,7 +942,7 @@ mod tests {
             |a, b| *a += b,
             |u, i, _n| if i == 0 { *u } else { 0.0 },
             |a, b| *a += b,
-            |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
+            |segs: Segments<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts {
                 parallelism: Some(2),
                 selector: SelectorOpts::Forced(Algo::Tree),
@@ -974,6 +985,147 @@ mod tests {
         assert!(
             snap.iter().any(|s| s.name == "tuner.predict_vs_actual_permille"),
             "observe() must publish the feedback gauge: {snap:?}"
+        );
+    }
+
+    /// Decoded `Tracked` values alive right now.
+    static LIVE_DECODED: AtomicIsize = AtomicIsize::new(0);
+
+    /// A `u64` sum segment that counts its decoded instances while they live.
+    #[derive(Debug)]
+    struct Tracked {
+        values: Vec<u64>,
+        decoded: bool,
+    }
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            Self { values: self.values.clone(), decoded: false }
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            if self.decoded {
+                LIVE_DECODED.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    impl Payload for Tracked {
+        fn encode_into(&self, enc: &mut Encoder) {
+            enc.put_u64_slice(&self.values);
+        }
+        fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
+            let values = dec.get_u64_vec()?;
+            LIVE_DECODED.fetch_add(1, Ordering::SeqCst);
+            Ok(Self { values, decoded: true })
+        }
+        fn size_hint(&self) -> usize {
+            8 + 8 * self.values.len()
+        }
+    }
+
+    #[test]
+    fn driver_holds_at_most_one_gathered_segment_during_concat() {
+        let dim = 37;
+        let cluster = LocalCluster::local(4, 1);
+        let rdd: RddRef<u64> = Arc::new(ParallelCollection::new((1..=64).collect(), 8));
+        let most_alive = Arc::new(AtomicIsize::new(0));
+        let seen = most_alive.clone();
+        let (v, _) = split_aggregate(
+            &cluster,
+            rdd,
+            vec![0u64; dim],
+            |mut acc: Vec<u64>, x: &u64| {
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a += x * (j as u64 + 1);
+                }
+                acc
+            },
+            |a: &mut Vec<u64>, b: Vec<u64>| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+            },
+            |u: &Vec<u64>, i: usize, n: usize| {
+                let (lo, hi) = slice_bounds(u.len(), i, n);
+                Tracked { values: u[lo..hi].to_vec(), decoded: false }
+            },
+            |a: &mut Tracked, b: Tracked| {
+                for (x, y) in a.values.iter_mut().zip(&b.values) {
+                    *x += y;
+                }
+            },
+            move |segs: Segments<Tracked>| {
+                assert_eq!(segs.len(), 8, "P·N = 2·4 segments");
+                let alive = LIVE_DECODED.load(Ordering::SeqCst);
+                assert_eq!(alive, 0, "nothing decoded before concat asks");
+                let mut values = Vec::new();
+                for seg in segs {
+                    let alive = LIVE_DECODED.load(Ordering::SeqCst);
+                    assert!(alive <= 1, "{alive} decoded segments alive");
+                    seen.fetch_max(alive, Ordering::SeqCst);
+                    values.extend_from_slice(&seg.values);
+                }
+                Tracked { values, decoded: false }
+            },
+            SplitAggOpts { parallelism: Some(2), ..Default::default() },
+        )
+        .unwrap();
+        let total: u64 = (1..=64).sum();
+        let serial: Vec<u64> = (0..dim as u64).map(|j| total * (j + 1)).collect();
+        assert_eq!(v.values, serial);
+        assert_eq!(most_alive.load(Ordering::SeqCst), 1, "the count saw each decoded segment");
+    }
+
+    /// A `u64` whose decode rejects values above 5, so a sum that only the
+    /// owning executor ever holds fails to decode at the driver alone.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Capped(u64);
+
+    impl Payload for Capped {
+        fn encode_into(&self, enc: &mut Encoder) {
+            enc.put_u64(self.0);
+        }
+        fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
+            match dec.get_u64()? {
+                v if v > 5 => Err(NetError::Codec(format!("{v} is over the cap"))),
+                v => Ok(Self(v)),
+            }
+        }
+        fn size_hint(&self) -> usize {
+            8
+        }
+    }
+
+    #[test]
+    fn malformed_gather_is_an_error_not_concats_partial_value() {
+        // Executors hold 3 and 4; segment 1 carries them, and only its
+        // owner ever holds their sum 7. Concat sees segment 0, then the
+        // sequence ends at the segment the driver cannot decode.
+        let cluster = LocalCluster::local(2, 1);
+        let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(vec![3, 4], 2));
+        let concat_ran = Arc::new(AtomicBool::new(false));
+        let ran = concat_ran.clone();
+        let got = split_aggregate(
+            &cluster,
+            rdd,
+            0u64,
+            |a: u64, x: &u64| a + x,
+            |a: &mut u64, b: u64| *a += b,
+            |u: &u64, i: usize, _n: usize| Capped(if i == 1 { *u } else { 0 }),
+            |a: &mut Capped, b: Capped| a.0 += b.0,
+            move |segs: Segments<Capped>| {
+                ran.store(true, Ordering::SeqCst);
+                Capped(segs.map(|s| s.0).sum())
+            },
+            SplitAggOpts { parallelism: Some(1), ..Default::default() },
+        );
+        assert!(concat_ran.load(Ordering::SeqCst), "the failure is in the gather, not the ring");
+        assert!(
+            matches!(got, Err(EngineError::Net(NetError::Codec(_)))),
+            "{got:?}"
         );
     }
 

@@ -8,7 +8,7 @@
 //!
 //! * `splitOp(u, i, n)` → contiguous slice `i` of `n` ([`split_dense`]);
 //! * `reduceOp(a, b)` → element-wise add ([`merge_segments`]);
-//! * `concatOp(segments)` → concatenation ([`concat_dense`]).
+//! * `concatOp(segments)` → concatenation ([`concat_segments`]).
 //!
 //! Property: for any vector and any `(i, n)` decomposition,
 //! `concat(split(u)) == u` and split-then-reduce equals reduce-then-split —
@@ -20,6 +20,7 @@
 //! gradients, LDA word counts) ship only their non-zeros until merge
 //! fill-in makes dense cheaper.
 
+use sparker_collectives::gather::Segments;
 pub use sparker_collectives::segment::{slice_bounds, SumSegment};
 use sparker_collectives::segment::concat;
 pub use sparker_sparse::{
@@ -59,9 +60,15 @@ pub fn merge_segments(a: &mut SumSegment, b: SumSegment) {
     }
 }
 
-/// The paper's `concatOp`: segments in index order → full vector.
+/// The paper's `concatOp`: the gathered segments, decoded one at a time in
+/// index order → the full vector, as the segment type the engine returns.
+pub fn concat_segments(segments: Segments<'_, SumSegment>) -> SumSegment {
+    SumSegment(concat(segments.map(|s| s.0)))
+}
+
+/// [`concat_segments`] over segments already held, as an aggregator.
 pub fn concat_dense(segments: Vec<SumSegment>) -> DenseAgg {
-    F64Array(concat(segments.iter().map(|s| s.0.as_slice())))
+    F64Array(concat(segments.into_iter().map(|s| s.0)))
 }
 
 // ---------------------------------------------------------------------------
@@ -96,17 +103,13 @@ pub fn merge_adaptive_segments(a: &mut DenseOrSparse, b: DenseOrSparse) {
     a.merge(&b);
 }
 
-/// `concatOp` on adaptive segments: segments in index order → one
-/// full-length segment, re-choosing its representation by the overall
-/// density (threshold taken from the first segment).
-pub fn concat_adaptive(segments: Vec<DenseOrSparse>) -> DenseOrSparse {
-    let threshold =
-        segments.first().map_or(DEFAULT_DENSITY_THRESHOLD, DenseOrSparse::threshold);
-    let mut dense = Vec::with_capacity(segments.iter().map(DenseOrSparse::dense_len).sum());
-    for seg in segments {
-        dense.extend(seg.into_dense());
-    }
-    DenseOrSparse::from_dense(dense, threshold)
+/// `concatOp` on adaptive segments: segments in index order, decoded one at
+/// a time → one full-length segment, re-choosing its representation by the
+/// overall density (threshold taken from the first segment).
+pub fn concat_adaptive(segments: Segments<'_, DenseOrSparse>) -> DenseOrSparse {
+    let mut segments = segments.peekable();
+    let threshold = segments.peek().map_or(DEFAULT_DENSITY_THRESHOLD, DenseOrSparse::threshold);
+    DenseOrSparse::from_dense(concat(segments.map(DenseOrSparse::into_dense)), threshold)
 }
 
 /// Folds one classification example into a sparse log-loss gradient
@@ -144,6 +147,7 @@ mod tests {
         let u = F64Array((0..103).map(|i| i as f64 * 0.25).collect());
         for n in [1, 2, 7, 16, 103, 200] {
             let segs: Vec<SumSegment> = (0..n).map(|i| split_dense(&u, i, n)).collect();
+            assert_eq!(concat_segments(segs.clone().into()).0, u.0, "n={n}");
             let back = concat_dense(segs);
             assert_eq!(back, u, "n={n}");
         }
@@ -192,7 +196,7 @@ mod tests {
         for n in [1, 2, 7, 16] {
             for split in [split_adaptive, split_sparse] {
                 let segs: Vec<DenseOrSparse> = (0..n).map(|i| split(&u, i, n)).collect();
-                let back = concat_adaptive(segs);
+                let back = concat_adaptive(segs.into());
                 assert_eq!(back.to_dense(), u.to_dense(), "n={n}");
             }
         }

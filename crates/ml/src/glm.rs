@@ -7,7 +7,6 @@
 //! — is [`AggregationMode`].
 
 
-use sparker_collectives::segment::SumSegment;
 use sparker_engine::dataset::Dataset;
 use sparker_engine::metrics::AggMetrics;
 use sparker_engine::ops::split_aggregate::SplitAggOpts;
@@ -16,7 +15,7 @@ use sparker_engine::rdd::Data;
 use sparker_engine::task::EngineResult;
 use sparker_net::codec::F64Array;
 
-use crate::aggregator::{concat_dense, merge_dense, merge_segments, split_dense, zeros, DenseAgg};
+use crate::aggregator::{concat_segments, merge_dense, merge_segments, split_dense, zeros, DenseAgg};
 use crate::linalg::{log1p_exp, norm2, sparse_axpy};
 use crate::point::LabeledPoint;
 
@@ -75,7 +74,7 @@ pub fn aggregate_dense<T: Data>(
                 merge_dense,
                 split_dense,
                 merge_segments,
-                |segs: Vec<SumSegment>| SumSegment(concat_dense(segs).0),
+                concat_segments,
                 opts,
             )?;
             Ok((F64Array(seg.0), metrics))

@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use sparker_collectives::gather::Segments;
 use sparker_engine::config::ClusterSpec;
 use sparker_engine::multiproc::{part_vector, JobOutcome, JobSpec, MultiProcDriver};
 use sparker_engine::ops::split_aggregate::{split_aggregate, SelectorOpts, SplitAggOpts};
@@ -149,8 +150,8 @@ impl Backend for EngineBackend {
                     *x += y;
                 }
             },
-            |segs: Vec<F64Array>| {
-                F64Array(sparker_collectives::segment::concat(segs.iter().map(|s| s.0.as_slice())))
+            |segs: Segments<F64Array>| {
+                F64Array(sparker_collectives::segment::concat(segs.map(|s| s.0)))
             },
             opts,
         );

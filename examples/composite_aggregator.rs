@@ -49,7 +49,7 @@ fn main() {
                     *x += y;
                 }
             },
-            |segs: Vec<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
+            sparker::dense::concat,
             SplitAggOpts::default(),
         )
         .expect("split aggregate");

@@ -210,7 +210,7 @@ fn run(data: &Dataset<Item>, clones: &Arc<Clones>, opts: SplitAggOpts) -> (Vec<f
                     *x += y;
                 }
             },
-            |segs: Vec<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
+            |segs: Segments<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
             opts,
         )
         .unwrap();

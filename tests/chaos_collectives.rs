@@ -79,7 +79,7 @@ fn run_split_chunked(
                 *x += y;
             }
         },
-        |segs: Vec<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
+        |segs: Segments<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
         SplitAggOpts {
             parallelism: Some(2),
             selector: SelectorOpts::Forced(Algo::ChunkedRing(chunks as u8)),
@@ -404,7 +404,7 @@ fn allreduce_gang_recovers_from_a_dropped_frame() {
                     *x += y;
                 }
             },
-            |segs: Vec<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
+            |segs: Segments<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
             Some(2),
         )
         .unwrap();

@@ -44,7 +44,7 @@ fn run(mode: SplitAggOpts) -> CompositeAgg {
                     *x += y;
                 }
             },
-            |segs: Vec<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
+            |segs: Segments<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
             mode,
         )
         .unwrap();

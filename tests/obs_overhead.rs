@@ -42,7 +42,7 @@ fn run_one_split(cluster: &LocalCluster) {
                 *x += y;
             }
         },
-        |segs: Vec<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
+        |segs: Segments<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
         SplitAggOpts::default(),
     )
     .unwrap();
