@@ -53,6 +53,7 @@
 //! partitions straight into its one aggregator (IMM inside the process,
 //! PAPER.md §3.2) instead of building and adding a vector per partition.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -832,13 +833,20 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
     // on this thread and the lanes move their segments out: splitting inside
     // the lanes made `op_ms_p50` @ `tcp_large_jobs` 17% slower on 2 cores.
     let blocks = (0..count).map(|g| agg[ceil_block(spec.dim, count, g)].to_vec());
+    let shape_mismatch = AtomicBool::new(false);
     let result = if spec.sparse {
         let merge = |a: &mut DenseOrSparse, b: DenseOrSparse| a.merge(&b);
         let segs = blocks.map(|v| DenseOrSparse::from_dense(v, spec.threshold)).collect();
         reduce_scatter(&comm, spec.algo, &produce_from(segs), &merge).map(|owned| owned.to_frame())
     } else {
+        // After a dropped link loses frames, a frame of another block can
+        // reach a merge: its length differs, so the attempt fails with a
+        // typed error and the gang retry runs on the healed link.
         let merge = |a: &mut F64Array, b: F64Array| {
-            debug_assert_eq!(a.0.len(), b.0.len());
+            if a.0.len() != b.0.len() {
+                shape_mismatch.store(true, Ordering::Relaxed);
+                return;
+            }
             for (x, y) in a.0.iter_mut().zip(b.0) {
                 *x += y;
             }
@@ -848,6 +856,9 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
     };
 
     match result {
+        Ok(_) if shape_mismatch.load(Ordering::Relaxed) => {
+            job_err(joined, spec, "segment shape mismatch in a dense merge".into())
+        }
         Ok(segments) => ExecMsg::JobOk { id: spec.id, segments },
         Err(e) => job_err(joined, spec, e.to_string()),
     }

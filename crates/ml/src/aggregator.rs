@@ -105,11 +105,11 @@ pub fn merge_adaptive_segments(a: &mut DenseOrSparse, b: DenseOrSparse) {
 
 /// `concatOp` on adaptive segments: segments in index order, decoded one at
 /// a time → one full-length segment, re-choosing its representation by the
-/// overall density (threshold taken from the first segment).
+/// overall density (threshold taken from the first segment). Only the
+/// non-zeros are copied; the dense vector is built only when the result is
+/// dense ([`DenseOrSparse::concat`]).
 pub fn concat_adaptive(segments: Segments<'_, DenseOrSparse>) -> DenseOrSparse {
-    let mut segments = segments.peekable();
-    let threshold = segments.peek().map_or(DEFAULT_DENSITY_THRESHOLD, DenseOrSparse::threshold);
-    DenseOrSparse::from_dense(concat(segments.map(DenseOrSparse::into_dense)), threshold)
+    DenseOrSparse::concat(segments)
 }
 
 /// Folds one classification example into a sparse log-loss gradient

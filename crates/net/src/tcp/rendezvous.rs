@@ -63,11 +63,54 @@ const TAG_PEER: u8 = 3;
 /// Control-payload tag: driver → executor, re-admission to a vacated rank.
 const TAG_REJOIN: u8 = 4;
 
-/// How often pending accepts/connects are re-polled during rendezvous.
-const POLL: Duration = Duration::from_millis(5);
+/// Floor of a blocking read's timeout during rendezvous, so a deadline that
+/// has just passed still gives an in-flight frame a moment to land.
+const MIN_READ_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// First and longest sleep between two attempts of [`poll_until`]: a peer
+/// that arrives is seen within `MAX_BACKOFF`, and an idle wait wakes at
+/// most about `1 / MAX_BACKOFF` times a second.
+const FIRST_BACKOFF: Duration = Duration::from_micros(100);
+const MAX_BACKOFF: Duration = Duration::from_millis(1);
+
+/// The read timeout of a blocking rendezvous read that must end by
+/// `deadline`.
+fn read_timeout(deadline: Instant) -> Option<Duration> {
+    Some(deadline.saturating_duration_since(Instant::now()).max(MIN_READ_TIMEOUT))
+}
 
 fn timeout_err(what: &str) -> NetError {
     NetError::Io(format!("rendezvous timed out waiting for {what}"))
+}
+
+/// Repeats the non-blocking `attempt` until it yields a value, sleeping
+/// between attempts from [`FIRST_BACKOFF`] doubling up to [`MAX_BACKOFF`].
+/// `Ok(None)` once an attempt fails after `deadline`; an error from
+/// `attempt` ends the wait at once.
+fn poll_until<T>(
+    deadline: Instant,
+    mut attempt: impl FnMut() -> NetResult<Option<T>>,
+) -> NetResult<Option<T>> {
+    let mut backoff = FIRST_BACKOFF;
+    loop {
+        if let Some(got) = attempt()? {
+            return Ok(Some(got));
+        }
+        if Instant::now() >= deadline {
+            return Ok(None);
+        }
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(MAX_BACKOFF);
+    }
+}
+
+/// One non-blocking `accept`: `Ok(None)` when no dial is pending.
+fn try_accept(listener: &TcpListener) -> NetResult<Option<TcpStream>> {
+    match listener.accept() {
+        Ok((stream, _)) => Ok(Some(stream)),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
+        Err(e) => Err(io_to_net(e)),
+    }
 }
 
 /// Encodes the `PEER(rank)` mesh-dial preamble. Shared with the transport's
@@ -160,22 +203,10 @@ impl Coordinator {
         self.listener.set_nonblocking(true).map_err(io_to_net)?;
         let mut joined: Vec<(TcpStream, String)> = Vec::with_capacity(n);
         while joined.len() < n {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let (stream, addr) = read_hello(stream, deadline)?;
-                    joined.push((stream, addr));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(timeout_err(&format!(
-                            "executors ({}/{n} joined)",
-                            joined.len()
-                        )));
-                    }
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => return Err(io_to_net(e)),
-            }
+            let Some(stream) = poll_until(deadline, || try_accept(&self.listener))? else {
+                return Err(timeout_err(&format!("executors ({}/{n} joined)", joined.len())));
+            };
+            joined.push(read_hello(stream, deadline)?);
         }
         let addrs: Vec<String> = joined.iter().map(|(_, a)| a.clone()).collect();
         let mut conns = Vec::with_capacity(n);
@@ -205,14 +236,9 @@ impl Coordinator {
     /// the handshake with [`Self::readmit`].
     pub fn poll_hello(&mut self) -> NetResult<Option<(TcpStream, String)>> {
         self.listener.set_nonblocking(true).map_err(io_to_net)?;
-        match self.listener.accept() {
-            Ok((stream, _)) => {
-                let got = read_hello(stream, Instant::now() + Duration::from_secs(5))?;
-                Ok(Some(got))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(io_to_net(e)),
-        }
+        try_accept(&self.listener)?
+            .map(|stream| read_hello(stream, Instant::now() + Duration::from_secs(5)))
+            .transpose()
     }
 
     /// Completes a re-admission: assigns the newcomer (from
@@ -262,9 +288,7 @@ fn read_hello(stream: TcpStream, deadline: Instant) -> NetResult<(TcpStream, Str
     stream.set_nonblocking(false).map_err(io_to_net)?;
     stream.set_nodelay(true).map_err(io_to_net)?;
     let mut stream = stream;
-    stream
-        .set_read_timeout(Some(deadline.saturating_duration_since(Instant::now()).max(POLL)))
-        .map_err(io_to_net)?;
+    stream.set_read_timeout(read_timeout(deadline)).map_err(io_to_net)?;
     let hello = frame::read_frame(&mut stream, pool::global())?;
     let mut dec = Decoder::new(hello.payload);
     let tag = dec.get_u8()?;
@@ -322,9 +346,7 @@ pub fn join_with(driver_addr: &str, timeout: Duration, cfg: TcpConfig) -> NetRes
     let hello = enc.finish();
     frame::write_frame(&mut driver, pool::global(), UNRANKED, CONTROL_CHANNEL, &hello)?;
 
-    driver
-        .set_read_timeout(Some(deadline.saturating_duration_since(Instant::now()).max(POLL)))
-        .map_err(io_to_net)?;
+    driver.set_read_timeout(read_timeout(deadline)).map_err(io_to_net)?;
     let reply = frame::read_frame(&mut driver, pool::global())?;
     let mut dec = Decoder::new(reply.payload);
     let tag = dec.get_u8()?;
@@ -367,37 +389,24 @@ pub fn join_with(driver_addr: &str, timeout: Duration, cfg: TcpConfig) -> NetRes
     if !rejoined {
         listener.set_nonblocking(true).map_err(io_to_net)?;
         while conns.len() < n - 1 {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).map_err(io_to_net)?;
-                    let mut stream = stream;
-                    stream
-                        .set_read_timeout(Some(
-                            deadline.saturating_duration_since(Instant::now()).max(POLL),
-                        ))
-                        .map_err(io_to_net)?;
-                    let preamble = frame::read_frame(&mut stream, pool::global())?;
-                    let j = parse_peer_preamble(&preamble.payload)? as usize;
-                    if j <= rank || j >= n {
-                        return Err(NetError::Codec(format!(
-                            "peer preamble claims rank {j}, acceptor is rank {rank} of {n}"
-                        )));
-                    }
-                    stream.set_read_timeout(None).map_err(io_to_net)?;
-                    conns.push((j, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(timeout_err(&format!(
-                            "peer dials ({}/{} connected)",
-                            conns.len(),
-                            n - 1
-                        )));
-                    }
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => return Err(io_to_net(e)),
+            let Some(mut stream) = poll_until(deadline, || try_accept(&listener))? else {
+                return Err(timeout_err(&format!(
+                    "peer dials ({}/{} connected)",
+                    conns.len(),
+                    n - 1
+                )));
+            };
+            stream.set_nonblocking(false).map_err(io_to_net)?;
+            stream.set_read_timeout(read_timeout(deadline)).map_err(io_to_net)?;
+            let preamble = frame::read_frame(&mut stream, pool::global())?;
+            let j = parse_peer_preamble(&preamble.payload)? as usize;
+            if j <= rank || j >= n {
+                return Err(NetError::Codec(format!(
+                    "peer preamble claims rank {j}, acceptor is rank {rank} of {n}"
+                )));
             }
+            stream.set_read_timeout(None).map_err(io_to_net)?;
+            conns.push((j, stream));
         }
     }
 
@@ -415,17 +424,18 @@ pub fn join_with(driver_addr: &str, timeout: Duration, cfg: TcpConfig) -> NetRes
 }
 
 fn connect_retry(addr: &str, deadline: Instant) -> NetResult<TcpStream> {
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(NetError::Io(format!("connecting to {addr}: {e}")));
-                }
-                std::thread::sleep(POLL);
-            }
+    let mut last_err = None;
+    let got = poll_until(deadline, || match TcpStream::connect(addr) {
+        Ok(s) => Ok(Some(s)),
+        Err(e) => {
+            last_err = Some(e);
+            Ok(None)
         }
-    }
+    })?;
+    got.ok_or_else(|| {
+        let e = last_err.expect("a failed connect precedes the timeout");
+        NetError::Io(format!("connecting to {addr}: {e}"))
+    })
 }
 
 #[cfg(test)]
@@ -487,6 +497,42 @@ mod tests {
         let mut coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
         let err = coordinator.wait_for(2, 1, Duration::from_millis(50)).unwrap_err();
         assert!(matches!(err, NetError::Io(_)), "{err:?}");
+    }
+
+    #[test]
+    fn poll_until_backs_off_to_a_bounded_wake_rate() {
+        let mut attempts = 0u32;
+        let wait = Duration::from_millis(50);
+        let got: Option<()> = poll_until(Instant::now() + wait, || {
+            attempts += 1;
+            Ok(None)
+        })
+        .unwrap();
+        assert!(got.is_none());
+        // Sleeps of 0.1, 0.2, 0.4, 0.8 ms, then 1 ms each: at most about
+        // one attempt per millisecond of the wait, plus the ramp.
+        assert!((2..=55).contains(&attempts), "{attempts} attempts in {wait:?}");
+    }
+
+    #[test]
+    fn poll_until_returns_the_value_or_the_error_at_once() {
+        let mut attempts = 0;
+        let far = Instant::now() + Duration::from_secs(60);
+        let got = poll_until(far, || {
+            attempts += 1;
+            Ok((attempts == 3).then_some(7))
+        });
+        assert_eq!(got.unwrap(), Some(7));
+        let err = poll_until::<()>(far, || Err(NetError::Io("boom".into()))).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "{err:?}");
+    }
+
+    #[test]
+    fn poll_hello_is_a_single_non_blocking_attempt() {
+        let mut coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let t0 = Instant::now();
+        assert!(coordinator.poll_hello().unwrap().is_none());
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

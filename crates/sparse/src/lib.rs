@@ -11,9 +11,9 @@
 //! * [`DenseOrSparse`] — picks dense or sparse per segment by a density
 //!   threshold and switches to dense mid-reduction when merge fill-in
 //!   crosses it (the switch rule of SparCML's SSAR).
-//! * [`SparseAccum`] — an executor-side ordered-map accumulator whose
-//!   `splitOp` is a range query producing rebased [`DenseOrSparse`]
-//!   segments.
+//! * [`SparseAccum`] — an executor-side hashed accumulator whose
+//!   `splitOp` is a range query over a lazily sorted view, producing
+//!   rebased [`DenseOrSparse`] segments.
 //!
 //! Both segment types implement [`Segment`], so ring reduce-scatter,
 //! recursive halving, the tree fallback, and the epoch-fenced fault

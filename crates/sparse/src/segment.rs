@@ -287,6 +287,56 @@ impl DenseOrSparse {
         s
     }
 
+    /// The `concatOp`: segments in index order → one segment over their
+    /// total length, with the first segment's threshold (the default for
+    /// none). Equal, bit for bit, to `from_dense` of the concatenated
+    /// `into_dense`s, but touches only the non-zeros: sparse arms are
+    /// rebased, dense arms scanned, and the dense vector is built only when
+    /// the total density exceeds the threshold.
+    pub fn concat(segments: impl Iterator<Item = DenseOrSparse>) -> Self {
+        let mut segments = segments.peekable();
+        let threshold = segments.peek().map_or(DEFAULT_DENSITY_THRESHOLD, |s| s.threshold);
+        // Entries whose dense image is not `+0.0`: the non-zeros, plus the
+        // `-0.0`s a dense result must keep. `nonzero` counts the former.
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        let mut nonzero = 0usize;
+        let mut len = 0usize;
+        let mut keep = |i: usize, v: f64| {
+            if v.to_bits() != 0 {
+                indices.push(i as u32);
+                values.push(v);
+                nonzero += usize::from(v != 0.0);
+            }
+        };
+        for seg in segments {
+            match &seg.repr {
+                SegmentRepr::Sparse(s) => {
+                    for (&i, &v) in s.indices.iter().zip(&s.values) {
+                        keep(len + i as usize, v);
+                    }
+                }
+                SegmentRepr::Dense(d) => {
+                    for (i, &v) in d.iter().enumerate() {
+                        keep(len + i, v);
+                    }
+                }
+            }
+            len += seg.dense_len();
+        }
+        assert!(len <= u32::MAX as usize + 1, "segment length exceeds u32 index space");
+        let density = if len == 0 { 0.0 } else { nonzero as f64 / len as f64 };
+        if density > threshold {
+            let dense = SparseSegment { len, indices, values }.to_dense();
+            return Self { repr: SegmentRepr::Dense(dense), threshold };
+        }
+        if nonzero < values.len() {
+            (indices, values) =
+                indices.into_iter().zip(values).filter(|&(_, v)| v != 0.0).unzip();
+        }
+        Self { repr: SegmentRepr::Sparse(SparseSegment { len, indices, values }), threshold }
+    }
+
     /// The empty segment over a logical length (always sparse).
     pub fn zeros(len: usize, threshold: f64) -> Self {
         Self { repr: SegmentRepr::Sparse(SparseSegment::zeros(len)), threshold }

@@ -7,14 +7,22 @@
 //! * ring and halving reduce-scatter over `DenseOrSparse` segments agree
 //!   numerically with the dense `SumSegment` path on the same topology
 //!   (the tree-fallback leg of the equivalence claim lives in
-//!   `tests/sparse_aggregation.rs`, where the fallback can be forced).
+//!   `tests/sparse_aggregation.rs`, where the fallback can be forced);
+//! * the hashed `SparseAccum` splits bit-identically to an ordered-map
+//!   reference;
+//! * the sparse `concatOp` equals the dense round-trip it replaces.
+
+use std::collections::BTreeMap;
 
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
 use sparker::collectives::halving::recursive_halving_reduce_scatter;
 use sparker::collectives::ring::ring_reduce_scatter;
 use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
-use sparker::ml::aggregator::{DenseOrSparse, SparseAccum, SparseSegment};
+use sparker::ml::aggregator::{
+    DenseOrSparse, SparseAccum, SparseSegment, DEFAULT_DENSITY_THRESHOLD, NEVER_DENSIFY,
+};
+use sparker::net::codec::Encoder;
 use sparker::prelude::*;
 
 fn cfg() -> Config {
@@ -197,4 +205,177 @@ fn ring_over_adaptive_segments_matches_dense_path() {
 #[test]
 fn halving_over_adaptive_segments_matches_dense_path() {
     check(&cfg(), |src| topology_equivalence(src, true));
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The accumulator as an ordered map: the reference the hashed
+/// `SparseAccum` must match bit for bit.
+struct OrderedAccum {
+    len: usize,
+    map: BTreeMap<u32, f64>,
+}
+
+impl OrderedAccum {
+    fn add(&mut self, index: u32, delta: f64) {
+        *self.map.entry(index).or_insert(0.0) += delta;
+    }
+
+    fn merge(&mut self, other: &OrderedAccum) {
+        for (&i, &v) in &other.map {
+            self.add(i, v);
+        }
+    }
+
+    fn segment(&self, i: usize, n: usize, threshold: f64) -> DenseOrSparse {
+        let (lo, hi) = slice_bounds(self.len, i, n);
+        let (indices, values) =
+            self.map.range(lo as u32..hi as u32).map(|(&idx, &v)| (idx - lo as u32, v)).unzip();
+        DenseOrSparse::from_sparse(SparseSegment::new(hi - lo, indices, values), threshold)
+    }
+}
+
+/// A random add sequence over `len` coordinates, applied to both sides:
+/// indices drawn from a small pool so they repeat, non-integral values so
+/// the summation order shows in the bits, and `+v, -v` pairs that cancel to
+/// an explicit `0.0`. A split midway builds the sorted view the later adds
+/// must clear.
+fn arb_adds(src: &mut Source, len: usize) -> (SparseAccum, OrderedAccum) {
+    let mut acc = SparseAccum::zeros(len);
+    let mut reference = OrderedAccum { len, map: BTreeMap::new() };
+    let pool: Vec<u32> = (0..src.usize_in(1..len.min(40) + 1))
+        .map(|_| src.usize_in(0..len) as u32)
+        .collect();
+    let adds = src.usize_in(0..120);
+    for k in 0..adds {
+        let index = src.choose(&pool);
+        let v = src.f64_in(-8.0..8.0);
+        let deltas: &[f64] = if src.usize_in(0..5) == 0 { &[v, -v] } else { &[v] };
+        for &d in deltas {
+            acc.add(index, d);
+            reference.add(index, d);
+        }
+        if k == adds / 2 {
+            let _ = acc.segment(0, 1, NEVER_DENSIFY);
+        }
+    }
+    (acc, reference)
+}
+
+fn same_splits(
+    acc: &SparseAccum,
+    reference: &OrderedAccum,
+    n: usize,
+) -> Result<(), sparker_testkit::PropError> {
+    for threshold in [DEFAULT_DENSITY_THRESHOLD, NEVER_DENSIFY] {
+        for i in 0..n {
+            let got = acc.segment(i, n, threshold);
+            let want = reference.segment(i, n, threshold);
+            tk_assert_eq!(got.is_sparse(), want.is_sparse(), "segment {i} of {n}");
+            tk_assert_eq!(got.nnz(), want.nnz(), "segment {i} of {n}");
+            tk_assert_eq!(bits(&got.to_dense()), bits(&want.to_dense()), "segment {i} of {n}");
+            tk_assert!(got == want, "segment {i} of {n}");
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn hashed_accumulator_splits_like_the_ordered_map() {
+    check(&Config::with_cases(64), |src| {
+        let len = src.usize_in(1..300);
+        let (mut a, mut ref_a) = arb_adds(src, len);
+        let (b, ref_b) = arb_adds(src, len);
+        let n = src.usize_in(1..12);
+        same_splits(&a, &ref_a, n)?;
+        a.merge(&b);
+        ref_a.merge(&ref_b);
+        same_splits(&a, &ref_a, n)?;
+        same_splits(&a, &ref_a, 1)?;
+        tk_assert_eq!(a.nnz(), ref_a.map.len());
+        Ok(())
+    });
+}
+
+/// A segment in the dense arm whatever its density, with `threshold` on
+/// it: built through the codec, as a decoded gather frame would be.
+fn dense_arm(values: &[f64], threshold: f64) -> DenseOrSparse {
+    let mut enc = Encoder::new();
+    enc.put_f64(threshold);
+    enc.put_u8(0);
+    enc.put_f64_slice(values);
+    DenseOrSparse::from_frame(enc.finish()).expect("valid dense frame")
+}
+
+/// The sparse-arm counterpart of [`dense_arm`].
+fn sparse_arm(len: usize, indices: &[u32], values: &[f64], threshold: f64) -> DenseOrSparse {
+    let mut enc = Encoder::new();
+    enc.put_f64(threshold);
+    enc.put_u8(1);
+    enc.put_usize(len);
+    enc.put_u32_slice(indices);
+    enc.put_f64_slice(values);
+    DenseOrSparse::from_frame(enc.finish()).expect("valid sparse frame")
+}
+
+/// The `concatOp` the sparse one replaces: materialize and concatenate
+/// every segment, then re-sparsify the whole.
+fn concat_by_dense_round_trip(segments: Vec<DenseOrSparse>) -> DenseOrSparse {
+    let threshold = segments.first().map_or(DEFAULT_DENSITY_THRESHOLD, DenseOrSparse::threshold);
+    let dense: Vec<f64> = segments.into_iter().flat_map(DenseOrSparse::into_dense).collect();
+    DenseOrSparse::from_dense(dense, threshold)
+}
+
+#[test]
+fn sparse_concat_equals_the_dense_round_trip() {
+    check(&Config::with_cases(128), |src| {
+        // Dense images: mostly +0.0, some -0.0, some non-zeros.
+        let count = src.usize_in(0..6);
+        let images: Vec<Vec<f64>> = (0..count)
+            .map(|_| {
+                let len = if src.usize_in(0..4) == 0 { 0 } else { src.usize_in(1..24) };
+                (0..len).map(|_| src.choose(&[0.0, 0.0, 0.0, -0.0, 1.5, -2.25, 1e-300])).collect()
+            })
+            .collect();
+        let len: usize = images.iter().map(Vec::len).sum();
+        let nonzero = images.iter().flatten().filter(|&&v| v != 0.0).count();
+        // Density just below, at and just above the threshold, and the
+        // stock thresholds.
+        let mut thresholds = vec![DEFAULT_DENSITY_THRESHOLD, NEVER_DENSIFY, 0.0];
+        if len > 0 {
+            thresholds.push(nonzero as f64 / len as f64);
+            thresholds.push((nonzero + 1) as f64 / len as f64);
+            if nonzero > 0 {
+                thresholds.push((nonzero - 1) as f64 / len as f64);
+            }
+        }
+        let threshold = src.choose(&thresholds);
+        // Each segment in either arm; sparse arms keep the explicit zeros
+        // and -0.0s of their image as stored entries.
+        let segments: Vec<DenseOrSparse> = images
+            .iter()
+            .map(|image| {
+                if src.bool_any() {
+                    dense_arm(image, threshold)
+                } else {
+                    let (indices, values): (Vec<u32>, Vec<f64>) = image
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &v)| v.to_bits() != 0 || src.bool_any())
+                        .map(|(i, &v)| (i as u32, v))
+                        .unzip();
+                    sparse_arm(image.len(), &indices, &values, threshold)
+                }
+            })
+            .collect();
+        let want = concat_by_dense_round_trip(segments.clone());
+        let got = sparker::sparse::concat(segments.into());
+        tk_assert_eq!(got.is_sparse(), want.is_sparse(), "threshold {threshold}");
+        tk_assert_eq!(got.nnz(), want.nnz(), "threshold {threshold}");
+        tk_assert_eq!(bits(&got.to_dense()), bits(&want.to_dense()), "threshold {threshold}");
+        tk_assert!(got == want, "threshold {threshold}");
+        Ok(())
+    });
 }
