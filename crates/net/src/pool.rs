@@ -58,7 +58,7 @@ pub struct PoolStats {
     pub bytes_reused: u64,
 }
 
-/// Live occupancy of one pool size class, for backpressure and dashboards.
+/// Live occupancy of one pool size class, for leak checks and dashboards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassOccupancy {
     /// Class buffer size in bytes (`2^class`).
@@ -203,8 +203,7 @@ impl FramePool {
 
     /// Live per-class occupancy: buffers checked out, buffers free, and the
     /// retention cap, smallest class first. Exported as `pool.class_{size}.in_use`
-    /// gauges as acquires/recycles happen; this is the poll-based view the
-    /// scheduler's backpressure consults.
+    /// gauges as acquires/recycles happen; this is the poll-based view.
     pub fn occupancy(&self) -> Vec<ClassOccupancy> {
         (MIN_CLASS..=MAX_CLASS)
             .map(|c| {
@@ -222,8 +221,8 @@ impl FramePool {
     /// Pool pressure in permille: the most contended class's `in_use` count
     /// relative to the retention cap, so 1000 means "one full class's worth
     /// of buffers is checked out" and values above 1000 mean acquires are
-    /// outrunning what the freelist can ever hand back. This is the scalar
-    /// the admission backpressure law (DESIGN.md §5i) thresholds against.
+    /// outrunning what the freelist can ever hand back. 0 means every buffer
+    /// came back, which is what leak checks wait for.
     pub fn pressure_permille(&self) -> u64 {
         self.in_use
             .iter()

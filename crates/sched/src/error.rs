@@ -12,10 +12,8 @@ pub enum SchedError {
     /// The bounded admission queue is full; retry later or shed load
     /// upstream. `capacity` is the configured bound that was hit.
     QueueFull { capacity: usize },
-    /// Admission shed this low-priority job because the shared frame pool
-    /// is the contended resource right now (DESIGN.md §5i backpressure
-    /// law): measured pool pressure `pressure_permille` was at or above the
-    /// configured `limit_permille`.
+    /// Never produced; kept only because `benchmark/src/jobs.rs` still
+    /// matches on it.
     PoolSaturated { pressure_permille: u64, limit_permille: u64 },
     /// The job was admitted and dispatched but the backend could not
     /// produce an exact result (e.g. a view change with the fallback

@@ -1,47 +1,44 @@
-//! The scheduler core: bounded admission, policy-ordered dispatch, per-job
-//! epoch namespaces, and frame-pool-aware backpressure.
+//! The scheduler core: bounded admission, FIFO dispatch and per-job epoch
+//! namespaces.
 //!
-//! One worker thread per backend lane pulls jobs from the shared pending
-//! queue under the policy's ordering and runs them to completion; clients
-//! get a [`JobHandle`] at admission and wait on it for the typed result.
-//! The normative admission state machine and backpressure law live in
-//! DESIGN.md §5i; this module is their implementation.
+//! One worker thread per backend lane pops jobs from the shared pending
+//! queue in admission order and runs them to completion; clients get a
+//! [`JobHandle`] at admission and wait on it for the typed result. The
+//! normative admission state machine lives in DESIGN.md §5i; this module is
+//! its implementation.
 
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use sparker_net::pool;
-use sparker_net::sync::{channel, Mutex, Receiver, RecvTimeoutError, Sender};
+use sparker_net::sync::{channel, Mutex, Receiver, Sender};
 use sparker_obs::metrics::{self, Counter, Gauge, Histogram};
 use sparker_obs::{trace, Layer};
 
 use crate::backend::{Backend, JobCtx};
 use crate::error::SchedError;
-use crate::policy::{ClientId, JobMeta, Policy, Priority};
 
-/// Scheduler tuning knobs.
+/// Opaque client identity; it labels the `sched.job` span.
+pub type ClientId = u32;
+
+/// The one dispatch order: first in, first out. A unit type so the
+/// constructor's `Box<Fifo>` argument names it.
+#[derive(Debug, Default)]
+pub struct Fifo;
+
+/// Scheduler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedConfig {
     /// Bounded admission queue: pending (not yet dispatched) jobs beyond
     /// this are rejected with [`SchedError::QueueFull`].
     pub capacity: usize,
-    /// Admission backpressure: a [`Priority::Low`] submission is shed with
-    /// [`SchedError::PoolSaturated`] while global frame-pool pressure
-    /// ([`pool::FramePool::pressure_permille`]) is at or above this. The
-    /// default (2000 = 2x one class's retention cap checked out) is above
-    /// anything a healthy single job produces.
-    pub shed_pressure_permille: u64,
-    /// Dispatch backpressure: while pressure is at or above this, pending
-    /// [`Priority::Low`] jobs are delayed (re-checked every few ms, never
-    /// abandoned) whenever higher-priority work is waiting.
-    pub delay_pressure_permille: u64,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
-        Self { capacity: 64, shed_pressure_permille: 2000, delay_pressure_permille: 1200 }
+        Self { capacity: 64 }
     }
 }
 
@@ -49,16 +46,12 @@ impl Default for SchedConfig {
 #[derive(Debug, Clone)]
 pub struct JobRequest<J> {
     pub client: ClientId,
-    pub priority: Priority,
-    /// Relative cost for fair-share deficit accounting (1 = uniform).
-    pub cost: u64,
     pub job: J,
 }
 
 impl<J> JobRequest<J> {
-    /// A [`Priority::Normal`], cost-1 request.
     pub fn new(client: ClientId, job: J) -> Self {
-        Self { client, priority: Priority::Normal, cost: 1, job }
+        Self { client, job }
     }
 }
 
@@ -85,19 +78,11 @@ impl<O> JobHandle<O> {
     pub fn wait(self) -> Result<O, SchedError> {
         self.rx.recv().map_err(|_| SchedError::Shutdown)?
     }
-
-    /// Bounded wait; `None` means still running.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<O, SchedError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(Err(SchedError::Shutdown)),
-        }
-    }
 }
 
 struct PendingJob<J, O> {
-    meta: JobMeta,
+    job_id: u64,
+    client: ClientId,
     /// The job's live epoch namespace (released on completion).
     epoch_ns: u32,
     job: J,
@@ -106,10 +91,9 @@ struct PendingJob<J, O> {
 }
 
 struct State<B: Backend> {
-    pending: Vec<PendingJob<B::Job, B::Output>>,
-    policy: Box<dyn Policy>,
+    pending: VecDeque<PendingJob<B::Job, B::Output>>,
     /// Namespaces of live (admitted, not yet completed) jobs.
-    live_ns: std::collections::HashSet<u32>,
+    live_ns: HashSet<u32>,
     ns_cursor: u32,
     inflight: usize,
     shutdown: bool,
@@ -121,7 +105,6 @@ struct Shared<B: Backend> {
     cv: Condvar,
     cfg: SchedConfig,
     job_counter: AtomicU64,
-    seq_counter: AtomicU64,
 }
 
 /// A running scheduler over backend `B`. Dropping it shuts down: pending
@@ -133,12 +116,13 @@ pub struct Scheduler<B: Backend> {
 }
 
 impl<B: Backend> Scheduler<B> {
-    /// Spawns one worker per backend lane.
+    /// Spawns one worker per backend lane. Jobs dispatch in admission
+    /// order; `_order` only names that.
     ///
     /// Panics if `capacity + lanes + 1 >= NS_COUNT` — live jobs (pending +
     /// in-flight) must always fit in the namespace space with room to
     /// allocate, so admission can never fail on namespaces.
-    pub fn new(backend: B, policy: Box<dyn Policy>, cfg: SchedConfig) -> Self {
+    pub fn new(backend: B, _order: Box<Fifo>, cfg: SchedConfig) -> Self {
         let lanes = backend.lanes();
         assert!(lanes >= 1, "backend must expose at least one lane");
         assert!(
@@ -150,9 +134,8 @@ impl<B: Backend> Scheduler<B> {
         let shared = Arc::new(Shared {
             backend,
             state: Mutex::new(State {
-                pending: Vec::new(),
-                policy,
-                live_ns: Default::default(),
+                pending: VecDeque::new(),
+                live_ns: HashSet::new(),
                 ns_cursor: 1,
                 inflight: 0,
                 shutdown: false,
@@ -160,7 +143,6 @@ impl<B: Backend> Scheduler<B> {
             cv: Condvar::new(),
             cfg,
             job_counter: AtomicU64::new(0),
-            seq_counter: AtomicU64::new(0),
         });
         let workers = (0..lanes)
             .map(|lane| {
@@ -177,11 +159,9 @@ impl<B: Backend> Scheduler<B> {
     /// Admits a job or rejects it typed; never blocks on execution.
     ///
     /// Admission order (DESIGN.md §5i): shutdown check → queue bound
-    /// ([`SchedError::QueueFull`]) → backpressure shed
-    /// ([`SchedError::PoolSaturated`], low priority only) → namespace
-    /// allocation (infallible by construction) → enqueue.
+    /// ([`SchedError::QueueFull`]) → namespace allocation (infallible by
+    /// construction) → enqueue.
     pub fn submit(&self, req: JobRequest<B::Job>) -> Result<JobHandle<B::Output>, SchedError> {
-        let pressure = pool::global().pressure_permille();
         let mut st = self.shared.state.lock();
         if st.shutdown {
             return Err(SchedError::Shutdown);
@@ -190,19 +170,12 @@ impl<B: Backend> Scheduler<B> {
             obs().rejected_full.add(1);
             return Err(SchedError::QueueFull { capacity: self.shared.cfg.capacity });
         }
-        if req.priority == Priority::Low && pressure >= self.shared.cfg.shed_pressure_permille {
-            obs().rejected_pool.add(1);
-            return Err(SchedError::PoolSaturated {
-                pressure_permille: pressure,
-                limit_permille: self.shared.cfg.shed_pressure_permille,
-            });
-        }
         let job_id = self.shared.job_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let seq = self.shared.seq_counter.fetch_add(1, Ordering::Relaxed);
         let epoch_ns = alloc_ns(&mut st);
         let (tx, rx) = channel();
-        st.pending.push(PendingJob {
-            meta: JobMeta { seq, job_id, client: req.client, priority: req.priority, cost: req.cost.max(1) },
+        st.pending.push_back(PendingJob {
+            job_id,
+            client: req.client,
             epoch_ns,
             job: req.job,
             enqueued: Instant::now(),
@@ -226,11 +199,6 @@ impl<B: Backend> Scheduler<B> {
         let mut ns: Vec<u32> = self.shared.state.lock().live_ns.iter().copied().collect();
         ns.sort_unstable();
         ns
-    }
-
-    /// The policy's name (for bench labels).
-    pub fn policy_name(&self) -> &'static str {
-        self.shared.state.lock().policy.name()
     }
 
     /// Stops admission, fails every pending job with
@@ -277,67 +245,33 @@ fn alloc_ns<B: Backend>(st: &mut State<B>) -> u32 {
 
 fn worker<B: Backend>(shared: Arc<Shared<B>>, lane: usize) {
     loop {
-        // --- pick one job under the lock ---------------------------------
-        let picked = {
+        // --- take the oldest pending job under the lock ------------------
+        // `submit` notifies after every push and `shutdown` notifies all,
+        // and both predicates are checked under the lock, so an untimed
+        // wait misses no wake-up.
+        let p = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if !st.pending.is_empty() {
-                    let pressure = pool::global().pressure_permille();
-                    let delay_low = pressure >= shared.cfg.delay_pressure_permille;
-                    let any_non_low =
-                        st.pending.iter().any(|p| p.meta.priority > Priority::Low);
-                    if delay_low && !any_non_low {
-                        // Only low-priority work while the pool is hot:
-                        // delay (bounded tick, then re-check pressure) —
-                        // delayed, never abandoned.
-                        let (g, _) = shared
-                            .cv
-                            .wait_timeout(st, Duration::from_millis(2))
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        st = g;
-                        continue;
-                    }
-                    // Eligible view: everything, or non-Low under pressure.
-                    let eligible: Vec<usize> = if delay_low {
-                        (0..st.pending.len())
-                            .filter(|&i| st.pending[i].meta.priority > Priority::Low)
-                            .collect()
-                    } else {
-                        (0..st.pending.len()).collect()
-                    };
-                    let metas: Vec<JobMeta> =
-                        eligible.iter().map(|&i| st.pending[i].meta).collect();
-                    let choice = st.policy.select(&metas);
-                    debug_assert!(choice < metas.len(), "policy index in range");
-                    let idx = eligible[choice.min(metas.len() - 1)];
-                    let p = st.pending.remove(idx);
+                if let Some(p) = st.pending.pop_front() {
                     st.inflight += 1;
                     obs().queue_depth.set(st.pending.len() as i64);
                     obs().inflight.set(st.inflight as i64);
                     break p;
                 }
-                let (g, _) = shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = g;
+                st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let p = picked;
 
         // --- run it outside the lock -------------------------------------
         obs().queue_wait_us.observe(p.enqueued.elapsed().as_micros() as u64);
         let mut span = trace::span(Layer::Driver, "sched.job");
-        span.arg("job", p.meta.job_id)
-            .arg("client", p.meta.client as u64)
-            .arg("ns", p.epoch_ns as u64);
+        span.arg("job", p.job_id).arg("client", p.client as u64).arg("ns", p.epoch_ns as u64);
         let started = Instant::now();
-        let out = shared
-            .backend
-            .run(lane, JobCtx { job_id: p.meta.job_id, epoch_ns: p.epoch_ns }, &p.job);
+        let ctx = JobCtx { job_id: p.job_id, epoch_ns: p.epoch_ns };
+        let out = shared.backend.run(lane, ctx, &p.job);
         obs().service_us.observe(started.elapsed().as_micros() as u64);
         obs().latency_us.observe(p.enqueued.elapsed().as_micros() as u64);
         drop(span);
@@ -356,7 +290,7 @@ fn worker<B: Backend>(shared: Arc<Shared<B>>, lane: usize) {
             }
             Err(reason) => {
                 obs().failed.add(1);
-                let _ = p.tx.send(Err(SchedError::TaskFailed { job: p.meta.job_id, reason }));
+                let _ = p.tx.send(Err(SchedError::TaskFailed { job: p.job_id, reason }));
             }
         }
     }
@@ -366,7 +300,6 @@ fn worker<B: Backend>(shared: Arc<Shared<B>>, lane: usize) {
 struct Obs {
     admitted: Arc<Counter>,
     rejected_full: Arc<Counter>,
-    rejected_pool: Arc<Counter>,
     completed: Arc<Counter>,
     failed: Arc<Counter>,
     queue_depth: Arc<Gauge>,
@@ -381,7 +314,6 @@ fn obs() -> &'static Obs {
     OBS.get_or_init(|| Obs {
         admitted: metrics::counter("sched.admitted"),
         rejected_full: metrics::counter("sched.rejected.queue_full"),
-        rejected_pool: metrics::counter("sched.rejected.backpressure"),
         completed: metrics::counter("sched.completed"),
         failed: metrics::counter("sched.failed"),
         queue_depth: metrics::gauge("sched.queue_depth"),
@@ -395,7 +327,7 @@ fn obs() -> &'static Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FairShare, Fifo, StrictPriority};
+    use std::time::Duration;
 
     /// Doubles the input; errors on odd jobs when `fail_odd` is set.
     struct TestBackend {
@@ -508,8 +440,7 @@ mod tests {
     #[test]
     fn queue_full_rejects_typed_and_recovers() {
         let gate = GateBackend::new();
-        let cfg = SchedConfig { capacity: 2, ..SchedConfig::default() };
-        let sched = Scheduler::new(gate.clone(), Box::new(Fifo), cfg);
+        let sched = Scheduler::new(gate.clone(), Box::new(Fifo), SchedConfig { capacity: 2 });
         // First job dispatches (blocks on the gate); two more fill the queue.
         let h0 = sched.submit(JobRequest::new(0, 10)).expect("dispatched");
         wait_until("first job in flight", || sched.inflight() == 1);
@@ -528,79 +459,29 @@ mod tests {
         assert_eq!(h3.wait().expect("runs"), 13);
     }
 
-    /// How many of a bursty adversary's 12 queued expensive jobs reach the
-    /// lane before a victim's single cheap job submitted behind them.
-    fn adversary_jobs_ahead_of_victim(policy: Box<dyn Policy>, victim: Priority) -> usize {
-        const VICTIM: u64 = 999;
+    #[test]
+    fn dispatch_follows_admission_order_across_clients() {
         let gate = GateBackend::new();
-        let sched = Scheduler::new(gate.clone(), policy, SchedConfig::default());
-        // One adversary job occupies the lane while the queue builds up.
+        let sched = Scheduler::new(gate.clone(), Box::new(Fifo), SchedConfig::default());
+        // A plug job holds the one lane while three clients queue 12 jobs.
         let plug = sched.submit(JobRequest::new(0, 0)).expect("dispatched");
         wait_until("plug in flight", || sched.inflight() == 1);
-        let mut handles: Vec<_> = (1..=12)
-            .map(|job| {
-                let req = JobRequest { client: 0, priority: Priority::Normal, cost: 8, job };
-                sched.submit(req).expect("adversary queued")
-            })
+        let handles: Vec<_> = (1..=12u64)
+            .map(|job| sched.submit(JobRequest::new((job % 3) as u32, job)).expect("queued"))
             .collect();
-        let req = JobRequest { client: 1, priority: victim, cost: 1, job: VICTIM };
-        handles.push(sched.submit(req).expect("victim queued"));
         gate.open();
         plug.wait().expect("runs");
         for h in handles {
             h.wait().expect("runs");
         }
-        let order = gate.dispatched.lock().unwrap();
-        order.iter().position(|j| *j == VICTIM).expect("victim ran") - 1
-    }
-
-    #[test]
-    fn fair_share_and_strict_priority_bound_the_victim_fifo_does_not() {
-        assert_eq!(
-            adversary_jobs_ahead_of_victim(Box::new(Fifo), Priority::Normal),
-            12,
-            "FIFO leaves the victim behind the whole burst"
-        );
-        let fair = adversary_jobs_ahead_of_victim(Box::new(FairShare::new(8)), Priority::Normal);
-        assert!(fair <= 1, "fair-share lets at most one adversary job ahead, got {fair}");
-        assert_eq!(
-            adversary_jobs_ahead_of_victim(Box::new(StrictPriority), Priority::High),
-            0,
-            "a High victim overtakes every queued Normal job"
-        );
-    }
-
-    #[test]
-    fn low_priority_is_shed_while_the_pool_is_saturated_and_admits_after_release() {
-        // 2x one class's retention cap checked out of the global pool is the
-        // default shed threshold. No other test in this binary submits Low.
-        let g = pool::global();
-        let held: Vec<Vec<u8>> = (0..64).map(|_| g.acquire(64)).collect();
-        let sched = Scheduler::new(
-            TestBackend { lanes: 1, fail_odd: false },
-            Box::new(Fifo),
-            SchedConfig::default(),
-        );
-        let low = JobRequest { client: 0, priority: Priority::Low, cost: 1, job: 4 };
-        match sched.submit(low.clone()) {
-            Err(SchedError::PoolSaturated { pressure_permille, limit_permille }) => {
-                assert!(pressure_permille >= limit_permille);
-            }
-            other => panic!("expected PoolSaturated, got {other:?}"),
-        }
-        // Shedding is by priority: the same job at Normal is admitted.
-        assert_eq!(sched.submit(JobRequest::new(0, 4)).expect("admitted").wait(), Ok(8));
-        for buf in held {
-            g.recycle_vec(buf);
-        }
-        assert_eq!(sched.submit(low).expect("admits after release").wait(), Ok(8));
+        let admitted: Vec<u64> = (0..=12).collect();
+        assert_eq!(*gate.dispatched.lock().unwrap(), admitted, "dispatch order is admission order");
     }
 
     #[test]
     fn live_jobs_hold_distinct_nonzero_namespaces() {
         let gate = GateBackend::new();
-        let cfg = SchedConfig { capacity: 8, ..SchedConfig::default() };
-        let sched = Scheduler::new(gate.clone(), Box::new(Fifo), cfg);
+        let sched = Scheduler::new(gate.clone(), Box::new(Fifo), SchedConfig { capacity: 8 });
         let handles: Vec<_> = (0..6)
             .map(|j| sched.submit(JobRequest::new(j as u32, j)).expect("admitted"))
             .collect();
@@ -612,7 +493,6 @@ mod tests {
         for (h, n) in handles.iter().zip(&ns) {
             assert!(h.epoch_ns >= 1 && h.epoch_ns < sparker_net::epoch::NS_COUNT);
             assert!(*n >= 1 && *n < sparker_net::epoch::NS_COUNT);
-            let _ = h;
         }
         gate.open();
         for h in handles {

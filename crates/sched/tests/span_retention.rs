@@ -3,7 +3,7 @@
 //! its file: the sink is process-wide, so no other test may share it.)
 
 use sparker_obs::trace;
-use sparker_sched::{AggJob, EngineBackend, Fifo, JobRequest, Priority, SchedConfig, Scheduler};
+use sparker_sched::{AggJob, EngineBackend, Fifo, JobRequest, SchedConfig, Scheduler};
 
 #[test]
 fn lanes_retain_no_spans_per_job_when_tracing_is_off() {
@@ -15,9 +15,7 @@ fn lanes_retain_no_spans_per_job_when_tracing_is_off() {
     for pair in 0..1000u64 {
         let handles = [2 * pair, 2 * pair + 1].map(|seed| {
             let job = AggJob { seed, dim: 64, parts: 2 };
-            let req =
-                JobRequest { client: (seed % 2) as u32, priority: Priority::Normal, cost: 1, job };
-            (job, sched.submit(req).expect("admitted"))
+            (job, sched.submit(JobRequest::new((seed % 2) as u32, job)).expect("admitted"))
         });
         for (job, handle) in handles {
             let got = handle.wait().expect("job runs");

@@ -1,8 +1,8 @@
 //! Property tests on the scheduler's core invariants (DESIGN.md §5i):
 //!
-//! * any interleaving of concurrently submitted jobs, under any policy,
-//!   produces results bit-identical to the serial oracle — scheduling may
-//!   reorder jobs, never change their math;
+//! * any interleaving of concurrently submitted jobs produces results
+//!   bit-identical to the serial oracle — scheduling may interleave jobs,
+//!   never change their math;
 //! * live jobs always hold distinct, in-range, nonzero epoch namespaces,
 //!   and the bounded queue rejects overflow with the typed error;
 //! * the namespace fold into the attempt word is injective and
@@ -10,61 +10,37 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
+use sparker_testkit::{check, tk_assert, tk_assert_eq, Config};
 
 use sparker_net::epoch;
 use sparker_sched::{
-    AggJob, Backend, EngineBackend, FairShare, Fifo, JobCtx, JobRequest, Policy, Priority,
-    SchedConfig, SchedError, Scheduler, StrictPriority,
+    AggJob, Backend, EngineBackend, Fifo, JobCtx, JobRequest, SchedConfig, SchedError, Scheduler,
 };
 
 fn cfg() -> Config {
     Config::with_cases(6)
 }
 
-fn arb_policy(src: &mut Source) -> Box<dyn Policy> {
-    match src.usize_in(0..3) {
-        0 => Box::new(Fifo),
-        1 => Box::new(StrictPriority),
-        _ => Box::new(FairShare::new(src.u64_in(1..4))),
-    }
-}
-
-fn arb_priority(src: &mut Source) -> Priority {
-    match src.usize_in(0..3) {
-        0 => Priority::Low,
-        1 => Priority::Normal,
-        _ => Priority::High,
-    }
-}
-
 #[test]
 fn any_interleaving_matches_serial_oracle_bit_exact() {
     check(&cfg(), |src| {
         let lanes = src.usize_in(1..3);
-        let policy = arb_policy(src);
         let jobs_per_client = src.usize_in(2..7);
-        let jobs: Vec<Vec<(AggJob, Priority, u64)>> = (0..2)
+        let jobs: Vec<Vec<AggJob>> = (0..2)
             .map(|client| {
                 (0..jobs_per_client)
-                    .map(|i| {
-                        (
-                            AggJob {
-                                seed: src.u64_any() ^ ((client as u64) << 48 | i as u64),
-                                dim: src.usize_in(1..40),
-                                parts: src.usize_in(1..5),
-                            },
-                            arb_priority(src),
-                            src.u64_in(1..5),
-                        )
+                    .map(|i| AggJob {
+                        seed: src.u64_any() ^ ((client as u64) << 48 | i as u64),
+                        dim: src.usize_in(1..40),
+                        parts: src.usize_in(1..5),
                     })
                     .collect()
             })
             .collect();
         let sched =
-            Scheduler::new(EngineBackend::new(lanes, 2, 1), policy, SchedConfig::default());
+            Scheduler::new(EngineBackend::new(lanes, 2, 1), Box::new(Fifo), SchedConfig::default());
         // Two submitter threads race their batches through the queue; the
-        // policy and lane count decide the interleaving.
+        // race and the lane count decide the interleaving.
         let results: Vec<Vec<(AggJob, Vec<f64>)>> = std::thread::scope(|s| {
             let handles: Vec<_> = jobs
                 .iter()
@@ -74,8 +50,8 @@ fn any_interleaving_matches_serial_oracle_bit_exact() {
                     s.spawn(move || {
                         let submitted: Vec<_> = batch
                             .iter()
-                            .map(|&(job, priority, cost)| {
-                                let req = JobRequest { client: client as u32, priority, cost, job };
+                            .map(|&job| {
+                                let req = JobRequest::new(client as u32, job);
                                 (job, sched.submit(req).expect("admitted"))
                             })
                             .collect();
@@ -136,20 +112,15 @@ fn live_jobs_never_share_a_namespace_and_overflow_rejects_typed() {
         let gate = Arc::new(Gate { open: Mutex::new(false), cv: Condvar::new() });
         let sched = Scheduler::new(
             GateBackend(gate.clone()),
-            arb_policy(src),
-            SchedConfig { capacity, ..SchedConfig::default() },
+            Box::new(Fifo),
+            SchedConfig { capacity },
         );
         // Fill to the admission bound: 1 dispatched (gated) + `capacity`
-        // pending. Submission order is arbitrary priority/cost.
+        // pending, from arbitrary clients.
         let mut handles = Vec::new();
         let mut admitted = 0u64;
         loop {
-            let req = JobRequest {
-                client: src.usize_in(0..3) as u32,
-                priority: arb_priority(src),
-                cost: src.u64_in(1..4),
-                job: admitted,
-            };
+            let req = JobRequest::new(src.usize_in(0..3) as u32, admitted);
             match sched.submit(req) {
                 Ok(h) => {
                     handles.push((admitted, h));
