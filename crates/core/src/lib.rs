@@ -77,6 +77,40 @@
 //! assert_eq!(metrics.strategy.name(), "split");
 //! ```
 //!
+//! ## Picking the reduction algorithm
+//!
+//! `split_aggregate` runs the one [`Algo`](sparker_tuner::Algo) it is handed
+//! in `SplitAggOpts::algo` (the flat ring by default). To run the cost
+//! model's pick, describe the job as a [`JobShape`](sparker_tuner::JobShape)
+//! and pass what the [`Selector`](sparker_tuner::Selector) selects:
+//!
+//! ```
+//! use sparker::prelude::*;
+//! use sparker::tuner::{JobShape, Selector};
+//!
+//! let cluster = LocalCluster::local(4, 1);
+//! let data = cluster.parallelize((1..=1000u64).collect(), 8);
+//!
+//! // An 8-byte aggregator over this cluster's executors and nodes.
+//! let spec = cluster.spec();
+//! let shape = JobShape::dense(8, spec.num_executors(), spec.nodes, spec.ring_parallelism);
+//! let algo = Selector::default_selector().select(&shape).algo;
+//!
+//! let (sum, metrics) = data
+//!     .split_aggregate(
+//!         0u64,
+//!         |acc, x| acc + x,
+//!         |a, b| *a += b,
+//!         |u, i, _n| if i == 0 { *u } else { 0 },
+//!         |a, b| *a += b,
+//!         |segs: Segments<u64>| segs.sum(),
+//!         SplitAggOpts { algo, ..Default::default() },
+//!     )
+//!     .unwrap();
+//! assert_eq!(sum, (1..=1000u64).sum::<u64>());
+//! assert!(!metrics.downgraded);
+//! ```
+//!
 //! ## Crate map
 //!
 //! | crate | role |
@@ -150,10 +184,9 @@ pub mod prelude {
     pub use sparker_engine::ops::allreduce_aggregate::{
         allreduce_aggregate, executor_copy_slot, AllReduceOutput,
     };
-    pub use sparker_engine::ops::split_aggregate::{SelectorOpts, SplitAggOpts};
+    pub use sparker_engine::ops::split_aggregate::SplitAggOpts;
     pub use sparker_engine::ops::tree_aggregate::TreeAggOpts;
     pub use sparker_ml::glm::AggregationMode;
-    pub use sparker_ml::lbfgs::LbfgsConfig;
     pub use sparker_ml::lda::{LdaConfig, LdaModel};
     pub use sparker_ml::logistic::LogisticRegression;
     pub use sparker_ml::point::LabeledPoint;

@@ -51,7 +51,7 @@ pub use cluster::LocalCluster;
 pub use config::ClusterSpec;
 pub use dataset::Dataset;
 pub use metrics::AggMetrics;
-pub use ops::split_aggregate::{SelectorOpts, SplitAggOpts};
+pub use ops::split_aggregate::SplitAggOpts;
 pub use ops::tree_aggregate::TreeAggOpts;
 pub use rdd::{Data, Rdd, RddId};
 pub use task::EngineError;

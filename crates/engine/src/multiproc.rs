@@ -57,8 +57,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use sparker_collectives::gather::in_index_order;
-use sparker_collectives::ring::{produce_from, OwnedSegment};
+use sparker_collectives::gather::Gather;
+use sparker_collectives::ring::produce_from;
 use sparker_collectives::RingComm;
 use sparker_net::codec::{Decoder, Encoder, F64Array, Payload};
 use sparker_net::error::{NetError, NetResult};
@@ -1220,50 +1220,49 @@ fn assign_parts(total_parts: usize, ranks: &[usize], n_total: usize) -> Vec<Vec<
     assigned
 }
 
-/// Reassembles the gather frames into the full vector: every index of the
-/// job's `count` segments exactly once, each written into its ceil-block as
-/// it is decoded (holding every segment and then concatenating them made
-/// this 1 ms slower per `tcp_large_jobs` op on 2 cores). Returns the value,
-/// the number of segments and their encoded bytes (excluding the index and
-/// count words).
+/// Reassembles the gather frames into the full vector through the driver's
+/// [`Gather`] reader: every index of the job's `count` segments exactly
+/// once, each written into its ceil-block as it is decoded (holding every
+/// segment and then concatenating them made this 1 ms slower per
+/// `tcp_large_jobs` op on 2 cores). Returns the value, the number of
+/// segments and their encoded bytes (excluding the index and count words).
 fn assemble(
     spec: &JobSpec,
     count: usize,
     frames: Vec<ByteBuf>,
 ) -> NetResult<(Vec<f64>, usize, u64)> {
-    let mut value = vec![0.0; spec.dim];
-    let mut placed = Vec::with_capacity(count);
-    let mut result_bytes = 0u64;
-    for frame in frames {
-        let mut dec = Decoder::new(frame);
-        for _ in 0..dec.get_usize()? {
-            let (index, bytes, dense) = if spec.sparse {
-                let o = OwnedSegment::<DenseOrSparse>::decode_from(&mut dec)?;
-                (o.index, o.segment.size_hint(), o.segment.into_dense())
-            } else {
-                let o = OwnedSegment::<F64Array>::decode_from(&mut dec)?;
-                (o.index, o.segment.size_hint(), o.segment.0)
-            };
-            // `index` is checked first: a wire-derived index never reaches
-            // the block arithmetic.
-            if index >= count || dense.len() != ceil_block(spec.dim, count, index).len() {
-                return Err(NetError::Codec(format!(
-                    "job {}: segment {index} of {count} ({} values) does not fit its block",
-                    spec.id,
-                    dense.len()
-                )));
-            }
-            value[ceil_block(spec.dim, count, index)].copy_from_slice(&dense);
-            result_bytes += bytes as u64;
-            placed.push(OwnedSegment { index, segment: () });
-        }
-        if dec.remaining() != 0 {
-            return Err(NetError::Codec(format!("job {}: trailing gather bytes", spec.id)));
-        }
+    if spec.sparse {
+        place(spec, count, Gather::new(count, frames)?, |s: DenseOrSparse| (s.size_hint(), s.into_dense()))
+    } else {
+        place(spec, count, Gather::new(count, frames)?, |s: F64Array| (s.size_hint(), s.0))
     }
-    let wire_segments = placed.len();
-    in_index_order(count, placed)?;
-    Ok((value, wire_segments, result_bytes))
+}
+
+/// [`assemble`]'s loop over one segment type; `dense` yields a segment's
+/// encoded bytes and its values.
+fn place<V: Payload>(
+    spec: &JobSpec,
+    count: usize,
+    mut gather: Gather<V>,
+    dense: impl Fn(V) -> (usize, Vec<f64>),
+) -> NetResult<(Vec<f64>, usize, u64)> {
+    let mut value = vec![0.0; spec.dim];
+    let mut result_bytes = 0u64;
+    for (index, segment) in gather.segments().enumerate() {
+        let (bytes, values) = dense(segment);
+        let block = ceil_block(spec.dim, count, index);
+        if values.len() != block.len() {
+            return Err(NetError::Codec(format!(
+                "job {}: segment {index} of {count} ({} values) does not fit its block",
+                spec.id,
+                values.len()
+            )));
+        }
+        value[block].copy_from_slice(&values);
+        result_bytes += bytes as u64;
+    }
+    gather.finish()?;
+    Ok((value, count, result_bytes))
 }
 
 /// Pairwise (log-depth) merge of whole aggregators — the tree the fallback
@@ -1288,7 +1287,7 @@ fn tree_merge(mut aggs: Vec<Vec<f64>>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparker_net::tcp::rendezvous::Coordinator;
+    use sparker_collectives::ring::OwnedSegment;
     use sparker_testkit::{check, tk_assert_eq, Config};
 
     fn bits(v: &[f64]) -> Vec<u64> {

@@ -42,7 +42,8 @@ pub fn segment_count(algo: Algo, ring: &RingTopology) -> usize {
 
 /// Runs `algo`'s reduce-scatter over `comm`: segment `g` of
 /// [`segment_count`] is `produce(g)`, and segments meeting at a rank are
-/// combined with `merge`. Returns the fully-reduced segments this rank owns.
+/// combined with `merge`. Returns the fully-reduced segments this rank owns
+/// in ascending index order, the order a gather frame carries them in.
 ///
 /// `Algo::Tree` has no reduce-scatter phase: both hosts run their tree path
 /// instead, so here it is an error.
@@ -59,7 +60,7 @@ where
 {
     let total = segment_count(algo, comm.ring());
     let split_all = || split_parallel(produce, total, comm.parallelism());
-    match algo {
+    let mut owned = match algo {
         // The ring's lanes split their own index ranges.
         Algo::FlatRing | Algo::ChunkedRing(_) => {
             ring_reduce_scatter_produced_by(comm, produce, merge, algo.chunks())
@@ -69,7 +70,9 @@ where
         Algo::Tree => Err(NetError::InvalidAddress(
             "the tree has no reduce-scatter phase; run the tree path".into(),
         )),
-    }
+    }?;
+    owned.sort_unstable_by_key(|o| o.index);
+    Ok(owned)
 }
 
 /// Produces all `total` segments on `parallelism` lanes, each lane a

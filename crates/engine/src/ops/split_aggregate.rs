@@ -45,14 +45,14 @@ use sparker_collectives::gather::{Gather, Segments};
 use sparker_collectives::ring::OwnedSegment;
 use sparker_collectives::segment::slice_bounds;
 
-use sparker_tuner::{Algo, CostModel, Decision, JobShape, Selector};
+use sparker_tuner::Algo;
 
 use crate::cluster::{ClusterInner, LocalCluster, RecoveryPolicy};
 use crate::metrics::AggMetrics;
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
 use crate::ops::reduce::{reduce_scatter, segment_count, strategy_of};
-use crate::ops::tree_aggregate::{shuffle_round, tree_scale};
+use crate::ops::tree_aggregate::{reduce_to_driver, tree_scale};
 use crate::rdd::{Data, RddRef, TaskContext};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
@@ -60,21 +60,6 @@ use crate::task::{EngineError, EngineResult, TaskFailure};
 /// from the IMM slots (`0..nexec`), the allreduce resident copy (`1 << 48`)
 /// and the shuffle-round slots (`level << 32 | j`, small `level`).
 const FALLBACK_SLOT_BASE: u64 = 2 << 48;
-
-/// How `split_aggregate` picks its reduction algorithm (DESIGN.md §5j).
-///
-/// Both variants are `Copy` (the cost model is five scalars), so
-/// `SplitAggOpts` stays `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SelectorOpts {
-    /// Run this tuner-menu entry. `Algo::Tree` runs the shuffle-tree path
-    /// as the *primary* (no downgrade accounting).
-    Forced(Algo),
-    /// Rank the full menu under this calibrated cost model using the
-    /// cluster's node topology and the `hint_*` fields, and run the
-    /// predicted-fastest algorithm.
-    Auto(CostModel),
-}
 
 /// Options for [`split_aggregate`].
 #[derive(Debug, Clone, Copy)]
@@ -90,28 +75,16 @@ pub struct SplitAggOpts {
     /// namespaces so their rings can never accept each other's frames. Must
     /// be `< epoch::NS_COUNT`; 0 is the single-job default.
     pub epoch_ns: u32,
-    /// Algorithm selection policy; the default forces the paper's flat
-    /// unpipelined ring.
-    pub selector: SelectorOpts,
-    /// Dense wire size of one aggregator in bytes, for [`SelectorOpts::Auto`]
-    /// cost prediction. 0 (unknown) is treated as 1 byte, which makes the
-    /// prediction latency-dominated.
-    pub hint_bytes: u64,
-    /// Expected non-zero fraction of the aggregator in permille for
-    /// [`SelectorOpts::Auto`]; 1000 (the default) means fully dense.
-    pub hint_density_permille: u32,
+    /// The reduction algorithm to run; the default is the paper's flat
+    /// unpipelined ring. `Algo::Tree` runs the shuffle tree as the primary
+    /// path (no downgrade accounting). A caller that wants the cost model's
+    /// pick passes `sparker_tuner::Selector::select(&shape).algo`.
+    pub algo: Algo,
 }
 
 impl Default for SplitAggOpts {
     fn default() -> Self {
-        Self {
-            parallelism: None,
-            job_id: 0,
-            epoch_ns: 0,
-            selector: SelectorOpts::Forced(Algo::FlatRing),
-            hint_bytes: 0,
-            hint_density_permille: 1000,
-        }
+        Self { parallelism: None, job_id: 0, epoch_ns: 0, algo: Algo::FlatRing }
     }
 }
 
@@ -165,33 +138,10 @@ where
         )));
     }
 
-    // --- Algorithm selection (DESIGN.md §5j) -----------------------------
-    // `tuning` keeps the selector + decision around so the measured reduce
-    // time can be fed back as the `tuner.predict_vs_actual_permille` gauge.
-    let mut tuning: Option<(Selector, Decision)> = None;
-    let algo = match opts.selector {
-        SelectorOpts::Forced(algo) => algo,
-        SelectorOpts::Auto(model) => {
-            let topo = sparker_net::NodeTopology::group(inner.executor_infos());
-            let shape = JobShape {
-                bytes: opts.hint_bytes.max(1),
-                density_permille: opts.hint_density_permille.min(1000),
-                executors: nexec,
-                nodes: topo.num_nodes(),
-                parallelism,
-            };
-            let selector = Selector::new(model);
-            let decision = selector.select(&shape);
-            tuning = Some((selector, decision));
-            decision.algo
-        }
-    };
+    let algo = opts.algo;
     if algo.chunks() == 0 {
         return Err(EngineError::Invalid("split_aggregate needs chunks >= 1".into()));
     }
-    // Tree-as-primary reuses the fallback machinery below, entered
-    // deliberately rather than after gang exhaustion.
-    let tree_primary = algo == Algo::Tree;
 
     // Stamp every stage record of this op with the job id; the guard resets
     // the stamp on every exit path (the action lock is held throughout, so
@@ -235,25 +185,19 @@ where
     let all_execs: Vec<ExecutorId> = (0..nexec).map(|e| ExecutorId(e as u32)).collect();
     let split = Arc::new(split_op);
     let reduce = Arc::new(reduce_op);
-    let ring_outcome = if tree_primary {
-        // The selector decided the collective path loses to the shuffle
-        // tree for this shape; enter the tree arm below directly, with the
-        // per-executor aggregators intact (only the IMM stage has run).
-        Err(EngineError::TaskFailed {
-            stage: ring_label.clone(),
-            task: 0,
-            attempts: 0,
-            reason: "selector chose tree aggregation as the primary path".into(),
-        })
+    // `Some(attempts)` once the ring stage ran; `None` sends the op down the
+    // shuffle tree: deliberately for `Algo::Tree`, or after the gang
+    // exhausted `max_collective_attempts`.
+    let ring_attempts = if algo == Algo::Tree {
+        None
     } else {
         let inner2 = inner.clone();
-        let ring = ring.clone();
         let split = split.clone();
         let reduce = reduce.clone();
         let zero = zero.clone();
         let ser_bytes = ser_bytes.clone();
         let epoch_ns = opts.epoch_ns;
-        inner.run_stage(
+        let outcome = inner.run_stage(
             &ring_label,
             &all_execs,
             move |_idx, attempt, ctx| {
@@ -270,31 +214,43 @@ where
                 // The collective runs inside the borrow of the executor's
                 // aggregator: peeked, never taken and never cloned, so a
                 // gang resubmission re-reads the same input and the tree
-                // fallback finds it intact if the gang exhausts. (A tree
-                // primary never launches this stage.)
-                let mut owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
+                // fallback finds it intact if the gang exhausts.
+                let owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
                     reduce_scatter(&comm, algo, &|g| split(u, g, total_segments), &merge)
                 })
                 .map_err(TaskFailure::from)?;
 
-                // Gather: the owned segments are this task's result over the
-                // normal (BlockManager) result path, in the ascending index
-                // order the driver's lazy decode reads them in.
-                owned.sort_unstable_by_key(|o| o.index);
+                // Gather: the owned segments, in the ascending index order
+                // the driver's lazy decode reads them in, are this task's
+                // result over the normal (BlockManager) result path.
                 let frame = owned.to_frame();
                 ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
                 inner2.bm_send_to_driver(ctx.executor, frame)?;
                 Ok(owned.len())
             },
             RecoveryPolicy::ResubmitGang { op },
-        )
+        );
+        match outcome {
+            Ok((_, attempts)) => Some(attempts),
+            Err(EngineError::TaskFailed { stage, .. }) if stage == ring_label => {
+                // --- Graceful degradation ---------------------------------
+                // The collective path is unusable, but the per-executor
+                // aggregators are intact (the ring stage only peeked).
+                cluster.history().record(
+                    &format!("split-downgrade-op{op}"),
+                    0,
+                    0,
+                    std::time::Duration::ZERO,
+                );
+                metrics.downgraded = true;
+                None
+            }
+            Err(e) => return Err(e),
+        }
     };
 
-    // Aggregator-carrying messages beyond the sc counters (gather frames and
-    // fallback shuffle frames travel the BM path).
-    let extra_messages: u64;
-    let result = match ring_outcome {
-        Ok((_, attempts)) => {
+    let result = match ring_attempts {
+        Some(attempts) => {
             metrics.task_attempts += attempts;
             metrics.stages += 1;
 
@@ -314,145 +270,70 @@ where
             let result = concat_op(gather.segments());
             gather.finish()?;
             metrics.driver_merge = merge_span.finish();
-            extra_messages = nexec as u64;
+            metrics.messages += nexec as u64;
             result
         }
-        Err(EngineError::TaskFailed { stage, .. }) if stage == ring_label => {
-            // --- Graceful degradation: tree fallback --------------------
-            // The gang exhausted `max_collective_attempts`. The collective
-            // path is unusable, but the per-executor aggregators are intact
-            // (the ring stage only peeked), so finish the op over the
-            // BlockManager path with a tree of whole segment vectors —
-            // slower, but recoverable one task at a time. When the selector
-            // chose the tree *as the primary* this is not a downgrade: no
-            // gang ever ran, so nothing is recorded as degraded.
-            if !tree_primary {
-                cluster.history().record(
-                    &format!("split-downgrade-op{op}"),
-                    0,
-                    0,
-                    std::time::Duration::ZERO,
-                );
-                metrics.downgraded = true;
-            }
-            let messages = Arc::new(AtomicU64::new(0));
-
+        None => {
+            // --- Tree path ----------------------------------------------
+            // Finish the op over the BlockManager path with a tree of whole
+            // segment vectors: slower, but recoverable one task at a time.
             // Seed: each executor splits its aggregator into the full
-            // segment vector (same indexing as the ring path) for the
-            // shuffle tree. Replace-merge keeps retries idempotent.
-            let seed_label = format!("split-fallback-op{op}");
-            {
-                let split = split.clone();
-                let zero = zero.clone();
-                let (_, attempts) = inner.run_stage(
-                    &seed_label,
-                    &all_execs,
-                    move |_idx, _attempt, ctx| {
-                        let segs: Vec<V> = with_aggregator(ctx, op, &zero, |u| {
-                            (0..total_segments).map(|g| split(u, g, total_segments)).collect()
-                        });
-                        ctx.objects.merge_in(
-                            ObjectId { op, slot: FALLBACK_SLOT_BASE | ctx.executor.0 as u64 },
-                            segs,
-                            |a, b| *a = b,
-                        );
-                        Ok(())
-                    },
-                    RecoveryPolicy::RetryTask,
-                )?;
-                metrics.task_attempts += attempts;
-                metrics.stages += 1;
-            }
+            // segment vector (same indexing as the ring path). Replace-merge
+            // keeps retries idempotent.
+            let (_, attempts) = inner.run_stage(
+                &format!("split-fallback-op{op}"),
+                &all_execs,
+                move |_idx, _attempt, ctx| {
+                    let segs: Vec<V> = with_aggregator(ctx, op, &zero, |u| {
+                        (0..total_segments).map(|g| split(u, g, total_segments)).collect()
+                    });
+                    ctx.objects.merge_in(
+                        ObjectId { op, slot: FALLBACK_SLOT_BASE | ctx.executor.0 as u64 },
+                        segs,
+                        |a, b| *a = b,
+                    );
+                    Ok(())
+                },
+                RecoveryPolicy::RetryTask,
+            )?;
+            metrics.task_attempts += attempts;
+            metrics.stages += 1;
 
-            // Shuffle the segment vectors down a tree (reusing the
-            // tree-aggregate machinery) with an element-wise merge.
-            let comb = {
-                let reduce = reduce.clone();
-                Arc::new(move |mut a: Vec<V>, b: Vec<V>| {
-                    if a.is_empty() {
-                        return b;
-                    }
-                    for (x, y) in a.iter_mut().zip(b) {
-                        reduce(x, y);
-                    }
-                    a
-                })
-            };
-            let fb_zero: Arc<Vec<V>> = Arc::new(Vec::new());
-            let mut holders: Vec<(ExecutorId, u64)> = all_execs
+            // Shuffle the segment vectors down `tree_aggregate`'s tree with
+            // an element-wise merge; the empty vector is the zero.
+            let comb = Arc::new(move |mut a: Vec<V>, b: Vec<V>| {
+                if a.is_empty() {
+                    return b;
+                }
+                for (x, y) in a.iter_mut().zip(b) {
+                    reduce(x, y);
+                }
+                a
+            });
+            let holders: Vec<(ExecutorId, u64)> = all_execs
                 .iter()
                 .map(|e| (*e, FALLBACK_SLOT_BASE | e.0 as u64))
                 .collect();
-            let scale = tree_scale(nexec, inner.spec().tree_depth);
-            let mut level: u64 = 1;
-            while holders.len() > scale + holders.len() / scale {
-                let m = (holders.len() / scale).max(1);
-                holders = shuffle_round(
-                    cluster, op, level, &holders, m, nexec, &comb, &fb_zero, &ser_bytes,
-                    &messages, &mut metrics,
-                )?;
-                level += 1;
-            }
-
-            // Final: surviving holders ship their vectors to the driver.
-            let final_label = format!("split-fallback-final-op{op}");
-            let final_assignments: Vec<ExecutorId> = holders.iter().map(|(e, _)| *e).collect();
-            {
-                let slots: Vec<u64> = holders.iter().map(|(_, s)| *s).collect();
-                let send_inner = inner.clone();
-                let ser_bytes = ser_bytes.clone();
-                let (_, attempts) = inner.run_stage(
-                    &final_label,
-                    &final_assignments,
-                    move |idx, _attempt, ctx| {
-                        // Peek so a retried send still finds its vector.
-                        let segs: Vec<V> = ctx
-                            .objects
-                            .with(ObjectId { op, slot: slots[idx] }, |v: &Vec<V>| v.clone())
-                            .ok_or_else(|| TaskFailure {
-                                reason: format!("missing fallback slot {}", slots[idx]),
-                            })?;
-                        let frame = segs.to_frame();
-                        ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
-                        send_inner.bm_send_to_driver(ctx.executor, frame)?;
-                        Ok(())
-                    },
-                    RecoveryPolicy::RetryTask,
-                )?;
-                metrics.task_attempts += attempts;
-                metrics.stages += 1;
-            }
-
-            let merge_span = ScopedSpan::begin(
-                scope,
-                Layer::Driver,
-                format!("{}-driver-merge-op{op}", strategy.name()),
-            );
-            let mut acc: Vec<V> = Vec::new();
-            for exec in &final_assignments {
-                let frame = inner.driver_recv(*exec)?;
-                metrics.bytes_to_driver += frame.len() as u64;
-                let segs = Vec::<V>::from_frame(frame)?;
-                if acc.is_empty() {
-                    acc = segs;
-                } else {
-                    for (x, y) in acc.iter_mut().zip(segs) {
-                        reduce(x, y);
+            reduce_to_driver(
+                cluster,
+                op,
+                holders,
+                tree_scale(nexec, inner.spec().tree_depth),
+                &format!("split-fallback-final-op{op}"),
+                &comb,
+                Arc::new(Vec::new()),
+                |segs: Vec<V>| {
+                    if segs.len() != total_segments {
+                        return Err(EngineError::Invalid(format!(
+                            "fallback produced {} segments, expected {total_segments}",
+                            segs.len()
+                        )));
                     }
-                }
-            }
-            if acc.len() != total_segments {
-                return Err(EngineError::Invalid(format!(
-                    "fallback produced {} segments, expected {total_segments}",
-                    acc.len()
-                )));
-            }
-            let result = concat_op(Segments::from(acc));
-            metrics.driver_merge = merge_span.finish();
-            extra_messages = messages.load(Ordering::Relaxed) + final_assignments.len() as u64;
-            result
+                    Ok(concat_op(Segments::from(segs)))
+                },
+                &mut metrics,
+            )?
         }
-        Err(e) => return Err(e),
     };
 
     // Everything the op parked in executor object managers — peeked inputs,
@@ -461,16 +342,11 @@ where
         inner.executor_ctx(*e).objects.clear_op(op);
     }
     metrics.reduce = reduce_span.finish();
-    if let Some((selector, decision)) = &tuning {
-        // Feed the measured reduce time back: exported traces now carry
-        // predicted/actual permille next to the spans they predicted.
-        selector.observe(decision, metrics.reduce.as_secs_f64());
-    }
 
+    // Frames on the ring and the gather, beside what the tree path counted.
     let sc_after = cluster.sc_stats();
-    metrics.ser_bytes =
-        ser_bytes.load(Ordering::Relaxed) + (sc_after.bytes - sc_before.bytes);
-    metrics.messages = (sc_after.messages - sc_before.messages) + extra_messages;
+    metrics.ser_bytes += ser_bytes.load(Ordering::Relaxed) + (sc_after.bytes - sc_before.bytes);
+    metrics.messages += sc_after.messages - sc_before.messages;
     Ok((result, metrics))
 }
 
@@ -558,7 +434,6 @@ mod tests {
     use crate::config::ClusterSpec;
     use crate::metrics::AggStrategy;
     use crate::rdds::ParallelCollection;
-    use sparker_collectives::segment::slice_bounds;
     use sparker_net::codec::{Decoder, Encoder, F64Array};
     use sparker_net::error::{NetError, NetResult};
     use std::sync::atomic::{AtomicBool, AtomicIsize};
@@ -584,7 +459,6 @@ mod tests {
     ) -> (Vec<f64>, AggMetrics) {
         let cluster = LocalCluster::new(spec);
         let data: Vec<u64> = (1..=64).collect();
-        let expected_count = data.len() as f64;
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(data, parts));
         let (v, m) = split_aggregate(
             &cluster,
@@ -616,7 +490,6 @@ mod tests {
             opts,
         )
         .unwrap();
-        let _ = expected_count;
         (v.0, m)
     }
 
@@ -643,8 +516,6 @@ mod tests {
 
     #[test]
     fn split_aggregate_rejects_out_of_range_namespace() {
-        use crate::config::ClusterSpec;
-        use crate::rdds::ParallelCollection;
         let cluster = LocalCluster::new(ClusterSpec::local(2, 2));
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(vec![1, 2, 3, 4], 2));
         let opts =
@@ -665,8 +536,6 @@ mod tests {
 
     #[test]
     fn split_aggregate_stamps_history_with_job_id() {
-        use crate::config::ClusterSpec;
-        use crate::rdds::ParallelCollection;
         let cluster = LocalCluster::new(ClusterSpec::local(2, 2));
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(vec![1, 2, 3, 4], 2));
         let opts = SplitAggOpts { job_id: 5, ..Default::default() };
@@ -800,7 +669,7 @@ mod tests {
                 31,
                 SplitAggOpts {
                     parallelism: Some(2),
-                    selector: SelectorOpts::Forced(Algo::Halving),
+                    algo: Algo::Halving,
                     ..Default::default()
                 },
             );
@@ -852,7 +721,7 @@ mod tests {
                 37,
                 SplitAggOpts {
                     parallelism: Some(2),
-                    selector: SelectorOpts::Forced(algo),
+                    algo,
                     ..Default::default()
                 },
             );
@@ -875,7 +744,7 @@ mod tests {
             |a, b| *a += b,
             |segs: Segments<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts {
-                selector: SelectorOpts::Forced(Algo::ChunkedRing(0)),
+                algo: Algo::ChunkedRing(0),
                 ..Default::default()
             },
         )
@@ -900,7 +769,7 @@ mod tests {
             37,
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: SelectorOpts::Forced(Algo::Hierarchical),
+                algo: Algo::Hierarchical,
                 ..Default::default()
             },
         );
@@ -921,7 +790,7 @@ mod tests {
             31,
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: SelectorOpts::Forced(Algo::Hierarchical),
+                algo: Algo::Hierarchical,
                 ..Default::default()
             },
         );
@@ -945,7 +814,7 @@ mod tests {
             |segs: Segments<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: SelectorOpts::Forced(Algo::Tree),
+                algo: Algo::Tree,
                 ..Default::default()
             },
         )
@@ -955,36 +824,6 @@ mod tests {
         assert!(
             !cluster.history().snapshot().iter().any(|e| e.label.contains("downgrade")),
             "no downgrade event for a tree primary"
-        );
-    }
-
-    #[test]
-    fn auto_selector_is_exact_and_records_its_decision() {
-        use sparker_tuner::CostModel;
-        sparker_obs::metrics::reset();
-        // 4 MiB dense aggregator on a 2-node cluster: the calibrated-default
-        // model must pick a collective (not tree) and the result stays exact.
-        let (v, m) = run_split_on(
-            two_node_spec(),
-            8,
-            37,
-            SplitAggOpts {
-                parallelism: Some(2),
-                selector: SelectorOpts::Auto(CostModel::default_model()),
-                hint_bytes: 4 << 20,
-                ..Default::default()
-            },
-        );
-        assert_eq!(v, expected(37));
-        assert!(!m.downgraded);
-        let snap = sparker_obs::metrics::snapshot();
-        assert!(
-            snap.iter().any(|s| s.name.starts_with("tuner.selected.")),
-            "selector decision must be exported: {snap:?}"
-        );
-        assert!(
-            snap.iter().any(|s| s.name == "tuner.predict_vs_actual_permille"),
-            "observe() must publish the feedback gauge: {snap:?}"
         );
     }
 

@@ -20,6 +20,10 @@
 //!
 //! Every aggregator crossing an executor boundary is whole — no splitting —
 //! which is precisely the interface restriction §2.4 identifies.
+//!
+//! Stages 2 and 3 are `reduce_to_driver`, the engine's one tree: split
+//! aggregation's tree path (`Algo::Tree`, or the downgrade after an
+//! exhausted gang) runs it over per-executor segment vectors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,8 +91,6 @@ where
     let zero = Arc::new(zero);
 
     let mut metrics = AggMetrics::new(if opts.imm { AggStrategy::TreeImm } else { AggStrategy::Tree });
-    let ser_bytes = Arc::new(AtomicU64::new(0));
-    let messages = Arc::new(AtomicU64::new(0));
     // Op phases are Driver-layer scoped spans; AggMetrics durations are read
     // back from them, so the metrics view and the exported trace agree.
     let scope = inner.history().scope();
@@ -128,7 +130,7 @@ where
     metrics.compute = compute_span.finish();
 
     // Holders of live aggregators after the compute stage.
-    let mut holders: Vec<(ExecutorId, u64)> = if opts.imm {
+    let holders: Vec<(ExecutorId, u64)> = if opts.imm {
         let mut execs: Vec<ExecutorId> = assignments.clone();
         execs.sort();
         execs.dedup();
@@ -137,25 +139,71 @@ where
         (0..parts).map(|p| (assignments[p], p as u64)).collect()
     };
 
-    // --- Shuffle rounds --------------------------------------------------
     let reduce_span = ScopedSpan::begin(
         scope,
         Layer::Driver,
         format!("{}-reduce-op{op}", metrics.strategy.name()),
     );
-    let scale = tree_scale(parts, opts.depth);
+    let acc = reduce_to_driver(
+        cluster,
+        op,
+        holders,
+        tree_scale(parts, opts.depth),
+        &format!("tree-final-op{op}"),
+        &comb,
+        zero,
+        Ok,
+        &mut metrics,
+    )?;
+    // The op's slots are all taken by now; drop them from the maps too.
+    for e in 0..nexec {
+        inner.executor_ctx(ExecutorId(e as u32)).objects.clear_op(op);
+    }
+    metrics.reduce = reduce_span.finish();
+    Ok((acc, metrics))
+}
+
+/// The tree's tail, shared by [`tree_aggregate`] and split aggregation's
+/// tree path: shuffle rounds until at most `scale + n/scale` holders
+/// remain, a final stage that ships each holder's value to the driver, and
+/// the driver's sequential `comb` merge starting from `zero`. `finish`
+/// runs on the merged value inside the driver-merge span.
+///
+/// The final stage encodes each holder from a borrow and takes its slot
+/// only after the send succeeded, so a retried send still finds its value.
+/// Every frame and message the tail sends is added to `metrics`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn reduce_to_driver<U, C, R>(
+    cluster: &LocalCluster,
+    op: u64,
+    mut holders: Vec<(ExecutorId, u64)>,
+    scale: usize,
+    final_label: &str,
+    comb: &Arc<C>,
+    zero: Arc<U>,
+    finish: impl FnOnce(U) -> EngineResult<R>,
+    metrics: &mut AggMetrics,
+) -> EngineResult<R>
+where
+    U: Payload + Clone + Send + Sync,
+    C: Fn(U, U) -> U + Send + Sync + 'static,
+{
+    let inner = cluster.inner().clone();
+    let nexec = inner.num_executors();
+    let ser_bytes = Arc::new(AtomicU64::new(0));
+    let messages = Arc::new(AtomicU64::new(0));
+
+    // --- Shuffle rounds --------------------------------------------------
     let mut level: u64 = 1;
     while holders.len() > scale + holders.len() / scale {
         let m = (holders.len() / scale).max(1);
         holders = shuffle_round(
-            cluster, op, level, &holders, m, nexec, &comb, &zero, &ser_bytes, &messages,
-            &mut metrics,
+            cluster, op, level, &holders, m, nexec, comb, &zero, &ser_bytes, &messages, metrics,
         )?;
         level += 1;
     }
 
     // --- Final reduce at the driver --------------------------------------
-    let final_label = format!("tree-final-op{op}");
     let final_assignments: Vec<ExecutorId> = holders.iter().map(|(e, _)| *e).collect();
     {
         let slots: Vec<u64> = holders.iter().map(|(_, s)| *s).collect();
@@ -163,17 +211,18 @@ where
         let ser_bytes = ser_bytes.clone();
         let messages = messages.clone();
         let (_, attempts) = inner.run_stage(
-            &final_label,
+            final_label,
             &final_assignments,
             move |idx, _attempt, ctx| {
-                let u: U = ctx
+                let id = ObjectId { op, slot: slots[idx] };
+                let frame = ctx
                     .objects
-                    .take(ObjectId { op, slot: slots[idx] })
+                    .with(id, |u: &U| u.to_frame())
                     .ok_or_else(|| TaskFailure { reason: format!("missing aggregator slot {}", slots[idx]) })?;
-                let frame = u.to_frame();
                 ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
                 messages.fetch_add(1, Ordering::Relaxed);
                 send_inner.bm_send_to_driver(ctx.executor, frame)?;
+                drop(ctx.objects.take::<U>(id));
                 Ok(())
             },
             RecoveryPolicy::RetryTask,
@@ -183,7 +232,7 @@ where
     }
 
     let merge_span = ScopedSpan::begin(
-        scope,
+        inner.history().scope(),
         Layer::Driver,
         format!("{}-driver-merge-op{op}", metrics.strategy.name()),
     );
@@ -194,16 +243,12 @@ where
         let u = U::from_frame(frame)?;
         acc = comb(acc, u);
     }
+    let result = finish(acc)?;
     metrics.driver_merge = merge_span.finish();
-    // The op's slots are all taken by now; drop them from the maps too.
-    for e in 0..nexec {
-        inner.executor_ctx(ExecutorId(e as u32)).objects.clear_op(op);
-    }
-    metrics.reduce = reduce_span.finish();
-    // Final-stage frames were already counted by the task-side atomics.
-    metrics.ser_bytes = ser_bytes.load(Ordering::Relaxed);
-    metrics.messages = messages.load(Ordering::Relaxed);
-    Ok((acc, metrics))
+    // The shuffle and final-stage frames, as the tasks counted them.
+    metrics.ser_bytes += ser_bytes.load(Ordering::Relaxed);
+    metrics.messages += messages.load(Ordering::Relaxed);
+    Ok(result)
 }
 
 /// Merges `b` into `a` with the by-value `comb`, `zero` standing in for `a`
@@ -214,12 +259,8 @@ fn combine_into<U: Clone>(a: &mut U, b: U, zero: &U, comb: &impl Fn(U, U) -> U) 
 }
 
 /// One shuffle round: routes `holders` into `m` reducer slots.
-///
-/// `pub(crate)` because `split_aggregate`'s degraded fallback path reuses it
-/// at the segment level (over `Vec<V>` aggregators) when the collective gang
-/// exhausts its attempts.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn shuffle_round<U, C>(
+fn shuffle_round<U, C>(
     cluster: &LocalCluster,
     op: u64,
     level: u64,

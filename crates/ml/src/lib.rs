@@ -24,7 +24,6 @@
 pub mod aggregator;
 pub mod eval;
 pub mod glm;
-pub mod lbfgs;
 pub mod lda;
 pub mod linalg;
 pub mod logistic;

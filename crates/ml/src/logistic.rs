@@ -61,25 +61,6 @@ impl LogisticRegression {
         self
     }
 
-    /// Trains with L-BFGS (what MLlib's `LogisticRegression` actually runs;
-    /// see [`crate::lbfgs`]). Typically converges in far fewer distributed
-    /// aggregations than gradient descent.
-    pub fn train_lbfgs(
-        &self,
-        data: &Dataset<LabeledPoint>,
-        dim: usize,
-    ) -> EngineResult<(LogisticModel, Vec<crate::lbfgs::LbfgsRecord>)> {
-        let cfg = crate::lbfgs::LbfgsConfig {
-            max_iterations: self.iterations,
-            reg_param: self.reg_param,
-            mode: self.mode,
-            ..Default::default()
-        };
-        let (weights, records) =
-            crate::lbfgs::minimize(data, dim, GradientKind::Logistic, cfg)?;
-        Ok((LogisticModel { weights }, records))
-    }
-
     /// Trains on `data` with feature dimension `dim`.
     pub fn train(
         &self,
@@ -142,23 +123,6 @@ mod tests {
         for (a, b) in m_tree.weights.iter().zip(&m_split.weights) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn lbfgs_training_beats_gd_loss_at_equal_evaluations() {
-        let cluster = LocalCluster::local(2, 2);
-        let gen = ClassificationGen::new(91, 40, 6);
-        let g = gen.clone();
-        let ds = cluster.generate(4, move |p| {
-            g.partition(p, 4, 600).into_iter().map(LabeledPoint::from).collect()
-        });
-        let lr = LogisticRegression { iterations: 10, ..Default::default() };
-        let (_, gd_rec) = lr.train(&ds, 40).unwrap();
-        let (model, lbfgs_rec) = lr.train_lbfgs(&ds, 40).unwrap();
-        let gd_best = gd_rec.iter().map(|r| r.loss).fold(f64::INFINITY, f64::min);
-        let lbfgs_best = lbfgs_rec.iter().map(|r| r.loss).fold(f64::INFINITY, f64::min);
-        assert!(lbfgs_best <= gd_best * 1.05, "{lbfgs_best} vs {gd_best}");
-        assert!(!model.weights.iter().any(|w| w.is_nan()));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub enum Layer {
     Step,
     /// Transport events: sends, receives, BlockManager put/fetch, faults.
     Net,
-    /// ML driver loop iterations (GLM / L-BFGS / LDA).
+    /// ML driver loop iterations (GLM / LDA).
     Ml,
 }
 

@@ -104,12 +104,7 @@ impl Backend for EngineBackend {
             Arc::new(ParallelCollection::new((0..job.parts as u64).collect(), job.parts));
         let seed = job.seed;
         let dim = job.dim;
-        let opts = SplitAggOpts {
-            job_id: ctx.job_id,
-            epoch_ns: ctx.epoch_ns,
-            hint_bytes: (job.dim * 8) as u64,
-            ..Default::default()
-        };
+        let opts = SplitAggOpts { job_id: ctx.job_id, epoch_ns: ctx.epoch_ns, ..Default::default() };
         let result = split_aggregate(
             cluster,
             rdd,

@@ -6,8 +6,8 @@
 //! snapshot and a way to classify each (rank, peer) pair as intra- or
 //! inter-node, this module least-squares-fits `time = alpha + beta·bytes`
 //! per link class. Calibration is a *pass over recorded data*: it never
-//! touches the network, so it can run after any traced job, and the fitted
-//! [`CostModel`] is then serialized with [`CostModel::to_text`].
+//! touches the network, so it can run after any traced job, and
+//! [`Calibration::apply`] folds the fit into a [`CostModel`].
 
 use sparker_net::topology::LinkClass;
 use sparker_obs::{Layer, SpanRecord};

@@ -191,11 +191,6 @@ impl CostModel {
         sparse.min(dense)
     }
 
-    /// Whether the sparse representation is the cheaper one for `shape`.
-    pub fn prefers_sparse(&self, shape: &JobShape) -> bool {
-        (shape.density_permille as f64 / 1000.0) * SPARSE_WIRE_FACTOR < 1.0
-    }
-
     /// Predicted wall-clock seconds for running `algo` on `shape`
     /// (reduce-scatter phase; the gather-to-driver tail is common to every
     /// algorithm and cancels out of the ranking).
@@ -287,72 +282,6 @@ fn frac(k: f64) -> f64 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Calibration text format (DESIGN.md §5j): `key=value` lines, one scalar
-// per line, leading `sparker-tuner-calibration v1` magic. f64 values use
-// Rust's shortest round-trip Display form.
-// ---------------------------------------------------------------------------
-
-const MAGIC: &str = "sparker-tuner-calibration v1";
-
-impl CostModel {
-    /// Serializes the model to the calibration text format.
-    pub fn to_text(&self) -> String {
-        format!(
-            "{MAGIC}\n\
-             intra.alpha_s={}\n\
-             intra.beta_s_per_byte={}\n\
-             inter.alpha_s={}\n\
-             inter.beta_s_per_byte={}\n\
-             merge_s_per_byte={}\n\
-             margin_permille={}\n",
-            self.intra.alpha_s,
-            self.intra.beta_s_per_byte,
-            self.inter.alpha_s,
-            self.inter.beta_s_per_byte,
-            self.merge_s_per_byte,
-            self.margin_permille,
-        )
-    }
-
-    /// Parses the calibration text format; every field is required.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(MAGIC) {
-            return Err(format!("missing calibration magic {MAGIC:?}"));
-        }
-        let mut model = Self::default_model();
-        let mut seen = 0u32;
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("malformed calibration line {line:?}"))?;
-            let f = || value.parse::<f64>().map_err(|e| format!("bad value in {line:?}: {e}"));
-            match key {
-                "intra.alpha_s" => model.intra.alpha_s = f()?,
-                "intra.beta_s_per_byte" => model.intra.beta_s_per_byte = f()?,
-                "inter.alpha_s" => model.inter.alpha_s = f()?,
-                "inter.beta_s_per_byte" => model.inter.beta_s_per_byte = f()?,
-                "merge_s_per_byte" => model.merge_s_per_byte = f()?,
-                "margin_permille" => {
-                    model.margin_permille =
-                        value.parse().map_err(|e| format!("bad value in {line:?}: {e}"))?;
-                }
-                _ => return Err(format!("unknown calibration key {key:?}")),
-            }
-            seen += 1;
-        }
-        if seen < 6 {
-            return Err(format!("calibration text has {seen} of 6 required fields"));
-        }
-        Ok(model)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,32 +337,7 @@ mod tests {
         let mut s = shape(1 << 20);
         s.density_permille = 10; // 1% dense -> ~2% of dense wire
         assert!(model.wire_bytes(&s) < 0.03 * (1 << 20) as f64);
-        assert!(model.prefers_sparse(&s));
         s.density_permille = 900; // 90%: sparse would cost 1.8x dense
         assert_eq!(model.wire_bytes(&s), (1 << 20) as f64);
-        assert!(!model.prefers_sparse(&s));
-    }
-
-    #[test]
-    fn text_round_trip_is_exact() {
-        let mut model = CostModel::default_model();
-        model.intra.alpha_s = 3.074659e-6;
-        model.merge_s_per_byte = 1.0 / 7.7e9;
-        let parsed = CostModel::from_text(&model.to_text()).unwrap();
-        assert_eq!(parsed, model);
-    }
-
-    #[test]
-    fn text_rejects_garbage() {
-        assert!(CostModel::from_text("not a calibration").is_err());
-        assert!(CostModel::from_text(MAGIC).is_err(), "missing fields");
-        assert!(
-            CostModel::from_text(&format!("{MAGIC}\nintra.alpha_s=xyz")).is_err(),
-            "bad float"
-        );
-        assert!(
-            CostModel::from_text(&format!("{MAGIC}\nwhat=1")).is_err(),
-            "unknown key"
-        );
     }
 }

@@ -10,19 +10,18 @@
 //!
 //! 1. [`cost`] — a two-link-class alpha-beta model (intra-node,
 //!    inter-node, plus merge throughput) with closed-form predictions for
-//!    `{flat ring, chunked ring C, halving, tree, hierarchical}`, and a
-//!    text serialization for calibration artifacts.
+//!    `{flat ring, chunked ring C, halving, tree, hierarchical}`.
 //! 2. [`calibrate`] — an offline pass fitting those parameters from the
 //!    `collective.step` span family (`ring.step`, `hier.fold`, …) that
 //!    every collective already records through `sparker-obs`.
 //! 3. [`select`] — a deterministic [`Selector`] ranking the candidate
-//!    menu per job, exporting `tuner.selected.{algo}` counters and the
-//!    `tuner.predict_vs_actual_permille` gauge.
+//!    menu per job, exporting `tuner.selected.{algo}` counters.
 //!
-//! The engine consumes decisions through `SplitAggOpts::selector`
-//! (`Auto | Forced`), and `crates/sim` asserts ground truth at paper scale:
-//! the selector is never worse than the best static choice by more than
-//! the calibrated margin. See DESIGN.md §5j for the normative spec.
+//! The engine runs the one algorithm it is handed (`SplitAggOpts::algo`);
+//! a caller that wants the model's pick passes `Selector::select(&shape).algo`.
+//! `crates/sim` asserts ground truth at paper scale: the selector is never
+//! worse than the best static choice by more than the calibrated margin.
+//! See DESIGN.md §5j for the normative spec.
 
 pub mod calibrate;
 pub mod cost;

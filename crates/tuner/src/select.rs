@@ -3,10 +3,9 @@
 //! Deterministic by construction — candidates are scanned in canonical
 //! order ([`Algo::candidates`]) with a strict `<` comparison, so for a
 //! fixed calibration the same shape always yields the same decision. Every
-//! decision bumps a `tuner.selected.{algo}` counter, and feeding the
-//! measured wall-clock back via [`Selector::observe`] publishes the
-//! `tuner.predict_vs_actual_permille` gauge, making mispredictions visible
-//! in exported traces next to the spans they mispredicted.
+//! decision bumps a `tuner.selected.{algo}` counter. The engine runs what
+//! its caller passes in `SplitAggOpts::algo`; a caller that wants the
+//! model's pick passes `select(&shape).algo`.
 
 use crate::cost::{Algo, CostModel, JobShape};
 
@@ -14,9 +13,6 @@ use crate::cost::{Algo, CostModel, JobShape};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     pub algo: Algo,
-    /// Whether the density-adaptive sparse representation is predicted to
-    /// cut wire bytes for this shape.
-    pub sparse: bool,
     /// The model's predicted reduce-scatter seconds for `algo`.
     pub predicted_secs: f64,
 }
@@ -61,18 +57,7 @@ impl Selector {
         }
         let (algo, predicted_secs) = best;
         selected_counter(algo).inc();
-        Decision { algo, sparse: self.model.prefers_sparse(shape), predicted_secs }
-    }
-
-    /// Publishes predicted/actual (permille) for a completed job. 1000
-    /// means the model was exact; large deviations flag a stale
-    /// calibration. Ignored for non-positive actuals.
-    pub fn observe(&self, decision: &Decision, actual_secs: f64) {
-        if actual_secs > 0.0 {
-            let permille = (decision.predicted_secs / actual_secs * 1000.0).round();
-            sparker_obs::metrics::gauge("tuner.predict_vs_actual_permille")
-                .set(permille.clamp(0.0, i64::MAX as f64) as i64);
-        }
+        Decision { algo, predicted_secs }
     }
 }
 
@@ -100,11 +85,6 @@ mod tests {
         ];
         for shape in &shapes {
             let d1 = Selector::default_selector().select(shape);
-            assert_eq!(
-                d1.sparse,
-                CostModel::default_model().prefers_sparse(shape),
-                "the wire-format choice follows the model"
-            );
             for _ in 0..3 {
                 let d2 = Selector::default_selector().select(shape);
                 assert_eq!(d1, d2, "same calibration, same shape, same decision");
@@ -137,9 +117,6 @@ mod tests {
             snap.iter().any(|m| m.name == name),
             "counter {name} missing from {snap:?}"
         );
-        sel.observe(&d, d.predicted_secs); // exact prediction -> 1000
-        let snap = sparker_obs::metrics::snapshot();
-        assert!(snap.iter().any(|m| m.name == "tuner.predict_vs_actual_permille"));
     }
 
     #[test]
@@ -147,7 +124,6 @@ mod tests {
         let sel = Selector::default_selector();
         let d = sel.select(&JobShape::dense(4 << 20, 120, 10, 4));
         assert_eq!(d.algo, Algo::Hierarchical);
-        assert!(!d.sparse);
     }
 
     #[test]

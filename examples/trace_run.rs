@@ -17,6 +17,7 @@
 //! Exits non-zero if anything is missing.
 
 use sparker::prelude::*;
+use sparker::tuner::{JobShape, Selector};
 use sparker_obs::{export, json, trace, Layer};
 
 fn main() {
@@ -37,19 +38,18 @@ fn main() {
         .cache();
     data.count().expect("preload");
 
-    // Split aggregation with the auto-tuned collective selector: every
-    // iteration asks the calibrated cost model which reduction algorithm to
-    // run, and feeds the measured wall-clock back as selector telemetry.
-    let opts = SplitAggOpts {
-        selector: SelectorOpts::Auto(sparker::tuner::CostModel::default_model()),
-        hint_bytes: dim as u64 * 8,
-        ..Default::default()
-    };
+    // Split aggregation with the cost model's pick: the selector ranks the
+    // reduction algorithms for this job's shape, and the engine runs the one
+    // it is handed.
+    let spec = cluster.spec();
+    let shape = JobShape::dense(dim as u64 * 8, spec.num_executors(), spec.nodes, spec.ring_parallelism);
+    let algo = Selector::default_selector().select(&shape).algo;
+    let opts = SplitAggOpts { algo, ..Default::default() };
     let (_, records) = LogisticRegression { iterations: 2, ..Default::default() }
         .with_mode(AggregationMode::Split(opts))
         .train(&data, dim)
         .expect("training");
-    println!("trained {} iterations (split aggregation, auto-tuned)", records.len());
+    println!("trained {} iterations (split aggregation, {})", records.len(), algo.name());
 
     // Scoped spans live under the cluster's History scope; gated spans are
     // unscoped. Grab both before the cluster drops.
@@ -102,31 +102,20 @@ fn main() {
     }
     println!("  pool occupancy gauges: {}", pool_gauges.len());
 
-    // The auto-tuned run must leave the selector's telemetry behind: one
-    // `tuner.selected.{algo}` counter per decision, and the predicted/actual
-    // feedback gauge published by `Selector::observe` — the dashboard
-    // contract for spotting stale calibrations.
+    // The selection must leave the selector's telemetry behind: one
+    // `tuner.selected.{algo}` counter per decision.
     let metrics = sparker_obs::metrics::snapshot();
     let selected: Vec<_> = metrics
         .iter()
         .filter(|m| m.name.starts_with("tuner.selected."))
         .collect();
     if selected.is_empty() {
-        eprintln!("trace_run: auto selector ran but exported no tuner.selected.* counters");
+        eprintln!("trace_run: the selector ran but exported no tuner.selected.* counters");
         std::process::exit(1);
     }
     for m in &selected {
         println!("  {} = {:?}", m.name, m.value);
     }
-    if !metrics.iter().any(|m| {
-        m.name == "tuner.predict_vs_actual_permille"
-            && matches!(m.value, sparker_obs::metrics::MetricValue::Gauge(_))
-    }) {
-        eprintln!("trace_run: tuner.predict_vs_actual_permille feedback gauge missing");
-        std::process::exit(1);
-    }
-    println!("  tuner feedback gauge present");
-
     println!(
         "trace_run OK: {} spans across all {} layers -> results/trace_run.json",
         events.len(),

@@ -107,7 +107,7 @@ fn split_variants_agree() {
                 "split",
                 SplitAggOpts {
                     parallelism: Some(parallelism),
-                    selector: SelectorOpts::Forced(algo),
+                    algo,
                     ..Default::default()
                 },
             );

@@ -14,7 +14,8 @@
 //!   gang that exhausts its budget still finds the aggregators intact for
 //!   the tree fallback.
 //! * `tree_aggregate` retains no aggregator once it returns, with or
-//!   without IMM.
+//!   without IMM, and clones its zero only where a fold or a merge starts
+//!   from it; the driver merge starts from the op's own zero.
 
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -243,7 +244,7 @@ fn ring_path_clones_no_item_and_no_folded_aggregator() {
 #[test]
 fn tree_fallback_clones_no_item_and_no_folded_aggregator() {
     let opts = SplitAggOpts {
-        selector: SelectorOpts::Forced(Algo::Tree),
+        algo: Algo::Tree,
         ..Default::default()
     };
     let (clones, m) = clones_of(4, 8, opts);
@@ -387,5 +388,56 @@ fn tree_aggregate_retains_no_aggregator() {
             assert_eq!(sum.0, 64 * 65 / 2);
         }
         assert_eq!(live(), start, "aggregators retained after 10 ops, imm: {imm}");
+    }
+}
+
+/// Clones of a `Counted` zero. Only one test builds `Counted` values, and
+/// any value something was folded into is positive.
+static ZERO_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+struct Counted(u64);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        if self.0 == 0 {
+            ZERO_CLONES.fetch_add(1, Ordering::SeqCst);
+        }
+        Self(self.0)
+    }
+}
+
+impl Payload for Counted {
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.0);
+    }
+    fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
+        Ok(Self(dec.get_u64()?))
+    }
+    fn size_hint(&self) -> usize {
+        8
+    }
+}
+
+#[test]
+fn tree_aggregate_clones_the_zero_once_per_fold_and_merge() {
+    // 16 partitions on 4 one-core executors, depth 2 (scale 4). Without
+    // IMM: one clone per partition task (16) and one per shuffle merge into
+    // an occupied slot (16 arrivals into 4 slots: 12). With IMM: one per
+    // lane (4) and no shuffle round. Every executor runs a final task, so no
+    // stage closure holds the zero when the driver merge takes it.
+    let cluster = LocalCluster::local(4, 1);
+    let data = cluster.parallelize((1..=64u64).collect::<Vec<_>>(), 16);
+    for (imm, want) in [(false, 16 + 12), (true, 4)] {
+        ZERO_CLONES.store(0, Ordering::SeqCst);
+        let (total, _) = data
+            .tree_aggregate(
+                Counted(0),
+                |acc, x| Counted(acc.0 + x),
+                |a, b| Counted(a.0 + b.0),
+                TreeAggOpts { depth: 2, imm },
+            )
+            .unwrap();
+        assert_eq!(total.0, 64 * 65 / 2);
+        assert_eq!(ZERO_CLONES.load(Ordering::SeqCst), want, "imm: {imm}");
     }
 }

@@ -82,7 +82,7 @@ fn run_split_chunked(
         |segs: Segments<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
         SplitAggOpts {
             parallelism: Some(2),
-            selector: SelectorOpts::Forced(Algo::ChunkedRing(chunks as u8)),
+            algo: Algo::ChunkedRing(chunks as u8),
             ..Default::default()
         },
     )

@@ -74,7 +74,7 @@ fn composite_results_independent_of_parallelism_and_algorithm() {
         assert_eq!(got, baseline, "P={parallelism}");
     }
     let halving = run(SplitAggOpts {
-        selector: SelectorOpts::Forced(Algo::Halving),
+        algo: Algo::Halving,
         ..Default::default()
     });
     assert_eq!(halving, baseline);

@@ -134,12 +134,6 @@ fn selector_is_deterministic() {
         let a = Selector::new(model).select(&shape);
         let b = Selector::new(model).select(&shape);
         tk_assert_eq!(a, b, "same calibration + shape must decide identically");
-        // The decision survives the calibration text round-trip, so a
-        // persisted model replays the same choices.
-        let reread = CostModel::from_text(&model.to_text());
-        tk_assert!(reread.is_ok(), "model text round-trip failed: {:?}", reread.err());
-        let c = Selector::new(reread.unwrap()).select(&shape);
-        tk_assert_eq!(a, c, "persisted calibration must decide identically");
         Ok(())
     });
 }

@@ -89,7 +89,7 @@ fn sparse_gradient(
 fn classification_gradients_match_dense_on_ring_and_halving() {
     let cluster = LocalCluster::local(4, 2);
     for algo in [Algo::FlatRing, Algo::Halving] {
-        let opts = || SplitAggOpts { selector: SelectorOpts::Forced(algo), ..Default::default() };
+        let opts = || SplitAggOpts { algo, ..Default::default() };
         let (dense, _) = dense_gradient(&cluster, opts());
         let (sparse, _) = sparse_gradient(&cluster, opts(), false);
         let (adaptive, _) = sparse_gradient(&cluster, opts(), true);

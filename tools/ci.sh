@@ -129,6 +129,7 @@ run 2 "prop_pool"          timeout 180 cargo test -q --offline -p sparker-repro 
 run 2 "prop_collectives"   timeout 180 cargo test -q --offline -p sparker-repro --test prop_collectives
 run 2 "prop_sparse"        timeout 180 cargo test -q --offline -p sparker-repro --test prop_sparse
 run 2 "sparse_aggregation" timeout 180 cargo test -q --offline -p sparker-repro --test sparse_aggregation
+run 2 "aggregation_equivalence" timeout 180 cargo test -q --offline -p sparker-repro --test aggregation_equivalence
 run 2 "prop_ml"            timeout 180 cargo test -q --offline -p sparker-repro --test prop_ml
 run 2 "prop_tcp_frames"    timeout 180 cargo test -q --offline -p sparker-repro --test prop_tcp_frames
 run 2 "tcp_reconnect"      timeout 180 cargo test -q --offline -p sparker-repro --test tcp_reconnect
