@@ -25,9 +25,9 @@
 //! job boundary via [`MultiProcDriver::try_readmit`].
 //!
 //! Modes:
-//! * `--smoke` — the deterministic seven-act script (baseline, drop, freeze,
-//!   kill, re-admit, scheduled view change, node leader killed mid
-//!   hierarchical reduce-scatter) used as the CI tier-2 gate.
+//! * `--smoke` — the deterministic six-act script (baseline, drop, freeze,
+//!   kill, re-admit, node leader killed mid hierarchical reduce-scatter)
+//!   used as the CI tier-2 gate.
 //! * `--plan kill|stop|drop` — one fault class only; `--plan kill` is
 //!   check_hermetic step 8.
 //! * default — `--jobs N` jobs with a seeded random fault before each.
@@ -49,7 +49,6 @@ use sparker_engine::multiproc::{
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
 use sparker_obs::metrics::{self, MetricValue};
-use sparker_sched::{Fifo, JobRequest, MultiProcBackend, SchedConfig, SchedError, Scheduler};
 use sparker_tuner::Algo;
 
 const CHANNELS: usize = 2;
@@ -315,7 +314,7 @@ fn main() {
 
     match plan.as_deref() {
         _ if smoke => {
-            driver = run_smoke(driver, &mut cluster, &mut coordinator, execs, &watch_pids, &base)
+            run_smoke(&mut driver, &mut cluster, &mut coordinator, execs, &watch_pids, &base)
         }
         Some("kill") => run_plan_kill(&mut driver, &mut cluster, execs, &base),
         Some("stop") => run_plan_stop(&mut driver, &mut cluster, &base),
@@ -343,18 +342,16 @@ fn main() {
     );
 }
 
-/// The deterministic seven-act CI script. Takes the driver by value because
-/// act 6 loans it to a [`Scheduler`] (behind the backend's shared mutex) and
-/// recovers it afterwards.
+/// The deterministic six-act CI script.
 fn run_smoke(
-    mut driver: MultiProcDriver,
+    driver: &mut MultiProcDriver,
     cluster: &mut Cluster,
     coordinator: &mut Coordinator,
     execs: usize,
     watch_pids: &Arc<Mutex<Vec<u32>>>,
     base: &dyn Fn(u64) -> JobSpec,
-) -> MultiProcDriver {
-    println!("\n--- smoke: baseline / drop / freeze / kill / re-admit / scheduled view change / hier leader kill ---");
+) {
+    println!("\n--- smoke: baseline / drop / freeze / kill / re-admit / hier leader kill ---");
 
     // Act 1: baseline — full ring, one attempt, founding view.
     let spec = base(1);
@@ -373,7 +370,7 @@ fn run_smoke(
     assert_eq!(o.view_generation, 0, "healing must not change membership");
     assert_eq!(o.ring_size, execs);
     check_job("drop", &o, &oracle(&spec));
-    let healed = cluster_counter(&mut driver, "net.reconnect.healed");
+    let healed = cluster_counter(driver, "net.reconnect.healed");
     assert!(healed >= 1, "at least one reconnection heal expected, metrics say {healed}");
 
     // Act 3: straggler — freeze one executor for 1.2 s (past suspicion,
@@ -418,86 +415,20 @@ fn run_smoke(
     assert!(view_changes >= 2, "kill + re-admit must publish >= 2 views, saw {view_changes}");
     assert!(readmissions >= 1, "re-admission counter must advance, saw {readmissions}");
 
-    // Act 6: view change under a loaded scheduler queue — an executor dies
-    // mid-ring while two more jobs sit in the admission queue. Only the
-    // in-flight job may fail, and it must fail *typed*; the queued jobs run
-    // on the survivor ring, bit-exact. Retries and the tree fallback are
-    // disabled so the failure is the scheduler-visible event, not something
-    // the driver quietly absorbs.
-    println!("  act 6: view change with two jobs queued behind the dying one");
-    driver.max_attempts = 1;
-    driver.allow_fallback = false;
-    let shared = Arc::new(sparker_net::sync::Mutex::new(driver));
-    let sched = Scheduler::new(
-        MultiProcBackend::new(Arc::clone(&shared)),
-        Box::new(Fifo),
-        SchedConfig { capacity: 8, ..SchedConfig::default() },
-    );
-    let mut doomed = base(6);
-    doomed.die_rank = 1;
-    let spec7 = base(7);
-    let spec8 = base(8);
-    let h6 = sched.submit(JobRequest::new(0, doomed)).expect("doomed job admitted");
-    let h7 = sched.submit(JobRequest::new(1, spec7.clone())).expect("queued job admitted");
-    let h8 = sched.submit(JobRequest::new(2, spec8.clone())).expect("queued job admitted");
-    match h6.wait() {
-        Err(SchedError::TaskFailed { job, reason }) => {
-            println!("  in-flight job {job} failed typed across the view change: {reason}");
-        }
-        Ok(_) => panic!("the job whose executor died mid-ring must fail (fallback disabled)"),
-        Err(other) => panic!("expected TaskFailed for the in-flight job, got {other}"),
-    }
-    let o7 = h7.wait().expect("first queued job must survive the view change");
-    let o8 = h8.wait().expect("second queued job must survive the view change");
-    for (o, spec, name) in [(&o7, &spec7, "queued-1"), (&o8, &spec8, "queued-2")] {
-        assert!(!o.used_fallback, "{name}: survivor ring must beat the fallback");
-        assert_eq!(o.ring_size, execs - 1, "{name}: retry ring must span the survivors");
-        assert!(o.view_generation >= 3, "{name}: the mid-ring death must publish a new view");
-        check_job(name, o, &oracle(spec));
-    }
-    drop(sched);
-    let mut driver = Arc::try_unwrap(shared)
-        .ok()
-        .expect("scheduler must release the driver on shutdown")
-        .into_inner();
-    driver.max_attempts = 4;
-    driver.allow_fallback = true;
-
-    // The die_rank fault really killed a process (exit code 13): find the
-    // newly dead child and mark it so final exit-code accounting balances.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    'find: loop {
-        for e in cluster.execs.iter_mut() {
-            if !e.killed && matches!(e.child.try_wait(), Ok(Some(_))) {
-                e.killed = true;
-                break 'find;
-            }
-        }
-        assert!(Instant::now() < deadline, "the die_rank victim never exited");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // Act 7: hierarchical collective under chaos — a replacement is
-    // re-admitted to restore the full ring, the job runs the two-level path
-    // over two *emulated* nodes, and the leader of the second node group is
-    // SIGKILLed mid reduce-scatter. The retry must re-form the hierarchy over
-    // the survivors (groups and leaders are re-derived from ring positions,
-    // so the re-election is automatic): same bits, new view, no hang.
-    println!("  act 7: SIGKILL a node leader mid-hierarchical-reduce-scatter");
-    cluster.spawn_exec();
-    *watch_pids.lock().unwrap() = cluster.pids();
-    let readmitted = driver
-        .try_readmit(coordinator, Duration::from_secs(15))
-        .expect("readmit poll")
-        .expect("replacement executor should be re-admitted for act 7");
-    println!("  re-admitted replacement executor at rank {readmitted}");
+    // Act 6: hierarchical collective under chaos — on the full ring act 5
+    // restored, the job runs the two-level path over two *emulated* nodes,
+    // and the leader of the second node group is SIGKILLed mid
+    // reduce-scatter. The retry must re-form the hierarchy over the
+    // survivors (groups and leaders are re-derived from ring positions, so
+    // the re-election is automatic): same bits, new view, no hang.
+    println!("  act 6: SIGKILL a node leader mid-hierarchical-reduce-scatter");
     let hier = |id: u64| {
         let mut s = base(id);
         s.algo = Algo::Hierarchical;
         s.nodes = 2;
         s
     };
-    let spec = hier(9);
+    let spec = hier(6);
     let o = driver.run_job(&spec).expect("hierarchical baseline job");
     assert_eq!(
         (o.attempts, o.used_fallback, o.ring_size),
@@ -507,7 +438,7 @@ fn run_smoke(
     check_job("hier-baseline", &o, &oracle(&spec));
 
     let pre_kill_views = driver_counter("multiproc.view_changes");
-    let mut doomed = hier(10);
+    let mut doomed = hier(7);
     // Emulated node groups split the view-ordered ring by position, so the
     // member at position N/2 leads the second group.
     doomed.die_rank = (driver.alive().len() / 2) as u32;
@@ -522,17 +453,16 @@ fn run_smoke(
 
     // Account for the leader's death so exit codes balance at teardown.
     let deadline = Instant::now() + Duration::from_secs(10);
-    'find2: loop {
+    'find: loop {
         for e in cluster.execs.iter_mut() {
             if !e.killed && matches!(e.child.try_wait(), Ok(Some(_))) {
                 e.killed = true;
-                break 'find2;
+                break 'find;
             }
         }
-        assert!(Instant::now() < deadline, "the act-7 leader victim never exited");
+        assert!(Instant::now() < deadline, "the act-6 leader victim never exited");
         std::thread::sleep(Duration::from_millis(20));
     }
-    driver
 }
 
 /// `--plan kill`: one SIGKILL, prove survivor ring re-formation

@@ -161,21 +161,17 @@ fn tab3() {
 
 /// IMM's benefit is measured in *bytes never serialized* (DESIGN.md §4.2):
 /// without it every task result crosses the codec; with it, one aggregator
-/// per executor does. The allreduce row is the §6 extension: its reduced
-/// value also stays resident on every executor, and the driver's share
-/// stays one aggregator at any partition count. Byte and message counters
-/// are the signal, not time.
+/// per executor does, and split aggregation keeps the driver's share at one
+/// aggregator at any partition count. Byte and message counters are the
+/// signal, not time.
 fn imm_bytes() {
     print_header(
         "Ablation: IMM serialized bytes",
         "Serialized bytes & messages per aggregation strategy (threaded engine)",
         "Aggregator = 1 MiB of f64. IMM shrinks serialized volume from O(partitions) to\n\
-         O(executors); split aggregation and allreduce shrink driver traffic to O(1)\n\
-         aggregators.",
+         O(executors); split aggregation shrinks driver traffic to O(1) aggregators.",
     );
     let mut t = Table::new(vec!["Partitions", "Strategy", "Ser MiB", "Messages", "Driver MiB"]);
-    // `AggMetrics` names split and allreduce both `split`; `variant` tells
-    // the rows apart.
     let mut csv = MetricsCsv::new(vec!["partitions", "variant"]);
     for per_executor in [2usize, 8, 32] {
         let partitions = (4 * per_executor).to_string();
@@ -184,7 +180,6 @@ fn imm_bytes() {
             ("tree", sum.tree(TreeAggOpts { depth: 2, imm: false })),
             ("tree+imm", sum.tree(TreeAggOpts { depth: 2, imm: true })),
             ("split", sum.split(SplitAggOpts::default())),
-            ("allreduce", sum.allreduce()),
         ] {
             csv.row(vec![partitions.clone(), name.to_string()], &m);
             let mib = |b: u64| format!("{:.1}", b as f64 / MB);

@@ -13,7 +13,7 @@
 //!    calls, and each executor's minor page faults and CPU ticks per job
 //!    (`proc.minflt`, `proc.cpu_ticks`) are printed.
 //! 2. **sparse** — the same job with density-adaptive
-//!    [`sparker_sparse::DenseOrSparse`] segments at 1% density; bit-exact
+//!    [`sparker::sparse::DenseOrSparse`] segments at 1% density; bit-exact
 //!    *and* far fewer gathered bytes than the dense job.
 //! 3. **flaky** — rank 1 sprays frames then reports failure on attempt 0.
 //!    The gang retry must succeed on attempt 1, with the receivers' epoch

@@ -200,21 +200,6 @@ impl ArraySum {
             .expect("split aggregate")
             .1
     }
-
-    pub fn allreduce(&self) -> AggMetrics {
-        self.data
-            .allreduce_aggregate(
-                self.zero(),
-                add_array,
-                sparker::dense::merge,
-                sparker::dense::split,
-                sparker::dense::merge_segments,
-                sparker::dense::concat,
-                None,
-            )
-            .expect("allreduce aggregate")
-            .metrics
-    }
 }
 
 /// Formats seconds compactly (µs/ms/s) for table cells.

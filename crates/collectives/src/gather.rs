@@ -65,7 +65,7 @@ pub fn in_index_order<V>(
 /// Built from a driver-side [`Gather`], each segment is decoded from its
 /// frame at the moment concat asks for it, so at most one decoded segment
 /// is alive next to concat's output. Values already held (the tree
-/// fallback, allreduce, tests) convert with `From<Vec<V>>`. A malformed
+/// fallback, tests) convert with `From<Vec<V>>`. A malformed
 /// gather ends the sequence early; the caller learns why from
 /// [`Gather::finish`] and discards concat's value.
 pub struct Segments<'a, V> {

@@ -23,8 +23,8 @@
 //! * [`halving::recursive_halving_reduce_scatter`] — the Rabenseifner-style
 //!   alternative (cited by the paper as state of the art), used for the
 //!   algorithm ablation.
-//! * [`allreduce::ring_allreduce`] / [`gather`] — reduce-scatter composed
-//!   with allgather/gather, completing the MPI-style collective family.
+//! * [`gather`] — the driver-side decode of the owned segments a
+//!   reduce-scatter leaves on each rank.
 //! * [`hierarchical`] — the two-level path: intra-node fold to an elected
 //!   node leader, ring over leaders only; NIC bytes shrink by the
 //!   executors-per-node factor.
@@ -37,9 +37,7 @@
 //! of a transport plus ring topology — so the same code runs in unit tests,
 //! in the benchmark's probes, inside the engine's executors and over TCP.
 
-pub mod allreduce;
 pub mod comm;
-pub mod composite;
 pub mod gather;
 pub mod halving;
 pub mod hierarchical;
@@ -53,7 +51,6 @@ pub use comm::RingComm;
 pub use hierarchical::{
     hierarchical_reduce_scatter, hierarchical_reduce_scatter_by, node_topology_of,
 };
-pub use composite::{CompositeAgg, CompositeLayout};
 pub use lanes::run_lanes;
 pub use ring::{
     ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_produced_by,

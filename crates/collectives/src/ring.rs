@@ -73,7 +73,8 @@ pub fn ring_reduce_scatter_chunked<S: Segment>(
 }
 
 /// [`ring_reduce_scatter_produced_by`] over ready-made segments, for the
-/// collectives that hold a segment vector (hierarchical leaders, allreduce).
+/// collectives that hold a segment vector (the chunked ring, hierarchical
+/// leaders).
 ///
 /// `segments` must contain exactly `P·N·chunks` entries, laid out so that
 /// channel `t` covers global indices `[t·N·C, (t+1)·N·C)` and logical ring

@@ -117,12 +117,13 @@
 //! |---|---|
 //! | [`sparker_obs`] | span tracing, metrics, Chrome-trace + Fig 2 exporters |
 //! | [`sparker_net`] | codec, in-process mesh + TCP transports, PDR topology |
-//! | [`sparker_collectives`] | ring reduce-scatter, tree, halving, allreduce |
+//! | [`sparker_collectives`] | ring reduce-scatter, tree, halving, hierarchical |
 //! | [`sparker_sparse`] | sparse & density-adaptive segments (SparCML-style SSAR) |
 //! | [`sparker_engine`] | RDDs, driver/executors, tree & split aggregation, IMM |
 //! | [`sparker_ml`] | LR / SVM / LDA with the `AggregationMode` switch |
 //! | [`sparker_data`] | RNG, libsvm, synthetic Table 2 datasets |
 //! | [`sparker_tuner`] | calibrated cost model + collective algorithm selector |
+//! | `sparker-sched` | FIFO admission and epoch namespaces for concurrent jobs |
 //! | `sparker-sim` | discrete-event simulator for paper-scale figures |
 
 pub use sparker_collectives as collectives;
@@ -181,9 +182,6 @@ pub mod prelude {
     pub use sparker_engine::config::ClusterSpec;
     pub use sparker_engine::dataset::Dataset;
     pub use sparker_engine::metrics::{AggMetrics, AggStrategy};
-    pub use sparker_engine::ops::allreduce_aggregate::{
-        allreduce_aggregate, executor_copy_slot, AllReduceOutput,
-    };
     pub use sparker_engine::ops::split_aggregate::SplitAggOpts;
     pub use sparker_engine::ops::tree_aggregate::TreeAggOpts;
     pub use sparker_ml::glm::AggregationMode;

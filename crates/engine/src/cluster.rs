@@ -63,9 +63,10 @@ pub enum RecoveryPolicy {
     /// Tasks are a gang coupled through in-flight collective traffic (ring
     /// reduce-scatter): any failure cancels the peers via the op's shared
     /// token, drains both transports once every task has stopped, bumps the
-    /// epoch, and resubmits the whole stage. Unlike [`ResubmitStage`] the
-    /// per-executor inputs are *not* cleared — gang stages read them
-    /// non-destructively, and the poison lives only in in-flight frames.
+    /// epoch, and resubmits the whole stage. Unlike
+    /// [`RecoveryPolicy::ResubmitStage`] the per-executor inputs are *not*
+    /// cleared — gang stages read them non-destructively, and the poison
+    /// lives only in in-flight frames.
     ResubmitGang { op: u64 },
 }
 

@@ -187,38 +187,6 @@ impl<T: Data> Dataset<T> {
         ops::tree_aggregate::tree_aggregate(&self.cluster, self.rdd.clone(), zero, seq, comb, opts)
     }
 
-    /// Allreduce aggregation (extension past the paper): reduce-scatter +
-    /// allgather leave the reduced value resident on every executor, and
-    /// the driver receives a single copy. See
-    /// [`crate::ops::allreduce_aggregate`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn allreduce_aggregate<U, V>(
-        &self,
-        zero: U,
-        seq: impl Fn(U, &T) -> U + Send + Sync + 'static,
-        merge: impl Fn(&mut U, U) + Send + Sync + 'static,
-        split: impl Fn(&U, usize, usize) -> V + Send + Sync + 'static,
-        reduce: impl Fn(&mut V, V) + Send + Sync + 'static,
-        concat: impl Fn(Segments<'_, V>) -> V + Send + Sync + 'static,
-        parallelism: Option<usize>,
-    ) -> EngineResult<crate::ops::allreduce_aggregate::AllReduceOutput<V>>
-    where
-        U: Clone + Send + Sync + 'static,
-        V: Payload + Clone + Send + Sync + 'static,
-    {
-        crate::ops::allreduce_aggregate::allreduce_aggregate(
-            &self.cluster,
-            self.rdd.clone(),
-            zero,
-            seq,
-            merge,
-            split,
-            reduce,
-            concat,
-            parallelism,
-        )
-    }
-
     /// Sparker's `splitAggregate` (paper Figure 6, bottom).
     #[allow(clippy::too_many_arguments)]
     pub fn split_aggregate<U, V>(

@@ -61,6 +61,8 @@ pub struct AggMetrics {
     pub task_attempts: u32,
     /// True when the collective path exhausted its gang attempts and the
     /// result was produced by the degraded (tree-style) fallback instead.
+    /// `ser_bytes` and `messages` then count the fallback alone, the same
+    /// pair a forced `Algo::Tree` op reads.
     pub downgraded: bool,
     /// Scheduler job this aggregation ran under, making rows from concurrent
     /// jobs attributable in merged CSVs. Single-job runs emit 0.

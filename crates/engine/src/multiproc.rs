@@ -888,6 +888,10 @@ pub struct JobOutcome {
     pub ring_size: usize,
 }
 
+/// Gang attempts [`MultiProcDriver::run_job`] makes on the ring before the
+/// tree fallback.
+const MAX_ATTEMPTS: u32 = 4;
+
 /// The multi-process driver: owns the control connections and the membership
 /// view, dispatches jobs, and decides between gang retry, survivor-ring
 /// re-formation, and tree fallback (in that order).
@@ -895,13 +899,6 @@ pub struct MultiProcDriver {
     controls: Vec<Option<ControlConn>>,
     /// The current membership view (generation bumps on every change).
     view: MembershipView,
-    /// Gang attempts before giving up on the ring path.
-    pub max_attempts: u32,
-    /// Whether exhausted ring attempts may degrade to the tree fallback
-    /// (the default). Schedulers turn this off so a job caught by a view
-    /// change fails *typed* and promptly instead of silently recomputing —
-    /// queued jobs then run under the new view.
-    pub allow_fallback: bool,
     /// How long to wait for each executor's reply to a job.
     pub reply_timeout: Duration,
     /// The last ring-attempt failure seen by [`MultiProcDriver::run_job`]
@@ -920,8 +917,6 @@ impl MultiProcDriver {
         Self {
             controls: controls.into_iter().map(Some).collect(),
             view: MembershipView::full(n),
-            max_attempts: 4,
-            allow_fallback: true,
             reply_timeout: Duration::from_secs(60),
             last_ring_error: String::new(),
             last_admit_errors: Vec::new(),
@@ -994,7 +989,7 @@ impl MultiProcDriver {
         let mut attempts = 0;
         let mut last_err = String::new();
         let tree_primary = base.algo == Algo::Tree;
-        while !tree_primary && attempts < self.max_attempts {
+        while !tree_primary && attempts < MAX_ATTEMPTS {
             self.refresh_view();
             let gang = self.alive();
             if gang.is_empty() {
@@ -1063,15 +1058,6 @@ impl MultiProcDriver {
         }
 
         if !tree_primary {
-            if !self.allow_fallback {
-                self.refresh_view();
-                return Err(EngineError::TaskFailed {
-                    stage: job_stage(base.id, self.view.generation),
-                    task: 0,
-                    attempts,
-                    reason: format!("ring attempts exhausted, fallback disabled: {last_err}"),
-                });
-            }
             count_fallback();
         }
 

@@ -57,8 +57,8 @@ use crate::rdd::{Data, RddRef, TaskContext};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
 /// Slot base of the fallback path's per-executor segment vectors. Disjoint
-/// from the IMM slots (`0..nexec`), the allreduce resident copy (`1 << 48`)
-/// and the shuffle-round slots (`level << 32 | j`, small `level`).
+/// from the IMM slots (`0..nexec`) and the shuffle-round slots
+/// (`level << 32 | j`, small `level`).
 const FALLBACK_SLOT_BASE: u64 = 2 << 48;
 
 /// Options for [`split_aggregate`].
@@ -177,7 +177,7 @@ where
     // --- Stage 2: SpawnRDD ring stage ------------------------------------
     let reduce_span =
         ScopedSpan::begin(scope, Layer::Driver, format!("{}-reduce-op{op}", strategy.name()));
-    let sc_before = cluster.sc_stats();
+    let mut sc_before = cluster.sc_stats();
     let ring = inner.build_ring(parallelism);
     let total_segments = segment_count(algo, &ring);
 
@@ -195,7 +195,7 @@ where
         let split = split.clone();
         let reduce = reduce.clone();
         let zero = zero.clone();
-        let ser_bytes = ser_bytes.clone();
+        let task_ser_bytes = ser_bytes.clone();
         let epoch_ns = opts.epoch_ns;
         let outcome = inner.run_stage(
             &ring_label,
@@ -224,7 +224,7 @@ where
                 // the driver's lazy decode reads them in, are this task's
                 // result over the normal (BlockManager) result path.
                 let frame = owned.to_frame();
-                ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
+                task_ser_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
                 inner2.bm_send_to_driver(ctx.executor, frame)?;
                 Ok(owned.len())
             },
@@ -243,6 +243,10 @@ where
                     std::time::Duration::ZERO,
                 );
                 metrics.downgraded = true;
+                // The op counts its tree alone: how far the failed gang
+                // attempts got before they gave up is a matter of timing.
+                sc_before = cluster.sc_stats();
+                ser_bytes.store(0, Ordering::Relaxed);
                 None
             }
             Err(e) => return Err(e),
@@ -363,7 +367,7 @@ pub(crate) fn with_aggregator<U: Send + Sync + 'static, R>(
     ctx.objects.with_or(ObjectId { op, slot: ctx.executor.0 as u64 }, zero.as_ref(), f)
 }
 
-/// The reduced-result stage (IMM) of split, allreduce and IMM tree
+/// The reduced-result stage (IMM) of split and IMM tree
 /// aggregation, in the shape of the paper's SpawnRDD fold (§4).
 ///
 /// Every executor runs `min(cores_per_executor, its partitions)` lane

@@ -15,27 +15,12 @@ pub fn sparse_dot(indices: &[u32], values: &[f64], w: &[f64]) -> f64 {
         .sum()
 }
 
-/// `y += alpha * x` (dense).
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// `y[i] += alpha * v` for sparse `(i, v)` pairs.
 pub fn sparse_axpy(alpha: f64, indices: &[u32], values: &[f64], y: &mut [f64]) {
     for (&i, &v) in indices.iter().zip(values) {
         if let Some(slot) = y.get_mut(i as usize) {
             *slot += alpha * v;
         }
-    }
-}
-
-/// `x *= alpha` in place.
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
     }
 }
 
@@ -72,19 +57,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_variants() {
-        let mut y = vec![1.0, 1.0, 1.0];
-        axpy(2.0, &[1.0, 0.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, 1.0, -1.0]);
+    fn sparse_axpy_adds_scaled_pairs() {
+        let mut y = vec![3.0, 1.0, -1.0];
         sparse_axpy(10.0, &[1], &[0.5], &mut y);
         assert_eq!(y, vec![3.0, 6.0, -1.0]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut x = vec![2.0, -4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, vec![1.0, -2.0]);
     }
 
     #[test]

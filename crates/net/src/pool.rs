@@ -68,7 +68,7 @@ pub struct ClassOccupancy {
     pub in_use: u64,
     /// Buffers sitting on the freelist, ready for reuse.
     pub free: usize,
-    /// Retention cap per class ([`MAX_PER_CLASS`]).
+    /// Retention cap per class (`MAX_PER_CLASS`).
     pub cap: usize,
 }
 

@@ -40,7 +40,7 @@
 //!
 //! # Self-healing (DESIGN.md §5h)
 //!
-//! Each peer link is a small state machine, [`Link`]: `Up` (socket live),
+//! Each peer link is a small state machine, `Link`: `Up` (socket live),
 //! `Redialing`/`AwaitingDial` (reconnecting after a transient failure), and
 //! `Down` (peer declared lost). Failure detection is both reactive (socket
 //! errors, EOF) and proactive (the [`health`] heartbeat protocol on the
@@ -336,7 +336,7 @@ impl TcpTransport {
 
     /// Full-control constructor: tunables via `cfg`, reconnection armed when
     /// `recon` is provided. With reconnection armed, ranks *without* a
-    /// connection are allowed — they start [`Link::Down`] with a latched
+    /// connection are allowed — they start `Link::Down` with a latched
     /// [`NetError::PeerLost`] (the partial mesh a re-admitted executor
     /// builds; see [`rendezvous`]) until [`Self::install_peer`] or an
     /// accepted re-dial brings them up.

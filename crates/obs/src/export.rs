@@ -45,9 +45,9 @@ pub fn stage_kind(label: &str) -> &str {
 }
 
 /// Is this stage kind part of an aggregation (the paper's Fig 2 numerator:
-/// everything `treeAggregate` spends, plus our split/allreduce variants)?
+/// everything `treeAggregate` spends, plus our split variants)?
 pub fn is_aggregation_kind(kind: &str) -> bool {
-    kind.starts_with("tree-") || kind.starts_with("split-") || kind.starts_with("allreduce-")
+    kind.starts_with("tree-") || kind.starts_with("split-")
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ pub enum Layer {
     Stage,
     /// Individual task attempts inside a stage.
     Task,
-    /// Collective steps (ring / halving / allgather), one per hop.
+    /// Collective steps (ring / halving / hierarchical), one per hop.
     Step,
     /// Transport events: sends, receives, BlockManager put/fetch, faults.
     Net,

@@ -1,29 +1,22 @@
 //! Execution backends: where admitted jobs actually run.
 //!
 //! The scheduler core is generic over a [`Backend`] with one or more
-//! *lanes* — independent execution slots the worker threads drive. The two
-//! production shapes:
-//!
-//! * [`EngineBackend`] — each lane owns its own in-process
-//!   [`LocalCluster`]; lanes run genuinely concurrently (a cluster's action
-//!   lock serializes ops *per cluster*, so one cluster per lane is what
-//!   turns job concurrency into wall-clock overlap).
-//! * [`MultiProcBackend`] — one lane over the shared
-//!   [`MultiProcDriver`] control plane; concurrency here is *interleaving*
-//!   many submitters' jobs through the FIFO queue, with each job fenced
-//!   into its own epoch namespace on the real TCP mesh.
+//! *lanes* — independent execution slots the worker threads drive. The
+//! production backend is [`EngineBackend`]: each lane owns its own
+//! in-process [`LocalCluster`], so lanes run genuinely concurrently (a
+//! cluster's action lock serializes ops *per cluster*, so one cluster per
+//! lane is what turns job concurrency into wall-clock overlap).
 
 use std::sync::Arc;
 
 use sparker_collectives::gather::Segments;
 use sparker_engine::config::ClusterSpec;
-use sparker_engine::multiproc::{part_vector, JobOutcome, JobSpec, MultiProcDriver};
+use sparker_engine::multiproc::part_vector;
 use sparker_engine::ops::split_aggregate::{split_aggregate, SplitAggOpts};
 use sparker_engine::rdd::RddRef;
 use sparker_engine::rdds::ParallelCollection;
 use sparker_engine::LocalCluster;
 use sparker_net::codec::F64Array;
-use sparker_net::sync::Mutex;
 
 /// Context the scheduler hands a backend for each dispatch: the identity the
 /// job runs under.
@@ -142,39 +135,6 @@ impl Backend for EngineBackend {
         }
         let (value, _metrics) = result.map_err(|e| e.to_string())?;
         Ok(value.0)
-    }
-}
-
-/// Real-TCP backend over a shared [`MultiProcDriver`]. One lane: the control
-/// plane is sequential, but jobs from many submitters interleave through the
-/// FIFO queue and each runs under its own epoch namespace on the wire.
-pub struct MultiProcBackend {
-    driver: Arc<Mutex<MultiProcDriver>>,
-}
-
-impl MultiProcBackend {
-    /// Wraps a shared driver; the caller keeps its own `Arc` for shutdown
-    /// and metrics collection after the scheduler is done.
-    pub fn new(driver: Arc<Mutex<MultiProcDriver>>) -> Self {
-        Self { driver }
-    }
-}
-
-impl Backend for MultiProcBackend {
-    type Job = JobSpec;
-    type Output = JobOutcome;
-
-    fn lanes(&self) -> usize {
-        1
-    }
-
-    fn run(&self, _lane: usize, ctx: JobCtx, job: &Self::Job) -> Result<JobOutcome, String> {
-        let mut spec = job.clone();
-        // The scheduler's identity wins: its job ids are unique across the
-        // queue and its namespace is unique among live jobs.
-        spec.id = ctx.job_id;
-        spec.epoch_ns = ctx.epoch_ns;
-        self.driver.lock().run_job(&spec).map_err(|e| e.to_string())
     }
 }
 

@@ -17,8 +17,8 @@
 //!   accept each other's traffic. Namespaces are recycled only after the
 //!   job completes.
 //! * **Backends** ([`backend`]) — the scheduler core is generic over where
-//!   jobs run: per-lane in-process clusters ([`backend::EngineBackend`]) or
-//!   the real-TCP multi-process driver ([`backend::MultiProcBackend`]).
+//!   jobs run; the one production backend runs them on per-lane in-process
+//!   clusters ([`backend::EngineBackend`]).
 //!
 //! Everything is instrumented as `sched.*` counters/gauges/histograms in
 //! [`sparker_obs`], plus a gated `sched.job` span per dispatch.
@@ -39,6 +39,6 @@ pub mod backend;
 pub mod error;
 pub mod scheduler;
 
-pub use backend::{AggJob, Backend, EngineBackend, JobCtx, MultiProcBackend};
+pub use backend::{AggJob, Backend, EngineBackend, JobCtx};
 pub use error::SchedError;
 pub use scheduler::{ClientId, Fifo, JobHandle, JobRequest, SchedConfig, Scheduler};

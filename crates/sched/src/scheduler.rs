@@ -359,14 +359,21 @@ mod tests {
         gate: std::sync::Mutex<bool>,
         cv: Condvar,
         dispatched: std::sync::Mutex<Vec<u64>>,
+        /// The one job that fails once the gate opens, if any.
+        failing: Option<u64>,
     }
 
     impl GateBackend {
         fn new() -> Arc<Self> {
+            Self::with_failing(None)
+        }
+
+        fn with_failing(failing: Option<u64>) -> Arc<Self> {
             Arc::new(Self {
                 gate: std::sync::Mutex::new(false),
                 cv: Condvar::new(),
                 dispatched: std::sync::Mutex::new(Vec::new()),
+                failing,
             })
         }
 
@@ -389,6 +396,9 @@ mod tests {
             let mut open = self.gate.lock().unwrap();
             while !*open {
                 open = self.cv.wait(open).unwrap();
+            }
+            if self.failing == Some(*job) {
+                return Err(format!("job {job} failed"));
             }
             Ok(*job)
         }
@@ -435,6 +445,30 @@ mod tests {
         }
         let ok = sched.submit(JobRequest::new(0, 8)).expect("admitted");
         assert_eq!(ok.wait().expect("even job runs"), 16);
+    }
+
+    /// DESIGN.md §5i invariant 3: a failing job fails alone and typed, and
+    /// the jobs queued behind it complete, in admission order.
+    #[test]
+    fn failing_job_fails_alone_and_the_jobs_queued_behind_it_complete() {
+        let gate = GateBackend::with_failing(Some(20));
+        let sched = Scheduler::new(gate.clone(), Box::new(Fifo), SchedConfig::default());
+        let doomed = sched.submit(JobRequest::new(0, 20)).expect("dispatched");
+        wait_until("failing job in flight", || sched.inflight() == 1);
+        let h1 = sched.submit(JobRequest::new(1, 21)).expect("queued");
+        let h2 = sched.submit(JobRequest::new(2, 22)).expect("queued");
+        let doomed_id = doomed.job_id;
+        gate.open();
+        match doomed.wait() {
+            Err(SchedError::TaskFailed { job, reason }) => {
+                assert_eq!(job, doomed_id, "the failure names the failing job");
+                assert!(reason.contains("job 20 failed"), "{reason}");
+            }
+            other => panic!("expected TaskFailed, got {other:?}"),
+        }
+        assert_eq!(h1.wait().expect("first queued job completes"), 21);
+        assert_eq!(h2.wait().expect("second queued job completes"), 22);
+        assert_eq!(*gate.dispatched.lock().unwrap(), vec![20, 21, 22], "admission order");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! SSAR (Renggli et al.) and Zhao & Canny's sparse allreduce.
 //!
 //! Both types implement [`Segment`], so ring reduce-scatter, recursive
-//! halving, allreduce, the gather path and the epoch-fenced fault machinery
+//! halving, the gather path and the epoch-fenced fault machinery
 //! all work unchanged; nothing in `collectives` or `engine` knows sparsity
 //! exists.
 //!

@@ -1,12 +1,12 @@
 //! Offline calibration: fit alpha-beta link parameters from obs step spans.
 //!
 //! Every collective step emits a `Layer::Step` span (`ring.step`,
-//! `allgather.step`, `hier.fold`) carrying `rank`, `peer`,
-//! and byte counts — the `collective.step` family. Given a run's span
-//! snapshot and a way to classify each (rank, peer) pair as intra- or
-//! inter-node, this module least-squares-fits `time = alpha + beta·bytes`
-//! per link class. Calibration is a *pass over recorded data*: it never
-//! touches the network, so it can run after any traced job, and
+//! `hier.fold`) carrying `rank`, `peer`, and byte counts — the
+//! `collective.step` family. Given a run's span snapshot and a way to
+//! classify each (rank, peer) pair as intra- or inter-node, this module
+//! least-squares-fits `time = alpha + beta·bytes` per link class.
+//! Calibration is a *pass over recorded data*: it never touches the
+//! network, so it can run after any traced job, and
 //! [`Calibration::apply`] folds the fit into a [`CostModel`].
 
 use sparker_net::topology::LinkClass;
@@ -15,7 +15,7 @@ use sparker_obs::{Layer, SpanRecord};
 use crate::cost::{CostModel, LinkParams};
 
 /// Step-span names that count as the `collective.step` family.
-const STEP_NAMES: [&str; 3] = ["ring.step", "allgather.step", "hier.fold"];
+const STEP_NAMES: [&str; 2] = ["ring.step", "hier.fold"];
 
 /// One fitted run: parameters per class plus how much data backed them.
 #[derive(Debug, Clone, Copy, PartialEq)]

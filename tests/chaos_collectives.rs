@@ -47,15 +47,13 @@ fn expected() -> Vec<f64> {
 }
 
 fn run_split(cluster: &LocalCluster) -> EngineResult<(Vec<f64>, AggMetrics)> {
-    run_split_chunked(cluster, 1)
+    run_split_algo(cluster, Algo::ChunkedRing(1))
 }
 
-/// Like [`run_split`] but over the chunk-pipelined ring (`chunks > 1`
-/// overlaps chunk sends with chunk merges inside every ring step).
-fn run_split_chunked(
-    cluster: &LocalCluster,
-    chunks: usize,
-) -> EngineResult<(Vec<f64>, AggMetrics)> {
+/// Like [`run_split`] but with any algorithm: `ChunkedRing(c > 1)` overlaps
+/// chunk sends with chunk merges inside every ring step, `Tree` runs the
+/// shuffle tree as the primary path.
+fn run_split_algo(cluster: &LocalCluster, algo: Algo) -> EngineResult<(Vec<f64>, AggMetrics)> {
     let data = cluster.parallelize((1..=24u64).collect::<Vec<_>>(), 6);
     data.split_aggregate(
         vec![0.0f64; DIM],
@@ -82,7 +80,7 @@ fn run_split_chunked(
         |segs: Segments<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
         SplitAggOpts {
             parallelism: Some(2),
-            algo: Algo::ChunkedRing(chunks as u8),
+            algo,
             ..Default::default()
         },
     )
@@ -243,6 +241,22 @@ fn kill_mid_ring_degrades_to_tree_fallback_visible_in_history() {
     }
 }
 
+/// A downgraded op's `messages` and `ser_bytes` count its tree alone, so
+/// they neither depend on how far the failed gang attempts got nor differ
+/// from a forced `Algo::Tree` op's over the same shape and data.
+#[test]
+fn downgraded_op_counts_the_same_messages_and_bytes_as_a_forced_tree() {
+    let (_, tree) = run_split_algo(&LocalCluster::new(chaos_spec(NetFaultPlan::new())), Algo::Tree)
+        .unwrap();
+    for run in 0..6 {
+        let plan = NetFaultPlan::new().kill_after_sends(ExecutorId(1), 2);
+        let (v, m) = run_split(&LocalCluster::new(chaos_spec(plan))).unwrap();
+        assert_eq!(v, expected(), "run {run}");
+        assert!(m.downgraded, "run {run}: gang exhaustion must downgrade");
+        assert_eq!((m.messages, m.ser_bytes), (tree.messages, tree.ser_bytes), "run {run}");
+    }
+}
+
 #[test]
 fn single_dropped_frame_recovers_within_gang_budget() {
     let plan = NetFaultPlan::new().drop_nth(ExecutorId(0), ExecutorId(1), 0);
@@ -298,7 +312,7 @@ fn chunked_ring_random_fault_plans_never_hang_and_never_corrupt() {
         let chunks = src.usize_in(1..5);
         let cluster = LocalCluster::new(chaos_spec(plan));
         let t = Instant::now();
-        let out = run_split_chunked(&cluster, chunks);
+        let out = run_split_algo(&cluster, Algo::ChunkedRing(chunks as u8));
         let elapsed = t.elapsed();
         tk_assert!(elapsed < Duration::from_secs(30), "chaos case took {elapsed:?}");
         match out {
@@ -316,7 +330,7 @@ fn chunk_frame_drop_retries_within_gang_budget() {
     // the resubmitted gang must answer exactly without downgrading.
     let plan = NetFaultPlan::new().drop_nth(ExecutorId(0), ExecutorId(1), 2);
     let cluster = LocalCluster::new(chaos_spec(plan));
-    let (v, m) = run_split_chunked(&cluster, 3).unwrap();
+    let (v, m) = run_split_algo(&cluster, Algo::ChunkedRing(3)).unwrap();
     assert_eq!(v, expected());
     assert!(!m.downgraded, "one dropped chunk must not exhaust the gang");
 }
@@ -327,7 +341,7 @@ fn corrupted_chunk_frame_is_rejected_and_retried() {
     // pipelined schedule and must land on the identical answer.
     let plan = NetFaultPlan::new().corrupt_nth(ExecutorId(2), ExecutorId(0), 3);
     let cluster = LocalCluster::new(chaos_spec(plan));
-    let (v, m) = run_split_chunked(&cluster, 3).unwrap();
+    let (v, m) = run_split_algo(&cluster, Algo::ChunkedRing(3)).unwrap();
     assert_eq!(v, expected());
     assert!(!m.downgraded);
 }
@@ -340,7 +354,7 @@ fn kill_mid_pipelined_ring_degrades_to_tree_fallback() {
     let plan = NetFaultPlan::new().kill_after_sends(ExecutorId(1), 4);
     let cluster = LocalCluster::new(chaos_spec(plan));
     let t = Instant::now();
-    let (v, m) = run_split_chunked(&cluster, 3).unwrap();
+    let (v, m) = run_split_algo(&cluster, Algo::ChunkedRing(3)).unwrap();
     assert_eq!(v, expected());
     assert!(m.downgraded, "gang exhaustion must be recorded in metrics");
     assert!(t.elapsed() < Duration::from_secs(30), "fallback must be bounded");
@@ -374,39 +388,4 @@ fn imm_concurrent_merges_lose_nothing_under_load() {
     let got = m.take::<Vec<f64>>(id).expect("merged vector present");
     let want: f64 = (0..threads * per).map(|k| k as f64).sum();
     assert_eq!(got, vec![want; DIM]);
-}
-
-#[test]
-fn allreduce_gang_recovers_from_a_dropped_frame() {
-    let plan = NetFaultPlan::new().drop_nth(ExecutorId(1), ExecutorId(2), 0);
-    let cluster = LocalCluster::new(chaos_spec(plan));
-    let data = cluster.parallelize((1..=24u64).collect::<Vec<_>>(), 6);
-    let out = data
-        .allreduce_aggregate(
-            vec![0.0f64; DIM],
-            |mut acc: Vec<f64>, x: &u64| {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a += (*x as f64) * (i + 1) as f64;
-                }
-                acc
-            },
-            |a: &mut Vec<f64>, b: Vec<f64>| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-            },
-            |u: &Vec<f64>, i: usize, n: usize| {
-                let (lo, hi) = slice_bounds(u.len(), i, n);
-                SumSegment(u[lo..hi].to_vec())
-            },
-            |a: &mut SumSegment, b: SumSegment| {
-                for (x, y) in a.0.iter_mut().zip(b.0) {
-                    *x += y;
-                }
-            },
-            |segs: Segments<SumSegment>| SumSegment(segs.into_iter().flat_map(|s| s.0).collect()),
-            Some(2),
-        )
-        .unwrap();
-    assert_eq!(out.value.0, expected());
 }

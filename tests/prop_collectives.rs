@@ -4,7 +4,6 @@
 //!   sequential reduction, for arbitrary cluster shapes and values;
 //! * the engine's one dispatch runs every reduce-scatter algorithm so that
 //!   each index of its segment space is owned exactly once, fully reduced;
-//! * allreduce leaves every rank with the same, correct result;
 //! * the producer form of the ring (each lane splits its own indices) owns
 //!   exactly what `ring_reduce_scatter_chunked` owns, and a rank runs its
 //!   `P` lanes on itself plus `P − 1` threads;
@@ -13,7 +12,6 @@
 
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
-use sparker::collectives::allreduce::ring_allreduce;
 use sparker::collectives::gather::gather_segments;
 use sparker::collectives::halving::recursive_halving_reduce_scatter;
 use sparker::collectives::lanes::run_lanes;
@@ -229,31 +227,6 @@ fn run_lanes_makes_the_caller_lane_zero() {
         pair.iter().sum::<u64>()
     });
     assert_eq!(sums, vec![13, 17, 21]);
-}
-
-#[test]
-fn allreduce_agrees_on_every_rank() {
-    check(&cfg(), |src| {
-        let epn = src.usize_in(1..5);
-        let parallelism = src.usize_in(1..3);
-        let base = arb_base(src, 4);
-        let spec = RingClusterSpec::unshaped(1, epn, parallelism);
-        let n = spec.total_executors();
-        let total = parallelism * n;
-        let values: Vec<i64> = (0..total).map(|i| base[i % base.len()]).collect();
-        let v2 = values.clone();
-        let per_rank = run_ring_cluster(&spec, move |comm| {
-            let segs = seed(comm.rank(), &v2);
-            ring_allreduce(&comm, segs).unwrap()
-        });
-        for result in &per_rank {
-            tk_assert_eq!(result.len(), total);
-            for (g, seg) in result.iter().enumerate() {
-                tk_assert_eq!(seg.0[0], expected(g, &values, n));
-            }
-        }
-        Ok(())
-    });
 }
 
 #[test]

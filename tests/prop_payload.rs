@@ -10,7 +10,6 @@
 
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
-use sparker::collectives::composite::CompositeAgg;
 use sparker::collectives::ring::OwnedSegment;
 use sparker::collectives::segment::Segment as _;
 use sparker::engine::multiproc::{JobSpec, MembershipView};
@@ -88,15 +87,6 @@ fn segment_types_have_exact_size_hints() {
         exact(&u64sum)?;
         tk_assert_eq!(u64sum.payload_bytes(), u64sum.size_hint(), "unified accounting");
         Ok(())
-    });
-}
-
-#[test]
-fn composite_agg_has_exact_size_hint() {
-    check(&cfg(), |src| {
-        let fields = src.vec_of(0..4, |s| s.vec_of(0..16, finite_f64));
-        let scalars = src.vec_of(0..4, finite_f64);
-        exact(&CompositeAgg::from_parts(fields, scalars))
     });
 }
 
@@ -191,8 +181,6 @@ fn oversized_counts_decode_typed_without_panicking() {
     let owned = OwnedSegment { index: 0, segment: SumSegment(vec![1.0]) };
     for count in [1u64 << 40, u64::MAX] {
         let got = Vec::<OwnedSegment<SumSegment>>::from_frame(announcing(count, &owned));
-        assert!(matches!(got, Err(NetError::Codec(_))), "{count}: {got:?}");
-        let got = CompositeAgg::from_frame(announcing(count, &vec![1.0f64]));
         assert!(matches!(got, Err(NetError::Codec(_))), "{count}: {got:?}");
     }
 }

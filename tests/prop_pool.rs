@@ -10,7 +10,6 @@
 
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
-use sparker::collectives::composite::CompositeAgg;
 use sparker::ml::aggregator::{DenseOrSparse, SparseSegment};
 use sparker::ml::LabeledPoint;
 use sparker::prelude::*;
@@ -103,9 +102,6 @@ fn segment_types_reuse_cleanly() {
             src.vec_of(0..80, |s| if s.bool_any() { finite_f64(s) } else { 0.0 });
         let threshold = src.choose(&[0.0, 0.25, 0.5, 1.0, 2.0]);
         pooled_exact(&DenseOrSparse::from_dense(dense, threshold), src)?;
-        let fields = src.vec_of(0..4, |s| s.vec_of(0..16, finite_f64));
-        let scalars = src.vec_of(0..4, finite_f64);
-        pooled_exact(&CompositeAgg::from_parts(fields, scalars), src)?;
         let nnz = src.usize_in(0..16);
         let indices: Vec<u32> = (0..nnz as u32).collect();
         let values = src.vec_of(nnz..nnz + 1, finite_f64);
