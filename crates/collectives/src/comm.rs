@@ -8,12 +8,13 @@
 //!
 //! # Epoch fencing and gang cancellation
 //!
-//! Every frame a `RingComm` sends is wrapped in an `(op, attempt)` epoch
-//! header (see [`sparker_net::epoch`]); `recv` silently discards frames whose
-//! epoch does not match its own, so a frame left over from a failed stage
-//! attempt can never be consumed by the retry. A comm may also carry a shared
-//! cancel token ([`with_cancel`](RingComm::with_cancel)) and a receive
-//! deadline ([`with_recv_deadline`](RingComm::with_recv_deadline)): receives
+//! Every frame a `RingComm` sends carries an `(op, attempt)` epoch header
+//! (see [`sparker_net::epoch`]), written in place ahead of the payload;
+//! `recv` silently discards frames whose epoch does not match its own, so a
+//! frame left over from a failed stage attempt can never be consumed by the
+//! retry. A comm may also carry a shared cancel token
+//! ([`with_cancel`](RingComm::with_cancel)) and a receive deadline
+//! ([`with_recv_deadline`](RingComm::with_recv_deadline)): receives
 //! then poll in bounded quanta, aborting with [`NetError::Cancelled`] the
 //! moment a gang peer fails, or [`NetError::Timeout`] when the deadline
 //! passes — a dead ring neighbour stalls a task for the deadline, never
@@ -23,9 +24,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sparker_net::codec::Payload;
+use sparker_net::epoch::{self, FrameWriter};
 use sparker_net::ByteBuf;
 
-use sparker_net::epoch;
 use sparker_net::error::{NetError, NetResult};
 use sparker_net::topology::RingTopology;
 use sparker_net::transport::Transport;
@@ -131,7 +133,32 @@ impl RingComm {
         self.cancel.as_ref().is_some_and(|t| t.load(Ordering::Relaxed))
     }
 
-    /// Sends to the next rank around the ring on `channel`.
+    /// Opens an epoch frame at this comm's epoch with room for `payload_len`
+    /// payload bytes; the caller writes the payload straight behind the
+    /// header and hands the frame to [`RingComm::send_frame`].
+    pub fn frame(&self, payload_len: usize) -> FrameWriter {
+        FrameWriter::new(self.epoch.0, self.epoch.1, payload_len)
+    }
+
+    /// [`RingComm::frame`] holding `value`, encoded straight behind the
+    /// header.
+    pub fn frame_of<V: Payload>(&self, value: &V) -> FrameWriter {
+        let mut frame = self.frame(value.size_hint());
+        value.encode_into(frame.encoder());
+        frame
+    }
+
+    /// Seals `frame` and sends it to `rank` on `channel`.
+    pub fn send_frame(&self, rank: usize, channel: usize, frame: FrameWriter) -> NetResult<()> {
+        if self.cancelled() {
+            return Err(NetError::Cancelled);
+        }
+        let me = self.ring.executor_at(self.rank).id;
+        let to = self.ring.executor_at(rank).id;
+        self.net.send(me, to, channel, frame.finish())
+    }
+
+    /// Sends raw payload bytes to the next rank around the ring on `channel`.
     pub fn send_next(&self, channel: usize, msg: ByteBuf) -> NetResult<()> {
         self.send_to_rank(self.ring.next(self.rank), channel, msg)
     }
@@ -141,19 +168,12 @@ impl RingComm {
         self.recv_from_rank(self.ring.prev(self.rank), channel)
     }
 
-    /// Sends to an arbitrary rank (tree/halving algorithms).
+    /// Sends raw payload bytes to an arbitrary rank, copied behind the epoch
+    /// header.
     pub fn send_to_rank(&self, rank: usize, channel: usize, msg: ByteBuf) -> NetResult<()> {
-        if self.cancelled() {
-            return Err(NetError::Cancelled);
-        }
-        let me = self.ring.executor_at(self.rank).id;
-        let to = self.ring.executor_at(rank).id;
-        let wrapped = epoch::wrap(self.epoch.0, self.epoch.1, &msg);
-        // Wrapping copied the payload into the outgoing frame; if the caller
-        // encoded it from the pool (and holds no other reference) the
-        // allocation is reusable right now.
-        sparker_net::pool::global().recycle_frame(msg);
-        self.net.send(me, to, channel, wrapped)
+        let mut frame = self.frame(msg.len());
+        frame.put_raw(&msg);
+        self.send_frame(rank, channel, frame)
     }
 
     /// Receives from an arbitrary rank, honouring this comm's deadline.

@@ -229,7 +229,7 @@ pub fn gather_segments<S: Segment>(
     let n = comm.size();
     assert!(root < n);
     if comm.rank() != root {
-        comm.send_to_rank(root, 0, owned.to_frame())?;
+        comm.send_frame(root, 0, comm.frame_of(&owned))?;
         return Ok(None);
     }
     let mut all = owned;

@@ -14,20 +14,24 @@
 //! into their even partner and drop out of the scatter phase, leaving a
 //! power-of-two active set.
 
-use sparker_net::codec::{Decoder, Encoder, Payload};
+use sparker_net::codec::{Decoder, Payload};
 use sparker_net::error::{NetError, NetResult};
 
 use crate::comm::RingComm;
 use crate::ring::OwnedSegment;
 use crate::segment::Segment;
 
-fn encode_range<V: Payload>(segs: &[V], lo: usize, hi: usize) -> sparker_net::ByteBuf {
-    let mut enc = Encoder::new();
-    enc.put_usize(hi - lo);
+/// Sends segments `lo..hi`, count-prefixed, to `rank`, encoded straight
+/// behind the epoch header; returns the payload bytes.
+fn send_range<V: Payload>(comm: &RingComm, rank: usize, segs: &[V], lo: usize, hi: usize) -> NetResult<u64> {
+    let mut frame = comm.frame(8 + segs[lo..hi].iter().map(Payload::size_hint).sum::<usize>());
+    frame.encoder().put_usize(hi - lo);
     for s in &segs[lo..hi] {
-        s.encode_into(&mut enc);
+        s.encode_into(frame.encoder());
     }
-    enc.finish()
+    let bytes = frame.payload_len() as u64;
+    comm.send_frame(rank, 0, frame)?;
+    Ok(bytes)
 }
 
 fn merge_range<V, F>(
@@ -127,9 +131,7 @@ where
     let active_rank: Option<usize> = if rank < 2 * r {
         let t0 = sparker_obs::enabled().then(std::time::Instant::now);
         if rank % 2 == 1 {
-            let frame = encode_range(&segments, 0, m);
-            let bytes = frame.len() as u64;
-            comm.send_to_rank(rank - 1, 0, frame)?;
+            let bytes = send_range(comm, rank - 1, &segments, 0, m)?;
             step_event("halving.fold", t0, 0, rank - 1, bytes);
             None
         } else {
@@ -170,9 +172,7 @@ where
             ((mid, hi), (lo, mid))
         };
         let t0 = sparker_obs::enabled().then(std::time::Instant::now);
-        let out_frame = encode_range(&segments, give.0, give.1);
-        let out_bytes = out_frame.len() as u64;
-        comm.send_to_rank(ring_rank_of(partner), 0, out_frame)?;
+        let out_bytes = send_range(comm, ring_rank_of(partner), &segments, give.0, give.1)?;
         let frame = comm.recv_from_rank(ring_rank_of(partner), 0)?;
         merge_range(&mut segments, keep.0, keep.1, frame, merge)?;
         step_event("halving.step", t0, round + 1, ring_rank_of(partner), out_bytes);

@@ -153,14 +153,13 @@ fn send_fold<V: Payload>(
     leader_rank: usize,
     slots: &[V],
 ) -> NetResult<()> {
-    let pool = pool::global();
     let (op, attempt) = comm.epoch();
     let started = sparker_obs::enabled().then(std::time::Instant::now);
     let mut sent_bytes = 0u64;
     for s in slots {
-        let frame = s.to_frame_pooled(pool);
-        sent_bytes += frame.len() as u64;
-        comm.send_to_rank(leader_rank, channel, frame)?;
+        let frame = comm.frame_of(s);
+        sent_bytes += frame.payload_len() as u64;
+        comm.send_frame(leader_rank, channel, frame)?;
     }
     if let Some(t0) = started {
         sparker_obs::trace::event_dur(

@@ -17,6 +17,8 @@
 //!   variants ([`ring::ring_reduce_scatter_chunked`]) additionally split each
 //!   logical segment into `C` chunks and software-pipeline send/merge within
 //!   every ring step — depth pipelining on top of the PDR's width.
+//!   [`ring::ring_reduce_scatter_dense`] runs the same schedule for a dense
+//!   `f64` sum, reducing views of the aggregator in place.
 //! * [`tree::binomial_tree_reduce`] — the non-splitting baseline shaped like
 //!   Spark's own `treeAggregate` reduction: `⌈log₂N⌉` rounds, whole
 //!   aggregators on every hop.
@@ -53,7 +55,7 @@ pub use hierarchical::{
 };
 pub use lanes::run_lanes;
 pub use ring::{
-    ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_produced_by,
-    OwnedSegment,
+    ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_dense,
+    ring_reduce_scatter_produced_by, OwnedSegment,
 };
 pub use segment::{Segment, SumSegment, U64SumSegment};

@@ -26,15 +26,29 @@
 //! are bit-exact (see DESIGN.md §5f). Chunks ride the same epoch-fenced,
 //! FIFO-per-link frames as whole segments, so fault handling (retry, gang
 //! cancel, tree fallback) composes unchanged.
+//!
+//! # One schedule, two segment kernels
+//!
+//! `ring_pass` is the only step/chunk loop. What a step does with segment
+//! bytes is its kernel's: the *owned* kernel runs any `reduceOp` over
+//! segments split up front (decode, merge, encode), and the *dense-sum*
+//! kernel ([`ring_reduce_scatter_dense`]) reads each segment as a view of
+//! the executor's aggregator and writes `local + incoming` straight into the
+//! frame it sends next. Either way every frame is written once, behind its
+//! epoch header, and checksummed as it is written.
+
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use sparker_net::codec::Payload;
+use sparker_net::epoch::FrameWriter;
 use sparker_net::error::{NetError, NetResult};
-use sparker_net::pool;
 use sparker_net::sync::Mutex;
+use sparker_net::{pool, ByteBuf};
 
 use crate::comm::RingComm;
 use crate::lanes::run_lanes;
-use crate::segment::Segment;
+use crate::segment::{dense_payload, Segment, SumSegment};
 
 /// A fully-reduced segment owned by this rank after reduce-scatter.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,15 +122,15 @@ pub fn produce_from<V: Send>(segments: Vec<V>) -> impl Fn(usize) -> V + Sync {
     move |g| cells[g].lock().take().expect("each segment is produced once")
 }
 
-/// The one implementation of the ring reduce-scatter. `merge` is a closure
+/// The ring reduce-scatter over owned segments. `merge` is a closure
 /// because the paper's SAI passes `reduceOp` as a user callback; it must be
 /// associative/commutative like [`Segment::merge_from`]. Lane `t` calls
 /// `produce(g)` for its own global indices `[t·N·C, (t+1)·N·C)` and then
-/// runs its pass over them
-/// on channel `t`. The caller's `splitOp` therefore runs on all `P` lanes in
-/// parallel (paper §4.2: "multiple threads can split a single aggregator in
-/// parallel") inside the one thread scope of the ring, and the `P·N·C`
-/// segments are never assembled into one vector first.
+/// runs its pass over them on channel `t`. The caller's `splitOp` therefore
+/// runs on all `P` lanes in parallel (paper §4.2: "multiple threads can
+/// split a single aggregator in parallel") inside the one thread scope of
+/// the ring, and the `P·N·C` segments are never assembled into one vector
+/// first.
 pub fn ring_reduce_scatter_produced_by<V, G, F>(
     comm: &RingComm,
     produce: &G,
@@ -128,76 +142,215 @@ where
     G: Fn(usize) -> V + Sync,
     F: Fn(&mut V, V) + Sync,
 {
+    ring_lanes(comm, chunks, |base, width| Owned {
+        slots: (base..base + width).map(|g| Some(produce(g))).collect(),
+        merge,
+    })
+}
+
+/// The ring reduce-scatter of a dense `f64` sum, reduced in place: segment
+/// `g` of `P·N·C` is the view `data[bounds(g)]`, never copied out.
+///
+/// Each step adds the local view to the incoming payload and writes the sum,
+/// checksummed as it is written, into the epoch frame that is the next
+/// step's send; only the last step allocates, the `P·C` segments this rank
+/// keeps. Results and frames are bit-identical to
+/// [`ring_reduce_scatter_produced_by`] over `SumSegment(data[bounds(g)])`
+/// merged with [`crate::segment::merge_segments`]: every sum is still
+/// `local + incoming`. An incoming payload that does not hold exactly the
+/// local view's length is [`NetError::Codec`].
+///
+/// `bounds(g)` must lie inside `data` for every `g < P·N·C`.
+pub fn ring_reduce_scatter_dense<B>(
+    comm: &RingComm,
+    data: &[f64],
+    bounds: &B,
+    chunks: usize,
+) -> NetResult<Vec<OwnedSegment<SumSegment>>>
+where
+    B: Fn(usize) -> Range<usize> + Sync,
+{
+    ring_lanes(comm, chunks, |base, _| DenseSum { data, bounds, base })
+}
+
+/// What one lane of a ring pass does with its segments. [`ring_pass`] is the
+/// one schedule; a kernel answers three questions about lane-local chunk
+/// `j` (global index `base + j`).
+trait Kernel {
+    /// A fully-reduced segment this rank keeps.
+    type Owned: Send;
+    /// Chunk `j`'s local value in a frame: the first send of a pass.
+    fn encode(&mut self, j: usize, comm: &RingComm) -> FrameWriter;
+    /// Chunk `j` reduced with the `incoming` payload, in a frame: the next
+    /// step's send.
+    fn reduce_copy(&mut self, j: usize, incoming: ByteBuf, comm: &RingComm) -> NetResult<FrameWriter>;
+    /// Chunk `j` reduced with the last step's `incoming` payload (`None` on a
+    /// one-rank ring, which makes no step) as the segment this rank keeps.
+    fn reduce_own(&mut self, j: usize, incoming: Option<ByteBuf>) -> NetResult<Self::Owned>;
+}
+
+/// The owned kernel: any `V` and any `reduceOp`, over segments split up
+/// front. A step decodes the incoming payload, merges it and encodes the
+/// merged segment straight behind the next frame's header.
+struct Owned<'a, V, F> {
+    slots: Vec<Option<V>>,
+    merge: &'a F,
+}
+
+impl<V: Payload, F: Fn(&mut V, V)> Owned<'_, V, F> {
+    fn merged(&mut self, j: usize, incoming: Option<ByteBuf>) -> NetResult<&mut V> {
+        let slot = self.slots[j].as_mut().expect("the ring schedule reduces each chunk once");
+        if let Some(frame) = incoming {
+            (self.merge)(slot, V::from_frame_pooled(frame, pool::global())?);
+        }
+        Ok(slot)
+    }
+}
+
+impl<V: Payload, F: Fn(&mut V, V)> Kernel for Owned<'_, V, F> {
+    type Owned = V;
+
+    fn encode(&mut self, j: usize, comm: &RingComm) -> FrameWriter {
+        comm.frame_of(self.slots[j].as_ref().expect("the ring schedule sends each chunk once"))
+    }
+
+    fn reduce_copy(&mut self, j: usize, incoming: ByteBuf, comm: &RingComm) -> NetResult<FrameWriter> {
+        Ok(comm.frame_of(self.merged(j, Some(incoming))?))
+    }
+
+    fn reduce_own(&mut self, j: usize, incoming: Option<ByteBuf>) -> NetResult<V> {
+        self.merged(j, incoming)?;
+        Ok(self.slots[j].take().expect("the ring schedule keeps each chunk once"))
+    }
+}
+
+/// The in-place dense-sum kernel ([`ring_reduce_scatter_dense`]).
+struct DenseSum<'a, B> {
+    data: &'a [f64],
+    bounds: &'a B,
+    base: usize,
+}
+
+impl<B: Fn(usize) -> Range<usize>> DenseSum<'_, B> {
+    fn view(&self, j: usize) -> &[f64] {
+        &self.data[(self.bounds)(self.base + j)]
+    }
+}
+
+impl<B: Fn(usize) -> Range<usize>> Kernel for DenseSum<'_, B> {
+    type Owned = SumSegment;
+
+    fn encode(&mut self, j: usize, comm: &RingComm) -> FrameWriter {
+        let local = self.view(j);
+        let mut frame = comm.frame(8 + 8 * local.len());
+        frame.put_f64_slice(local);
+        frame
+    }
+
+    fn reduce_copy(&mut self, j: usize, incoming: ByteBuf, comm: &RingComm) -> NetResult<FrameWriter> {
+        let local = self.view(j);
+        let values = dense_payload(&incoming, local.len())?;
+        let mut frame = comm.frame(8 + values.len());
+        frame.put_f64_sum(local, values);
+        pool::global().recycle_frame(incoming);
+        Ok(frame)
+    }
+
+    fn reduce_own(&mut self, j: usize, incoming: Option<ByteBuf>) -> NetResult<SumSegment> {
+        let local = self.view(j);
+        let Some(incoming) = incoming else {
+            return Ok(SumSegment(local.to_vec()));
+        };
+        let values = dense_payload(&incoming, local.len())?;
+        let sum = local
+            .iter()
+            .zip(values.chunks_exact(8))
+            .map(|(x, y)| x + f64::from_le_bytes(y.try_into().expect("8-byte chunk")))
+            .collect();
+        pool::global().recycle_frame(incoming);
+        Ok(SumSegment(sum))
+    }
+}
+
+/// Runs one [`ring_pass`] per channel, lane `t` over the kernel
+/// `kernel(t·N·C, N·C)`, and returns the segments every lane keeps in
+/// ascending index order.
+fn ring_lanes<K, M>(comm: &RingComm, chunks: usize, kernel: M) -> NetResult<Vec<OwnedSegment<K::Owned>>>
+where
+    K: Kernel,
+    M: Fn(usize, usize) -> K + Sync,
+{
     if chunks == 0 {
         return Err(NetError::InvalidAddress(
             "ring_reduce_scatter needs chunks >= 1".into(),
         ));
     }
-    let n = comm.size();
-    let width = n * chunks;
-    // After a pass the fully-reduced logical segment sits at local position
-    // (rank + 1) % N, i.e. the C physical chunks under it; a single rank
-    // makes no step and owns everything it produced.
-    let first_owned = (comm.rank() + 1) % n * chunks;
+    let width = comm.size() * chunks;
     let lanes = run_lanes(0..comm.parallelism(), |t| {
         let base = t * width;
-        let mut slots: Vec<V> = (base..base + width).map(produce).collect();
-        ring_pass(comm, t, &mut slots, merge, chunks)?;
-        let owned = slots.into_iter().enumerate().skip(first_owned).take(chunks);
-        Ok(owned.map(|(j, segment)| OwnedSegment { index: base + j, segment }).collect())
+        let owned = ring_pass(comm, t, &mut kernel(base, width), chunks)?;
+        Ok(owned.into_iter().map(|(j, segment)| OwnedSegment { index: base + j, segment }).collect())
     });
-    let lanes: Vec<Vec<OwnedSegment<V>>> = lanes.into_iter().collect::<NetResult<_>>()?;
+    let lanes: Vec<Vec<OwnedSegment<K::Owned>>> = lanes.into_iter().collect::<NetResult<_>>()?;
     Ok(lanes.into_iter().flatten().collect())
 }
 
-/// One channel's reduce-scatter pass over its `N·C` physical chunks, in
-/// place. After return, the `C` chunks at logical position `(rank + 1) % N`
-/// hold the fully-reduced segment.
+/// One channel's reduce-scatter pass over its `N·C` physical chunks. Returns
+/// the `C` chunks at logical position `(rank + 1) % N`, fully reduced, with
+/// their lane-local indices.
 ///
 /// Per step the chunk schedule is software-pipelined: the send of chunk `k`
-/// is issued before the receive+merge of chunk `k−1`, so while chunk `k`
-/// crosses the wire the previous chunk is decoded and merged. The merges
-/// themselves run in chunk order `0..C`, identical to the sequential
-/// schedule — pipelining reorders only communication, which is what keeps
-/// the result bit-exact.
-fn ring_pass<V, F>(
+/// is issued before the receive+reduce of chunk `k−1`, so while chunk `k`
+/// crosses the wire the previous chunk is reduced. A step's reduce writes
+/// the frame the next step sends (the segment received at step `s` is the
+/// one sent at step `s + 1`); step 0's frames are encoded as they go out.
+/// The reductions themselves run in chunk order `0..C`, identical to the
+/// sequential schedule — pipelining reorders only communication, which is
+/// what keeps the result bit-exact.
+fn ring_pass<K: Kernel>(
     comm: &RingComm,
     channel: usize,
-    slots: &mut [V],
-    merge: &F,
+    kernel: &mut K,
     chunks: usize,
-) -> NetResult<()>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
+) -> NetResult<Vec<(usize, K::Owned)>> {
     let n = comm.size();
     let rank = comm.rank();
     let (op, attempt) = comm.epoch();
-    let pool = pool::global();
+    let first_owned = (rank + 1) % n * chunks;
+    if n == 1 {
+        // A single rank makes no step and keeps everything it holds.
+        return (0..chunks).map(|c| Ok((c, kernel.reduce_own(c, None)?))).collect();
+    }
+    // The frames the previous step reduced into, in chunk order.
+    let mut ready: VecDeque<FrameWriter> = VecDeque::with_capacity(chunks);
+    let mut owned = Vec::with_capacity(chunks);
     for step in 0..n - 1 {
         let send_j = (rank + n - step) % n;
         let recv_j = (rank + 2 * n - step - 1) % n;
+        let last = step == n - 2;
         let started = sparker_obs::enabled().then(std::time::Instant::now);
         let mut sent_bytes = 0u64;
         let mut recv_bytes = 0u64;
-        // Pipeline prologue: chunk 0 goes out before any merge of this step.
-        {
-            let frame = slots[send_j * chunks].to_frame_pooled(pool);
-            sent_bytes += frame.len() as u64;
-            comm.send_next(channel, frame)?;
-        }
-        for c in 1..=chunks {
-            // Send chunk c (if any) ahead of merging chunk c-1.
+        for c in 0..=chunks {
+            // Send chunk c (if any) ahead of reducing chunk c-1.
             if c < chunks {
-                let frame = slots[send_j * chunks + c].to_frame_pooled(pool);
-                sent_bytes += frame.len() as u64;
-                comm.send_next(channel, frame)?;
+                let frame = match step {
+                    0 => kernel.encode(send_j * chunks + c, comm),
+                    _ => ready.pop_front().expect("the previous step reduced every chunk"),
+                };
+                sent_bytes += frame.payload_len() as u64;
+                comm.send_frame(comm.ring().next(rank), channel, frame)?;
             }
-            let incoming_frame = comm.recv_prev(channel)?;
-            recv_bytes += incoming_frame.len() as u64;
-            let incoming = V::from_frame_pooled(incoming_frame, pool)?;
-            merge(&mut slots[recv_j * chunks + (c - 1)], incoming);
+            if c > 0 {
+                let incoming = comm.recv_prev(channel)?;
+                recv_bytes += incoming.len() as u64;
+                let j = recv_j * chunks + c - 1;
+                if last {
+                    owned.push((j, kernel.reduce_own(j, Some(incoming))?));
+                } else {
+                    ready.push_back(kernel.reduce_copy(j, incoming, comm)?);
+                }
+            }
         }
         if let Some(t0) = started {
             sparker_obs::trace::event_dur(
@@ -218,7 +371,8 @@ where
             );
         }
     }
-    Ok(())
+    debug_assert!(owned.iter().map(|(j, _)| *j).eq(first_owned..first_owned + chunks));
+    Ok(owned)
 }
 
 #[cfg(test)]
@@ -414,6 +568,57 @@ mod tests {
             bad_count && zero_chunks
         });
         assert_eq!(errs, vec![true, true]);
+    }
+
+    /// Rank 1 of an `n`-rank ring runs the dense kernel over 10 values in
+    /// `2·n` segments of 5 or fewer; rank 0 sends `payload` as its first
+    /// frame and nothing else, so rank 1 reduces it at step 0: into its owned
+    /// segment on 2 ranks, into the next frame on 3.
+    fn dense_rank_receiving(n: usize, payload: &ByteBuf) -> NetResult<Vec<OwnedSegment<SumSegment>>> {
+        let spec = RingClusterSpec::unshaped(1, n, 1);
+        let data: Vec<f64> = (0..10).map(|i| i as f64 + 0.25).collect();
+        let bounds = |g| {
+            let (lo, hi) = crate::segment::slice_bounds(10, g, n);
+            lo..hi
+        };
+        let mut per_rank = run_ring_cluster(&spec, |comm| match comm.rank() {
+            0 => {
+                comm.send_next(0, payload.clone()).unwrap();
+                None
+            }
+            1 => {
+                let comm = comm.with_recv_deadline(std::time::Duration::from_secs(2));
+                Some(ring_reduce_scatter_dense(&comm, &data, &bounds, 1))
+            }
+            _ => None,
+        });
+        per_rank.swap_remove(1).expect("rank 1 ran the kernel")
+    }
+
+    #[test]
+    fn malformed_dense_payloads_are_typed_codec_errors() {
+        for n in [2, 3] {
+            // Rank 1 first reduces segment 0: 5 values on 2 ranks, 4 on 3.
+            let want = if n == 2 { 5 } else { 4 };
+            let frame = |len: usize| SumSegment(vec![1.0; len]).to_frame();
+            let mut wrong_prefix = frame(want).to_vec();
+            wrong_prefix[0] ^= 1;
+            let bad = [
+                ("short", frame(want - 1)),
+                ("long", frame(want + 1)),
+                ("truncated", frame(want).slice(0..8 + 8 * want - 3)),
+                ("no prefix", frame(want).slice(0..5)),
+                ("wrong length prefix", ByteBuf::from(wrong_prefix)),
+            ];
+            for (what, payload) in bad {
+                let got = dense_rank_receiving(n, &payload);
+                assert!(matches!(got, Err(NetError::Codec(_))), "{n} ranks, {what}: {got:?}");
+            }
+        }
+        // The well-formed payload is reduced: it is the last step on 2 ranks.
+        let owned = dense_rank_receiving(2, &SumSegment(vec![1.0; 5]).to_frame()).unwrap();
+        assert_eq!(owned[0].index, 0);
+        assert_eq!(owned[0].segment.0, [1.25, 2.25, 3.25, 4.25, 5.25]);
     }
 
     #[test]

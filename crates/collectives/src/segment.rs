@@ -6,8 +6,8 @@
 //! ranges, so implementations may assume `self` and `other` describe the
 //! same slice of the underlying aggregator.
 
-use sparker_net::codec::{Decoder, Encoder, Payload};
-use sparker_net::error::NetResult;
+use sparker_net::codec::{Decoder, Encoder, F64Array, Payload};
+use sparker_net::error::{NetError, NetResult};
 
 /// A mergeable, wire-encodable segment of an aggregator.
 pub trait Segment: Payload + Send + 'static {
@@ -57,6 +57,45 @@ impl Segment for SumSegment {
             *a += *b;
         }
     }
+}
+
+/// The library's dense `splitOp`: segment `i` of `n` of `u` as a contiguous
+/// slice ([`slice_bounds`]).
+///
+/// The engine recognises this function (and [`merge_segments`]) by its item
+/// type and then reduces segments in place instead of splitting copies (the
+/// dense reduce-copy kernel, [`crate::ring::ring_reduce_scatter_dense`]).
+pub fn split_dense(u: &F64Array, i: usize, n: usize) -> SumSegment {
+    let (lo, hi) = slice_bounds(u.0.len(), i, n);
+    SumSegment(u.0[lo..hi].to_vec())
+}
+
+/// The library's dense `reduceOp` on segments: element-wise add.
+pub fn merge_segments(a: &mut SumSegment, b: SumSegment) {
+    assert_eq!(a.0.len(), b.0.len(), "segment shape mismatch");
+    for (x, y) in a.0.iter_mut().zip(b.0) {
+        *x += y;
+    }
+}
+
+/// The `f64` bytes of a [`SumSegment`] payload that must hold exactly
+/// `want` values: the wire check of a dense reduce-copy. A length prefix or
+/// byte count that does not match is [`NetError::Codec`].
+pub fn dense_payload(payload: &[u8], want: usize) -> NetResult<&[u8]> {
+    let Some((prefix, values)) = payload.split_first_chunk::<8>() else {
+        return Err(NetError::Codec(format!(
+            "dense segment of {} bytes has no length prefix",
+            payload.len()
+        )));
+    };
+    let len = u64::from_le_bytes(*prefix);
+    if len != want as u64 || values.len() != 8 * want {
+        return Err(NetError::Codec(format!(
+            "dense segment says {len} values in {} bytes where {want} are local",
+            values.len()
+        )));
+    }
+    Ok(values)
 }
 
 /// Element-wise wrapping-sum segment of `u64`s — used by the aggregation
@@ -140,6 +179,21 @@ mod tests {
     fn mismatched_shapes_panic() {
         let mut a = SumSegment(vec![1.0]);
         a.merge_from(&SumSegment(vec![1.0, 2.0]));
+    }
+
+    #[test]
+    fn dense_payload_checks_prefix_and_length() {
+        let frame = SumSegment(vec![1.5, -2.0, 3.0]).to_frame();
+        assert_eq!(dense_payload(&frame, 3).unwrap(), &frame[8..]);
+        let codec = |bytes: &[u8], want| matches!(dense_payload(bytes, want), Err(NetError::Codec(_)));
+        assert!(codec(&frame, 2), "prefix larger than the local view");
+        assert!(codec(&frame, 4), "prefix smaller than the local view");
+        assert!(codec(&frame[..frame.len() - 1], 3), "truncated values");
+        assert!(codec(&frame[..5], 3), "truncated prefix");
+        let mut long = frame.to_vec();
+        long.extend_from_slice(&[0; 8]);
+        assert!(codec(&long, 3), "trailing value");
+        assert!(dense_payload(&SumSegment(vec![]).to_frame(), 0).unwrap().is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub fn binomial_tree_reduce<S: Segment>(
         if rel & mask != 0 {
             // Our subtree is complete: hand it to the parent and stop.
             let parent = ((rel - mask) + root) % n;
-            comm.send_to_rank(parent, 0, acc.to_frame())?;
+            comm.send_frame(parent, 0, comm.frame_of(&acc))?;
             return Ok(None);
         }
         if rel + mask < n {

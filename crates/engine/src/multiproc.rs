@@ -53,7 +53,6 @@
 //! partitions straight into its one aggregator (IMM inside the process,
 //! PAPER.md §3.2) instead of building and adding a vector per partition.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -71,7 +70,7 @@ use sparker_obs::metrics::{self, Counter, MetricValue};
 use sparker_sparse::DenseOrSparse;
 use sparker_tuner::Algo;
 
-use crate::ops::reduce::{reduce_scatter, segment_count};
+use crate::ops::reduce::{reduce_scatter, reduce_scatter_dense, segment_count};
 use crate::task::{EngineError, EngineResult};
 
 /// Exit code of an executor killed by `die_rank` fault injection, so the
@@ -828,37 +827,25 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
         let _ = joined.transport.kill_connection(spec.drop_peer as usize);
     }
 
-    // The ceil-block split is the producer, so the frames that can meet in
-    // one merge keep their lengths whatever the algorithm. It runs up front
-    // on this thread and the lanes move their segments out: splitting inside
-    // the lanes made `op_ms_p50` @ `tcp_large_jobs` 17% slower on 2 cores.
-    let blocks = (0..count).map(|g| agg[ceil_block(spec.dim, count, g)].to_vec());
-    let shape_mismatch = AtomicBool::new(false);
+    // The ceil-block split, so the frames that can meet in one merge keep
+    // their lengths whatever the algorithm. A dense job reduces the views of
+    // `agg` in place; a frame of another block reaching a dense reduce (after
+    // a dropped link lost frames) has the wrong length, which fails the
+    // attempt with a typed error, and the gang retry runs on the healed link.
+    // Sparse segments are split up front on this thread and the lanes move
+    // theirs out: splitting inside the lanes made `op_ms_p50` @
+    // `tcp_large_jobs` 17% slower on 2 cores.
+    let block = |g| ceil_block(spec.dim, count, g);
     let result = if spec.sparse {
         let merge = |a: &mut DenseOrSparse, b: DenseOrSparse| a.merge(&b);
-        let segs = blocks.map(|v| DenseOrSparse::from_dense(v, spec.threshold)).collect();
-        reduce_scatter(&comm, spec.algo, &produce_from(segs), &merge).map(|owned| owned.to_frame())
+        let segs = (0..count).map(|g| DenseOrSparse::from_dense(&agg[block(g)], spec.threshold));
+        reduce_scatter(&comm, spec.algo, &produce_from(segs.collect()), &merge)
+            .map(|owned| owned.to_frame())
     } else {
-        // After a dropped link loses frames, a frame of another block can
-        // reach a merge: its length differs, so the attempt fails with a
-        // typed error and the gang retry runs on the healed link.
-        let merge = |a: &mut F64Array, b: F64Array| {
-            if a.0.len() != b.0.len() {
-                shape_mismatch.store(true, Ordering::Relaxed);
-                return;
-            }
-            for (x, y) in a.0.iter_mut().zip(b.0) {
-                *x += y;
-            }
-        };
-        let segs = blocks.map(F64Array).collect();
-        reduce_scatter(&comm, spec.algo, &produce_from(segs), &merge).map(|owned| owned.to_frame())
+        reduce_scatter_dense(&comm, spec.algo, &agg, &block).map(|owned| owned.to_frame())
     };
 
     match result {
-        Ok(_) if shape_mismatch.load(Ordering::Relaxed) => {
-            job_err(joined, spec, "segment shape mismatch in a dense merge".into())
-        }
         Ok(segments) => ExecMsg::JobOk { id: spec.id, segments },
         Err(e) => job_err(joined, spec, e.to_string()),
     }
@@ -1423,6 +1410,66 @@ mod tests {
         assert_eq!(o.view_generation, 0, "a healed drop must not change the view");
         assert_eq!(o.ring_size, 3);
         assert_eq!(bits(&o.value), bits(&oracle(&spec)));
+    }
+
+    /// Runs `spec` on rank 0 of two ranks joined over loopback TCP, after
+    /// rank 1 has sent only `bad`, the first frame rank 0 reduces, whose
+    /// segment has 33 values where fewer or more are local, as a frame of
+    /// another block would; the job must fail with a typed `JobErr`.
+    fn wrong_length_frame_fails_the_job(mut spec: JobSpec, bad: impl FnOnce(&RingComm)) {
+        let mut coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap().to_string();
+        let joins: Vec<_> = (0..2)
+            .map(|_| {
+                let addr = addr.clone();
+                std::thread::spawn(move || rendezvous::join(&addr, Duration::from_secs(20)).unwrap())
+            })
+            .collect();
+        let _controls = coordinator.wait_for(2, 1, Duration::from_secs(20)).unwrap();
+        let mut joined: Vec<Joined> = joins.into_iter().map(|h| h.join().unwrap()).collect();
+        joined.sort_by_key(|j| j.rank);
+
+        spec.parallelism = 1;
+        spec.assigned = vec![vec![0], vec![1]];
+        let peer = RingComm::new(joined[1].transport.clone(), Arc::new(job_ring(&[0, 1], &spec)), 1)
+            .with_epoch(spec.id, sparker_net::epoch::namespaced(spec.epoch_ns, spec.attempt));
+        bad(&peer);
+        match run_job(&joined[0], &spec) {
+            ExecMsg::JobErr { error, .. } => {
+                assert!(error.contains("dense segment says 33 values"), "{:?}: {error}", spec.algo)
+            }
+            other => panic!("{:?}: a wrong-length frame must fail the job typed, got {other:?}", spec.algo),
+        }
+    }
+
+    #[test]
+    fn wrong_length_dense_frame_fails_the_job_typed() {
+        let bad = F64Array(vec![1.0; 33]);
+        // The dense kernel: rank 0 first reduces segment 1 (32 values) from
+        // its ring predecessor.
+        let mut spec = JobSpec::dense(61, 0xBAD, 64, 2);
+        spec.algo = Algo::FlatRing;
+        wrong_length_frame_fails_the_job(spec, |peer| {
+            peer.send_frame(0, 0, peer.frame_of(&bad)).unwrap()
+        });
+        // Halving: rank 0 keeps segment 0 (32 values) and merges the
+        // count-prefixed range its partner sends.
+        let mut spec = JobSpec::dense(62, 0xBAD, 64, 2);
+        spec.algo = Algo::Halving;
+        wrong_length_frame_fails_the_job(spec, |peer| {
+            let mut frame = peer.frame(16 + 8 * bad.0.len());
+            frame.encoder().put_usize(1);
+            bad.encode_into(frame.encoder());
+            peer.send_frame(0, 0, frame).unwrap()
+        });
+        // Hierarchical, both ranks on one node: leader rank 0 folds rank 1's
+        // one segment (64 values).
+        let mut spec = JobSpec::dense(63, 0xBAD, 64, 2);
+        spec.algo = Algo::Hierarchical;
+        spec.nodes = 1;
+        wrong_length_frame_fails_the_job(spec, |peer| {
+            peer.send_frame(0, 0, peer.frame_of(&bad)).unwrap()
+        });
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! in-process ring stage ([`crate::ops::split_aggregate`]) and the
 //! multi-process executor ([`crate::multiproc`]) both call
 //! [`reduce_scatter`] with their split as a producer and their `reduceOp`
-//! as the merge, and both sides of a gather agree on the segment space
-//! through [`segment_count`].
+//! as the merge, or [`reduce_scatter_dense`] for a dense `f64` sum, and both
+//! sides of a gather agree on the segment space through [`segment_count`].
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use sparker_collectives::halving::recursive_halving_reduce_scatter_by;
 use sparker_collectives::hierarchical::{hierarchical_reduce_scatter_by, node_topology_of};
 use sparker_collectives::lanes::run_lanes;
-use sparker_collectives::ring::{ring_reduce_scatter_produced_by, OwnedSegment};
-use sparker_collectives::segment::slice_bounds;
+use sparker_collectives::ring::{
+    ring_reduce_scatter_dense, ring_reduce_scatter_produced_by, OwnedSegment,
+};
+use sparker_collectives::segment::{merge_segments, slice_bounds, SumSegment};
 use sparker_collectives::RingComm;
 use sparker_net::codec::Payload;
 use sparker_net::error::{NetError, NetResult};
@@ -73,6 +78,53 @@ where
     }?;
     owned.sort_unstable_by_key(|o| o.index);
     Ok(owned)
+}
+
+/// [`reduce_scatter`] of a dense `f64` sum: segment `g` is the view
+/// `data[bounds(g)]` and segments meeting at a rank are added. The ring
+/// family runs the in-place reduce-copy kernel
+/// ([`ring_reduce_scatter_dense`]), which never copies a segment out of
+/// `data`; halving and hierarchical take copies of the views, like any
+/// owned split. Bit-identical to [`reduce_scatter`] over those copies with
+/// [`merge_segments`].
+///
+/// An incoming segment whose length differs from the local one (a frame of
+/// another block, after a dropped link lost frames) is [`NetError::Codec`]
+/// on every algorithm, never a panic.
+pub fn reduce_scatter_dense<B>(
+    comm: &RingComm,
+    algo: Algo,
+    data: &[f64],
+    bounds: &B,
+) -> NetResult<Vec<OwnedSegment<SumSegment>>>
+where
+    B: Fn(usize) -> Range<usize> + Sync,
+{
+    match algo {
+        Algo::FlatRing | Algo::ChunkedRing(_) => {
+            ring_reduce_scatter_dense(comm, data, bounds, algo.chunks())
+        }
+        Algo::Halving | Algo::Hierarchical | Algo::Tree => {
+            // The owned collectives take an infallible merge: the first
+            // mismatch is kept and fails the op once they return.
+            let mismatch = OnceLock::new();
+            let merge = |a: &mut SumSegment, b: SumSegment| {
+                if a.0.len() == b.0.len() {
+                    merge_segments(a, b);
+                } else {
+                    let _ = mismatch.set((b.0.len(), a.0.len()));
+                }
+            };
+            let owned =
+                reduce_scatter(comm, algo, &|g| SumSegment(data[bounds(g)].to_vec()), &merge)?;
+            match mismatch.into_inner() {
+                None => Ok(owned),
+                Some((got, want)) => Err(NetError::Codec(format!(
+                    "dense segment says {got} values where {want} are local"
+                ))),
+            }
+        }
+    }
 }
 
 /// Produces all `total` segments on `parallelism` lanes, each lane a

@@ -31,6 +31,7 @@
 //! driver receives exactly one aggregator's worth of bytes regardless of
 //! cluster size.
 
+use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,12 +39,14 @@ use std::sync::Arc;
 use sparker_obs::trace::ScopedSpan;
 use sparker_obs::Layer;
 
-use sparker_net::codec::Payload;
+use sparker_net::codec::{F64Array, Payload};
+use sparker_net::error::NetResult;
 use sparker_net::topology::ExecutorId;
 
 use sparker_collectives::gather::{Gather, Segments};
 use sparker_collectives::ring::OwnedSegment;
-use sparker_collectives::segment::slice_bounds;
+use sparker_collectives::segment::{merge_segments, slice_bounds, split_dense};
+use sparker_collectives::RingComm;
 
 use sparker_tuner::Algo;
 
@@ -51,7 +54,7 @@ use crate::cluster::{ClusterInner, LocalCluster, RecoveryPolicy};
 use crate::metrics::AggMetrics;
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
-use crate::ops::reduce::{reduce_scatter, segment_count, strategy_of};
+use crate::ops::reduce::{reduce_scatter, reduce_scatter_dense, segment_count, strategy_of};
 use crate::ops::tree_aggregate::{reduce_to_driver, tree_scale};
 use crate::rdd::{Data, RddRef, TaskContext};
 use crate::task::{EngineError, EngineResult, TaskFailure};
@@ -99,6 +102,12 @@ impl Default for SplitAggOpts {
 /// * `reduce_op(&mut a, b)` — merges two aggregator-segments.
 /// * `concat_op(segments) -> V` — reassembles the final value from the
 ///   segments in index order, decoded one at a time ([`Segments`]).
+///
+/// When `split_op` and `reduce_op` are the library's own [`split_dense`]
+/// and [`merge_segments`] (the same function items, not closures over the
+/// same types), the ring stage reduces the executor's aggregator in place
+/// instead of splitting copies of it ([`reduce_scatter_dense`]); the result
+/// is bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn split_aggregate<T, U, V, S, M, Sp, R, C>(
     cluster: &LocalCluster,
@@ -183,6 +192,7 @@ where
 
     let ring_label = format!("split-ring-op{op}");
     let all_execs: Vec<ExecutorId> = (0..nexec).map(|e| ExecutorId(e as u32)).collect();
+    let dense_sum = is_fn_item::<Sp, _>(split_dense) && is_fn_item::<R, _>(merge_segments);
     let split = Arc::new(split_op);
     let reduce = Arc::new(reduce_op);
     // `Some(attempts)` once the ring stage ran; `None` sends the op down the
@@ -216,7 +226,11 @@ where
                 // gang resubmission re-reads the same input and the tree
                 // fallback finds it intact if the gang exhausts.
                 let owned: Vec<OwnedSegment<V>> = with_aggregator(ctx, op, &zero, |u| {
-                    reduce_scatter(&comm, algo, &|g| split(u, g, total_segments), &merge)
+                    if dense_sum {
+                        reduce_dense(&comm, algo, u, total_segments)
+                    } else {
+                        reduce_scatter(&comm, algo, &|g| split(u, g, total_segments), &merge)
+                    }
                 })
                 .map_err(TaskFailure::from)?;
 
@@ -354,6 +368,33 @@ where
     Ok((result, metrics))
 }
 
+/// Whether `F` is the type of the function item `f`. Every function item
+/// has its own type, so this names one function exactly.
+fn is_fn_item<F: 'static, G: 'static>(_f: G) -> bool {
+    TypeId::of::<F>() == TypeId::of::<G>()
+}
+
+/// The ring stage of an op whose `splitOp`/`reduceOp` are [`split_dense`]
+/// and [`merge_segments`]: those function items fix `U = F64Array` and
+/// `V = SumSegment`, so both casts hold.
+fn reduce_dense<U: 'static, V: 'static>(
+    comm: &RingComm,
+    algo: Algo,
+    u: &U,
+    total: usize,
+) -> NetResult<Vec<OwnedSegment<V>>> {
+    let data = &(u as &dyn Any).downcast_ref::<F64Array>().expect("split_dense takes an F64Array").0;
+    let bounds = |g| {
+        let (lo, hi) = slice_bounds(data.len(), g, total);
+        lo..hi
+    };
+    let mut owned = Some(reduce_scatter_dense(comm, algo, data, &bounds)?);
+    Ok((&mut owned as &mut dyn Any)
+        .downcast_mut::<Option<Vec<OwnedSegment<V>>>>()
+        .and_then(Option::take)
+        .expect("merge_segments reduces SumSegments"))
+}
+
 /// Runs `f` on the aggregator the IMM stage of `op` left on this executor,
 /// borrowed in place from the object manager (see
 /// [`crate::objects::MutableObjectManager::with_or`]), or on the op's shared
@@ -438,6 +479,7 @@ mod tests {
     use crate::config::ClusterSpec;
     use crate::metrics::AggStrategy;
     use crate::rdds::ParallelCollection;
+    use sparker_collectives::segment::SumSegment;
     use sparker_net::codec::{Decoder, Encoder, F64Array};
     use sparker_net::error::{NetError, NetResult};
     use std::sync::atomic::{AtomicBool, AtomicIsize};
@@ -495,6 +537,64 @@ mod tests {
         )
         .unwrap();
         (v.0, m)
+    }
+
+    /// Split aggregation of non-integer dense data with the library's
+    /// `split_dense` and the given `reduceOp`, on 3 executors and 2 channels.
+    fn run_dense_with<R>(reduce: R) -> Vec<f64>
+    where
+        R: Fn(&mut SumSegment, SumSegment) + Send + Sync + 'static,
+    {
+        let cluster = LocalCluster::new(ClusterSpec::local(3, 1));
+        let data: Vec<u64> = (1..=24).collect();
+        let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(data, 6));
+        let (v, _) = split_aggregate(
+            &cluster,
+            rdd,
+            F64Array(vec![0.0; 29]),
+            |mut acc: F64Array, x: &u64| {
+                for (i, a) in acc.0.iter_mut().enumerate() {
+                    *a += (*x as f64).sqrt() / (i + 3) as f64;
+                }
+                acc
+            },
+            |a: &mut F64Array, b: F64Array| {
+                for (x, y) in a.0.iter_mut().zip(b.0) {
+                    *x += y;
+                }
+            },
+            split_dense,
+            reduce,
+            |segs: Segments<SumSegment>| SumSegment(segs.flat_map(|s| s.0).collect()),
+            SplitAggOpts { parallelism: Some(2), algo: Algo::ChunkedRing(2), ..Default::default() },
+        )
+        .unwrap();
+        v.0
+    }
+
+    #[test]
+    fn only_the_library_callbacks_take_the_dense_kernel() {
+        fn is_split_dense<F: 'static>(_: &F) -> bool {
+            is_fn_item::<F, _>(split_dense)
+        }
+        assert!(is_split_dense(&split_dense));
+        assert!(!is_split_dense(&|u: &F64Array, i, n| split_dense(u, i, n)));
+        assert!(!is_split_dense(&merge_segments));
+
+        // The kernel (the library's merge_segments) and the owned path (a
+        // closure doing the same add) agree bit for bit.
+        let kernel = run_dense_with(merge_segments);
+        let owned = run_dense_with(|a: &mut SumSegment, b| merge_segments(a, b));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&kernel), bits(&owned));
+        // A closure over the same types keeps its own semantics: the max of
+        // the executors' aggregators, not their sum.
+        let max = run_dense_with(|a: &mut SumSegment, b: SumSegment| {
+            for (x, y) in a.0.iter_mut().zip(b.0) {
+                *x = x.max(y);
+            }
+        });
+        assert!(max.iter().zip(&kernel).all(|(m, s)| m < s), "{max:?} vs {kernel:?}");
     }
 
     fn expected(dim: usize) -> Vec<f64> {

@@ -21,7 +21,10 @@
 //! fill-in makes dense cheaper.
 
 use sparker_collectives::gather::Segments;
-pub use sparker_collectives::segment::{slice_bounds, SumSegment};
+/// The paper's `splitOp` (segment `i` of `n` as a contiguous slice) and
+/// `reduceOp` (element-wise add) on dense segments, defined beside
+/// [`SumSegment`] so the engine can recognise them and reduce in place.
+pub use sparker_collectives::segment::{merge_segments, slice_bounds, split_dense, SumSegment};
 use sparker_collectives::segment::concat;
 pub use sparker_sparse::{
     DenseOrSparse, SparseAccum, SparseSegment, DEFAULT_DENSITY_THRESHOLD, NEVER_DENSIFY,
@@ -41,20 +44,6 @@ pub fn zeros(n: usize) -> DenseAgg {
 /// Element-wise in-place merge of aggregators (the executor-local IMM merge).
 pub fn merge_dense(a: &mut DenseAgg, b: DenseAgg) {
     assert_eq!(a.0.len(), b.0.len(), "aggregator shape mismatch");
-    for (x, y) in a.0.iter_mut().zip(b.0) {
-        *x += y;
-    }
-}
-
-/// The paper's `splitOp`: segment `i` of `n` as a contiguous slice.
-pub fn split_dense(u: &DenseAgg, i: usize, n: usize) -> SumSegment {
-    let (lo, hi) = slice_bounds(u.0.len(), i, n);
-    SumSegment(u.0[lo..hi].to_vec())
-}
-
-/// The paper's `reduceOp` on segments: element-wise add.
-pub fn merge_segments(a: &mut SumSegment, b: SumSegment) {
-    assert_eq!(a.0.len(), b.0.len(), "segment shape mismatch");
     for (x, y) in a.0.iter_mut().zip(b.0) {
         *x += y;
     }

@@ -266,6 +266,11 @@ impl ByteBufMut {
     pub fn put_slice(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
+
+    /// The bytes written so far, for writing or patching them in place.
+    pub(crate) fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
 }
 
 #[cfg(test)]

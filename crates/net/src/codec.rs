@@ -114,6 +114,12 @@ impl Encoder {
     /// dominated by such slices, so this is the hot path of the codec.
     pub fn put_f64_slice(&mut self, v: &[f64]) {
         self.put_usize(v.len());
+        self.put_f64s(v);
+    }
+
+    /// Bulk-encodes `f64`s without a length prefix: the body of
+    /// [`Encoder::put_f64_slice`].
+    pub(crate) fn put_f64s(&mut self, v: &[f64]) {
         #[cfg(target_endian = "little")]
         {
             // SAFETY: f64 has no padding and we reinterpret it as raw
@@ -129,6 +135,12 @@ impl Encoder {
                 self.buf.put_f64_le(x);
             }
         }
+    }
+
+    /// The bytes written so far, for a frame writer that checksums them,
+    /// writes a reduced payload in place or patches its header.
+    pub(crate) fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        self.buf.as_mut_vec()
     }
 
     /// Bulk-encodes a `u64` slice (length-prefixed).

@@ -15,7 +15,7 @@
 //! into a typed [`NetError::Codec`] instead.
 
 use crate::bytebuf::ByteBuf;
-use crate::codec::Decoder;
+use crate::codec::{Decoder, Encoder};
 use crate::error::{NetError, NetResult};
 use crate::hash::Sum64;
 
@@ -59,8 +59,13 @@ pub fn split_namespaced(fenced: u32) -> (u32, u32) {
 
 /// Offset of the checksum field, right after the magic.
 const SUM_AT: usize = 4;
+/// Offset of the payload length field, after magic, checksum, op and attempt.
+const LEN_AT: usize = 4 + 8 + 8 + 4;
 /// Header bytes before the payload: magic, checksum, op, attempt, length.
-const HEADER_LEN: usize = 4 + 8 + 8 + 4 + 8;
+const HEADER_LEN: usize = LEN_AT + 8;
+/// `f64`s a [`FrameWriter`] writes between two checksum updates: 8 KiB, so
+/// what was just written is still in L1 when the digest reads it.
+const SUM_CHUNK_F64S: usize = crate::hash::COPY_CHUNK / 8;
 
 /// The integrity check for collective frames: the epoch fields seed the
 /// digest the payload is folded into (see [`crate::hash`]).
@@ -68,24 +73,110 @@ fn digest(op: u64, attempt: u32) -> Sum64 {
     Sum64::seeded(op, attempt as u64)
 }
 
-/// Wraps `payload` in an epoch header for collective transmission.
+/// An epoch frame written in place: the header first, then the payload
+/// straight behind it, checksummed while it is written.
 ///
 /// Layout: `magic u32 | checksum u64 | op u64 | attempt u32 | payload bytes`
-/// (the payload is length-prefixed as by the codec's `put_bytes`). The
-/// payload is checksummed while it is copied behind the header, and the
-/// buffer is drawn from the global [`crate::pool::FramePool`]: this runs
-/// once per collective send, so in steady state wrapping allocates nothing.
+/// (the payload is length-prefixed as by the codec's `put_bytes`).
+/// [`FrameWriter::finish`] patches the length and the checksum into the
+/// header. The buffer is drawn from the global [`crate::pool::FramePool`]:
+/// this runs once per collective send, so in steady state a send allocates
+/// nothing, and no layer copies the payload behind a header afterwards.
+pub struct FrameWriter {
+    enc: Encoder,
+    sum: Sum64,
+    /// End of the bytes already folded into `sum`.
+    summed: usize,
+}
+
+impl FrameWriter {
+    /// Opens a frame for epoch `(op, attempt)` with room for `payload_len`
+    /// payload bytes.
+    pub fn new(op: u64, attempt: u32, payload_len: usize) -> Self {
+        let mut enc = Encoder::pooled(crate::pool::global(), HEADER_LEN + payload_len);
+        enc.put_u32(MAGIC);
+        enc.put_u64(0); // checksum, patched by `finish`
+        enc.put_u64(op);
+        enc.put_u32(attempt);
+        enc.put_u64(0); // payload length, patched by `finish`
+        Self { enc, sum: digest(op, attempt), summed: HEADER_LEN }
+    }
+
+    /// The payload encoder. What is written through it is checksummed by the
+    /// next `put_*` call of the frame, or by [`FrameWriter::finish`].
+    pub fn encoder(&mut self) -> &mut Encoder {
+        &mut self.enc
+    }
+
+    /// Payload bytes written so far.
+    pub fn payload_len(&self) -> usize {
+        self.enc.len() - HEADER_LEN
+    }
+
+    /// Folds the bytes written since the last checkpoint into the checksum.
+    fn checkpoint(&mut self) {
+        let buf = self.enc.bytes_mut();
+        self.sum.update(&buf[self.summed..]);
+        self.summed = buf.len();
+    }
+
+    /// Appends raw payload bytes.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.checkpoint();
+        self.sum.copy_into(bytes, self.enc.bytes_mut());
+        self.summed = self.enc.len();
+    }
+
+    /// Appends `v` in the codec's length-prefixed `f64` slice format
+    /// ([`Encoder::put_f64_slice`]).
+    pub fn put_f64_slice(&mut self, v: &[f64]) {
+        self.enc.put_usize(v.len());
+        for chunk in v.chunks(SUM_CHUNK_F64S) {
+            self.enc.put_f64s(chunk);
+            self.checkpoint();
+        }
+    }
+
+    /// Appends `local + incoming` in the codec's length-prefixed `f64` slice
+    /// format, where `incoming` holds `local.len()` little-endian `f64`s: the
+    /// reduce-copy of a dense ring step, one pass over both operands.
+    ///
+    /// # Panics
+    /// If `incoming` is not exactly `8 * local.len()` bytes; callers check
+    /// wire data first.
+    pub fn put_f64_sum(&mut self, local: &[f64], incoming: &[u8]) {
+        assert_eq!(incoming.len(), 8 * local.len(), "f64 sum operands differ in length");
+        self.enc.put_usize(local.len());
+        for (chunk, bytes) in local.chunks(SUM_CHUNK_F64S).zip(incoming.chunks(8 * SUM_CHUNK_F64S)) {
+            let buf = self.enc.bytes_mut();
+            let start = buf.len();
+            buf.resize(start + bytes.len(), 0);
+            for ((out, &x), word) in buf[start..].chunks_exact_mut(8).zip(chunk).zip(bytes.chunks_exact(8)) {
+                let y = f64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                out.copy_from_slice(&(x + y).to_le_bytes());
+            }
+            self.checkpoint();
+        }
+    }
+
+    /// Seals the frame: patches the payload length and the checksum.
+    pub fn finish(mut self) -> ByteBuf {
+        self.checkpoint();
+        let len = self.payload_len() as u64;
+        let sum = self.sum.finish();
+        let header = self.enc.bytes_mut();
+        header[LEN_AT..LEN_AT + 8].copy_from_slice(&len.to_le_bytes());
+        header[SUM_AT..SUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
+        self.enc.finish()
+    }
+}
+
+/// Wraps `payload` in an epoch header: a [`FrameWriter`] with `payload`
+/// copied behind the header.
 pub fn wrap(op: u64, attempt: u32, payload: &ByteBuf) -> ByteBuf {
-    let mut buf = crate::pool::global().acquire(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&[0; 8]);
-    buf.extend_from_slice(&op.to_le_bytes());
-    buf.extend_from_slice(&attempt.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let mut sum = digest(op, attempt);
-    sum.copy_into(payload, &mut buf);
-    buf[SUM_AT..SUM_AT + 8].copy_from_slice(&sum.finish().to_le_bytes());
-    ByteBuf::from(buf)
+    let mut frame = FrameWriter::new(op, attempt, payload.len());
+    frame.put_raw(payload);
+    frame.finish()
 }
 
 /// Unwraps an epoch-fenced frame, returning `(op, attempt, payload)`.
@@ -204,6 +295,28 @@ mod tests {
         let (op, attempt, _) = unwrap(wrap(99, fenced, &ByteBuf::from_static(b"p"))).unwrap();
         assert_eq!(op, 99);
         assert_eq!(split_namespaced(attempt), (17, 2));
+    }
+
+    #[test]
+    fn written_frames_equal_wrapped_payloads() {
+        use crate::codec::{F64Array, Payload};
+        // Long enough to span several checksum chunks, not a multiple of one.
+        let local: Vec<f64> = (0..3000).map(|i| i as f64 * 0.37 - 11.0).collect();
+        let incoming: Vec<f64> = (0..3000).map(|i| 1e-3 / (i as f64 + 1.0)).collect();
+        let mut frame = FrameWriter::new(4, 2, 8 + 8 * local.len());
+        frame.put_f64_slice(&local);
+        assert_eq!(frame.finish(), wrap(4, 2, &F64Array(local.clone()).to_frame()));
+
+        let sum: Vec<f64> = local.iter().zip(&incoming).map(|(x, y)| x + y).collect();
+        let incoming_bytes = F64Array(incoming).to_frame();
+        let mut frame = FrameWriter::new(4, 2, 0);
+        frame.put_f64_sum(&local, &incoming_bytes[8..]);
+        assert_eq!(frame.payload_len(), 8 + 8 * local.len());
+        assert_eq!(frame.finish(), wrap(4, 2, &F64Array(sum).to_frame()));
+
+        let mut frame = FrameWriter::new(9, 0, 0);
+        F64Array(local.clone()).encode_into(frame.encoder());
+        assert_eq!(frame.finish(), wrap(9, 0, &F64Array(local).to_frame()));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 const BLOCK: usize = 32;
 /// Bytes copied between digest updates in [`Sum64::copy_into`]: small enough
 /// that the chunk is still in L1 when it is read the second time.
-const COPY_CHUNK: usize = 8 << 10;
+pub(crate) const COPY_CHUNK: usize = 8 << 10;
 
 /// Lane initial values.
 const LANE_INIT: [u64; 4] =

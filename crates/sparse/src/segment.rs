@@ -269,13 +269,14 @@ pub struct DenseOrSparse {
 }
 
 impl DenseOrSparse {
-    /// Wraps a dense vector, sparsifying it when below the threshold.
-    pub fn from_dense(dense: Vec<f64>, threshold: f64) -> Self {
-        let seg = SparseSegment::from_dense(&dense);
+    /// Wraps a dense slice, sparsifying it when below the threshold; the
+    /// values are copied whole only when the segment stays dense.
+    pub fn from_dense(dense: &[f64], threshold: f64) -> Self {
+        let seg = SparseSegment::from_dense(dense);
         if seg.density() <= threshold {
             Self { repr: SegmentRepr::Sparse(seg), threshold }
         } else {
-            Self { repr: SegmentRepr::Dense(dense), threshold }
+            Self { repr: SegmentRepr::Dense(dense.to_vec()), threshold }
         }
     }
 
@@ -544,18 +545,18 @@ mod tests {
     fn adaptive_picks_representation_by_threshold() {
         let sparse_vec = vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let dense_vec = vec![1.0; 8];
-        assert!(DenseOrSparse::from_dense(sparse_vec, 0.5).is_sparse());
-        assert!(!DenseOrSparse::from_dense(dense_vec.clone(), 0.5).is_sparse());
+        assert!(DenseOrSparse::from_dense(&sparse_vec, 0.5).is_sparse());
+        assert!(!DenseOrSparse::from_dense(&dense_vec, 0.5).is_sparse());
         // Forced-sparse threshold keeps even a full vector sparse.
-        assert!(DenseOrSparse::from_dense(dense_vec, NEVER_DENSIFY).is_sparse());
+        assert!(DenseOrSparse::from_dense(&dense_vec, NEVER_DENSIFY).is_sparse());
     }
 
     #[test]
     fn merge_fill_in_switches_to_dense_exactly_past_threshold() {
         // len 8, threshold 0.5: 4 entries stays sparse, the 5th densifies.
-        let mut a = DenseOrSparse::from_dense(vec![1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.5);
+        let mut a = DenseOrSparse::from_dense(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.5);
         assert!(a.is_sparse(), "at the boundary (density == threshold) stays sparse");
-        let b = DenseOrSparse::from_dense(vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0], 0.5);
+        let b = DenseOrSparse::from_dense(&[0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0], 0.5);
         a.merge(&b);
         assert!(!a.is_sparse(), "fill-in past the threshold must densify");
         assert_eq!(a.to_dense(), vec![1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0]);
@@ -568,8 +569,8 @@ mod tests {
         let want: Vec<f64> = u.iter().zip(&v).map(|(x, y)| x + y).collect();
         for (ta, tb) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
             // threshold 0.0 forces dense (density > 0), 1.0 keeps sparse.
-            let mut a = DenseOrSparse::from_dense(u.clone(), ta);
-            let b = DenseOrSparse::from_dense(v.clone(), tb);
+            let mut a = DenseOrSparse::from_dense(&u, ta);
+            let b = DenseOrSparse::from_dense(&v, tb);
             a.merge(&b);
             assert_eq!(a.to_dense(), want, "arms ({ta}, {tb})");
         }
@@ -578,7 +579,7 @@ mod tests {
     #[test]
     fn adaptive_codec_roundtrips_both_arms() {
         for threshold in [0.0, 0.5, NEVER_DENSIFY] {
-            let s = DenseOrSparse::from_dense(vec![0.0, 4.0, 0.0, 0.0], threshold);
+            let s = DenseOrSparse::from_dense(&[0.0, 4.0, 0.0, 0.0], threshold);
             let frame = s.to_frame();
             assert_eq!(frame.len(), s.size_hint());
             assert_eq!(DenseOrSparse::from_frame(frame).unwrap(), s);
@@ -587,7 +588,7 @@ mod tests {
 
     #[test]
     fn adaptive_dense_overhead_is_nine_bytes() {
-        let dense = DenseOrSparse::from_dense(vec![1.0; 64], 0.0);
+        let dense = DenseOrSparse::from_dense(&[1.0; 64], 0.0);
         assert_eq!(dense.size_hint(), dense_wire_bytes(64) + 9);
     }
 

@@ -7,6 +7,8 @@
 //! * the producer form of the ring (each lane splits its own indices) owns
 //!   exactly what `ring_reduce_scatter_chunked` owns, and a rank runs its
 //!   `P` lanes on itself plus `P − 1` threads;
+//! * the in-place dense-sum ring kernel equals the owned kernel over
+//!   `split_dense`/`merge_segments`, bit for bit and frame for frame;
 //! * the codec round-trips arbitrary payloads;
 //! * `slice_bounds` tiles any length exactly.
 
@@ -15,11 +17,17 @@ use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 use sparker::collectives::gather::gather_segments;
 use sparker::collectives::halving::recursive_halving_reduce_scatter;
 use sparker::collectives::lanes::run_lanes;
+use std::sync::Arc;
+
 use sparker::collectives::ring::{
-    ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_produced_by,
+    ring_reduce_scatter, ring_reduce_scatter_chunked, ring_reduce_scatter_dense,
+    ring_reduce_scatter_produced_by, OwnedSegment,
 };
-use sparker::collectives::segment::Segment;
-use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
+use sparker::collectives::segment::{merge_segments, split_dense, Segment};
+use sparker::collectives::testing::{run_on_ring, run_ring_cluster, RingClusterSpec};
+use sparker::collectives::RingComm;
+use sparker::net::topology::{round_robin_layout, RingTopology};
+use sparker::net::transport::MeshTransport;
 use sparker::engine::ops::reduce::{reduce_scatter, segment_count};
 use sparker::prelude::*;
 
@@ -198,11 +206,82 @@ fn producer_form_owns_exactly_what_the_vec_form_owns() {
         // frames, and the switch to dense as the merges fill them in.
         let threshold = src.choose(&[0.0, 0.5, 2.0]);
         check_producer_form(&spec, chunks, |rank, g| {
-            let dense = (0..lens[g])
+            let dense: Vec<f64> = (0..lens[g])
                 .map(|i| if (rank + g + i) % 3 == 0 { value(rank, g, i) as f64 } else { 0.0 })
                 .collect();
-            DenseOrSparse::from_dense(dense, threshold)
+            DenseOrSparse::from_dense(&dense, threshold)
         })
+    });
+}
+
+/// Runs `f` on every rank of a fresh `n`-rank, `p`-channel mesh; returns
+/// the per-rank results and the frames and bytes the mesh carried.
+fn on_fresh_mesh<R: Send>(
+    n: usize,
+    p: usize,
+    f: impl Fn(RingComm) -> R + Send + Sync,
+) -> (Vec<R>, (u64, u64)) {
+    let execs = round_robin_layout(1, n, 1);
+    let net = MeshTransport::unshaped(&execs, p);
+    let ring = Arc::new(RingTopology::new(execs, RingOrder::TopologyAware, p));
+    let out = run_on_ring(net.clone(), ring, &f);
+    let stats = net.stats();
+    (out, (stats.messages, stats.bytes))
+}
+
+/// Segment `g`'s range of an aggregator.
+type Bounds<'a> = dyn Fn(usize) -> std::ops::Range<usize> + Sync + 'a;
+
+fn bits(owned: &[OwnedSegment<SumSegment>]) -> Vec<(usize, Vec<u64>)> {
+    owned.iter().map(|o| (o.index, o.segment.0.iter().map(|x| x.to_bits()).collect())).collect()
+}
+
+/// The in-place dense-sum kernel and the owned kernel over `split_dense` and
+/// `merge_segments` (or copies of the same ceil-block views) own the same
+/// segments bit for bit, on non-integer data where a different summation
+/// order would show, and put the same frames and bytes on the mesh.
+#[test]
+fn dense_kernel_matches_the_owned_kernel_bit_for_bit() {
+    check(&cfg(), |src| {
+        let n = src.usize_in(1..7);
+        let p = src.usize_in(1..4);
+        let chunks = src.usize_in(1..4);
+        let total = p * n * chunks;
+        let below = src.usize_in(0..total);
+        let above = total + src.usize_in(1..2 * total + 1);
+        for dim in [0, 1, below, above] {
+            let data: Vec<F64Array> = (0..n)
+                .map(|_| F64Array((0..dim).map(|_| src.f64_in(-1.0..1.0) / 3.0).collect()))
+                .collect();
+            let slices = |g| {
+                let (lo, hi) = slice_bounds(dim, g, total);
+                lo..hi
+            };
+            let ceil_blocks = |g: usize| {
+                let len = dim.div_ceil(total);
+                (g * len).min(dim)..((g + 1) * len).min(dim)
+            };
+            let views: [(&str, &Bounds<'_>); 2] = [("slice_bounds", &slices), ("ceil blocks", &ceil_blocks)];
+            for (name, bounds) in views {
+                let (dense, dense_sc) = on_fresh_mesh(n, p, |comm| {
+                    let u = &data[comm.rank()];
+                    ring_reduce_scatter_dense(&comm, &u.0, &bounds, chunks).unwrap()
+                });
+                let (owned, owned_sc) = on_fresh_mesh(n, p, |comm| {
+                    let u = &data[comm.rank()];
+                    let produce = |g| match name {
+                        "slice_bounds" => split_dense(u, g, total),
+                        _ => SumSegment(u.0[bounds(g)].to_vec()),
+                    };
+                    ring_reduce_scatter_produced_by(&comm, &produce, &merge_segments, chunks).unwrap()
+                });
+                for (rank, (d, o)) in dense.iter().zip(&owned).enumerate() {
+                    tk_assert_eq!(bits(d), bits(o), "{name}, dim {dim}, rank {rank}");
+                }
+                tk_assert_eq!(dense_sc, owned_sc, "{name}, dim {dim}: sc messages and bytes");
+            }
+        }
+        Ok(())
     });
 }
 

@@ -123,7 +123,7 @@ fn adaptive_segment_has_exact_size_hint_in_both_arms() {
         });
         // Sweep thresholds that exercise both representations.
         let threshold = src.choose(&[0.0, 0.25, 0.5, 1.0, 2.0]);
-        let seg = DenseOrSparse::from_dense(dense, threshold);
+        let seg = DenseOrSparse::from_dense(&dense, threshold);
         exact(&seg)?;
         tk_assert_eq!(seg.payload_bytes(), seg.size_hint(), "unified accounting");
         Ok(())
@@ -136,7 +136,7 @@ fn owned_segments_have_exact_size_hints() {
         let index = src.usize_in(0..1 << 20);
         exact(&OwnedSegment { index, segment: F64Array(src.vec_of(0..64, finite_f64)) })?;
         let dense: Vec<f64> = src.vec_of(0..64, |s| if s.bool_any() { finite_f64(s) } else { 0.0 });
-        let segment = DenseOrSparse::from_dense(dense, src.choose(&[0.0, 0.5, 2.0]));
+        let segment = DenseOrSparse::from_dense(&dense, src.choose(&[0.0, 0.5, 2.0]));
         exact(&OwnedSegment { index, segment })?;
         // The gather frame: count, then (index, segment)*.
         let owned: Vec<OwnedSegment<SumSegment>> = src.vec_of(0..6, |s| OwnedSegment {

@@ -101,7 +101,7 @@ fn segment_types_reuse_cleanly() {
         let dense: Vec<f64> =
             src.vec_of(0..80, |s| if s.bool_any() { finite_f64(s) } else { 0.0 });
         let threshold = src.choose(&[0.0, 0.25, 0.5, 1.0, 2.0]);
-        pooled_exact(&DenseOrSparse::from_dense(dense, threshold), src)?;
+        pooled_exact(&DenseOrSparse::from_dense(&dense, threshold), src)?;
         let nnz = src.usize_in(0..16);
         let indices: Vec<u32> = (0..nnz as u32).collect();
         let values = src.vec_of(nnz..nnz + 1, finite_f64);

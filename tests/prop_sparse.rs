@@ -76,8 +76,8 @@ fn sparse_merge_equals_dense_merge() {
         // Adaptive, across representation combinations.
         let ta = src.choose(&[0.0, 0.5, 2.0]);
         let tb = src.choose(&[0.0, 0.5, 2.0]);
-        let mut da = DenseOrSparse::from_dense(a, ta);
-        da.merge(&DenseOrSparse::from_dense(b, tb));
+        let mut da = DenseOrSparse::from_dense(&a, ta);
+        da.merge(&DenseOrSparse::from_dense(&b, tb));
         assert_close(&da.to_dense(), &want)?;
         Ok(())
     });
@@ -115,14 +115,14 @@ fn adaptive_switch_is_value_preserving_at_the_boundary() {
         for v in dense.iter_mut().take(len / 2) {
             *v = (src.i64_any() as f64 % 512.0).abs() + 1.0;
         }
-        let mut seg = DenseOrSparse::from_dense(dense.clone(), threshold);
+        let mut seg = DenseOrSparse::from_dense(&dense, threshold);
         tk_assert!(seg.is_sparse(), "at density == threshold the segment stays sparse");
         // Merge in one new coordinate from the zero half.
         let extra = len / 2 + src.usize_in(0..len / 2);
         let mut other = vec![0.0; len];
         other[extra] = 7.0;
         let want: Vec<f64> = dense.iter().zip(&other).map(|(x, y)| x + y).collect();
-        seg.merge(&DenseOrSparse::from_dense(other, threshold));
+        seg.merge(&DenseOrSparse::from_dense(&other, threshold));
         tk_assert!(!seg.is_sparse(), "fill-in past the threshold must densify");
         tk_assert_eq!(seg.to_dense(), want, "the switch must not change values");
         Ok(())
@@ -158,7 +158,7 @@ fn topology_equivalence(src: &mut Source, halving: bool) -> Result<(), sparker_t
     let sparse_ranks = run_ring_cluster(&spec, move |comm| {
         let segs: Vec<DenseOrSparse> = v_sparse[comm.rank()]
             .iter()
-            .map(|d| DenseOrSparse::from_dense(d.clone(), threshold))
+            .map(|d| DenseOrSparse::from_dense(d, threshold))
             .collect();
         if halving {
             recursive_halving_reduce_scatter(&comm, segs).unwrap()
@@ -325,7 +325,7 @@ fn sparse_arm(len: usize, indices: &[u32], values: &[f64], threshold: f64) -> De
 fn concat_by_dense_round_trip(segments: Vec<DenseOrSparse>) -> DenseOrSparse {
     let threshold = segments.first().map_or(DEFAULT_DENSITY_THRESHOLD, DenseOrSparse::threshold);
     let dense: Vec<f64> = segments.into_iter().flat_map(DenseOrSparse::into_dense).collect();
-    DenseOrSparse::from_dense(dense, threshold)
+    DenseOrSparse::from_dense(&dense, threshold)
 }
 
 #[test]

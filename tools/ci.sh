@@ -7,8 +7,9 @@
 #           export, the self-asserting `figures` id, the 3-process
 #           launch_cluster smoke, the chaos_cluster kill-plan smoke and
 #           the paper-parity eval smoke), the workspace rustdoc build with
-#           warnings denied (broken intra-doc links fail it), plus the
-#           BENCH_10.json guard (tools/bench_trend.sh)
+#           warnings denied (broken intra-doc links fail it), clippy over all
+#           targets (deny-level lints fail it), plus the BENCH_10.json guard
+#           (tools/bench_trend.sh)
 #   tier 2  chaos + property suites, each under an explicit wall-clock
 #           bound (a timeout means a fault path regressed into a hang);
 #           the paper_eval tests here include the full-scale sweep that
@@ -120,6 +121,9 @@ trap emit_summary EXIT
 # --- tier 1: hermetic build + tests, warnings denied ---------------------
 RUSTFLAGS="-D warnings" run 1 "check_hermetic" tools/check_hermetic.sh
 RUSTDOCFLAGS="-D warnings" run 1 "rustdoc" cargo doc --workspace --no-deps --offline
+# Clippy over every target: deny-level lints fail the step, warn-level ones
+# are printed and left for their own changes.
+run 1 "clippy"             cargo clippy --workspace --all-targets --offline
 run 1 "bench_trend"        tools/bench_trend.sh
 
 # --- tier 2: chaos + property suites under timeouts ----------------------
