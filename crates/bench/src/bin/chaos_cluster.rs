@@ -49,7 +49,7 @@ use sparker_engine::multiproc::{
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
 use sparker_obs::metrics::{self, MetricValue};
-use sparker_tuner::Algo;
+use sparker_collectives::Algo;
 
 const CHANNELS: usize = 2;
 /// Watchdog exit code: the run *hung* (distinct from assertion failures).

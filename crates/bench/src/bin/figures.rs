@@ -23,7 +23,7 @@ use sparker_ml::lda::LdaConfig;
 use sparker_ml::logistic::LogisticRegression;
 use sparker_ml::svm::LinearSvm;
 use sparker_net::codec::F64Array;
-use sparker_sim::cluster::SimCluster;
+use sparker_tuner::cluster::SimCluster;
 
 const MB: f64 = 1024.0 * 1024.0;
 
@@ -414,6 +414,62 @@ mod tests {
         let text = "see `figures tab1`, and run `--bin figures -- --smoke sparse_density`\n\
                     `figures --list` prints ids; `figures <id>` is a placeholder";
         assert_eq!(cited_ids(text), ["tab1", "sparse_density"]);
+    }
+
+    /// The crates `text` cites, as `crates/<dir>` paths and as
+    /// `sparker-<name>` names (`sparker_<name>` spelled with `-`). The bare
+    /// facade name `sparker` has no suffix and is not one.
+    fn cited_crates(text: &str) -> Vec<String> {
+        let mut cited = Vec::new();
+        for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || "_-/".contains(c))) {
+            if let Some((_, path)) = word.split_once("crates/") {
+                let dir = path.split('/').next().unwrap_or_default();
+                if !dir.is_empty() {
+                    cited.push(format!("crates/{dir}"));
+                }
+            } else if let Some(name) = word.strip_prefix("sparker-").or(word.strip_prefix("sparker_")) {
+                let name = name.split('/').next().unwrap_or_default();
+                if !name.is_empty() {
+                    cited.push(format!("sparker-{}", name.replace('_', "-")));
+                }
+            }
+        }
+        cited
+    }
+
+    #[test]
+    fn crate_citation_parser_reads_paths_and_both_spellings() {
+        let text = "`crates/net/src/lib.rs` and crates/* hold `sparker_net::codec`, \
+                    sparker-obs's spans and the `sparker` facade, not my_sparker_x";
+        assert_eq!(cited_crates(text), ["crates/net", "sparker-net", "sparker-obs"]);
+    }
+
+    /// README.md and DESIGN.md cite only crates that exist: a workspace
+    /// member's directory or name, the root package `sparker-repro` or the
+    /// `benchmark/` package `sparker-benchmark`. EXPERIMENTS.md is a ledger
+    /// of past runs and keeps the names it had.
+    #[test]
+    fn every_crate_the_docs_cite_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut known = vec!["sparker-repro".to_string(), "sparker-benchmark".to_string()];
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+            let dir = entry.expect("crates/ entry").path();
+            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'));
+            known.push(name.unwrap_or_else(|| panic!("{}: no package name", dir.display())).into());
+            known.push(format!("crates/{}", dir.file_name().unwrap().to_string_lossy()));
+        }
+        let mut cited = 0;
+        for doc in ["README.md", "DESIGN.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+            for c in cited_crates(&text) {
+                assert!(known.contains(&c), "{doc} cites `{c}`, which is not a crate of this repo");
+                cited += 1;
+            }
+        }
+        assert!(cited > 0, "no document cites a crate; the parser is broken");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use sparker_engine::multiproc::{
 };
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
-use sparker_tuner::Algo;
+use sparker_collectives::Algo;
 
 const CHANNELS: usize = 2;
 

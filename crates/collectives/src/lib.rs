@@ -30,6 +30,9 @@
 //! * [`hierarchical`] — the two-level path: intra-node fold to an elected
 //!   node leader, ring over leaders only; NIC bytes shrink by the
 //!   executors-per-node factor.
+//! * [`algo`] — [`Algo`], the one algorithm enum the engine dispatches,
+//!   the control plane carries and the tuner ranks, and [`segment_count`],
+//!   the segment space each choice splits an aggregator into.
 //!
 //! Each collective has one implementation, taking the merge as a closure
 //! (the engine passes the user's `reduceOp`); the `Segment`-bound entry
@@ -39,6 +42,7 @@
 //! of a transport plus ring topology — so the same code runs in unit tests,
 //! in the benchmark's probes, inside the engine's executors and over TCP.
 
+pub mod algo;
 pub mod comm;
 pub mod gather;
 pub mod halving;
@@ -49,6 +53,7 @@ pub mod segment;
 pub mod testing;
 pub mod tree;
 
+pub use algo::{segment_count, Algo};
 pub use comm::RingComm;
 pub use hierarchical::{
     hierarchical_reduce_scatter, hierarchical_reduce_scatter_by, node_topology_of,

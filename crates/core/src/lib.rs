@@ -79,14 +79,15 @@
 //!
 //! ## Picking the reduction algorithm
 //!
-//! `split_aggregate` runs the one [`Algo`](sparker_tuner::Algo) it is handed
+//! `split_aggregate` runs the one [`Algo`](sparker_collectives::Algo) it is handed
 //! in `SplitAggOpts::algo` (the flat ring by default). To run the cost
-//! model's pick, describe the job as a [`JobShape`](sparker_tuner::JobShape)
-//! and pass what the [`Selector`](sparker_tuner::Selector) selects:
+//! model's pick, describe the job as a `JobShape` and pass what the
+//! `Selector` of the model crate (`sparker-tuner`, which the runtime does
+//! not depend on) selects:
 //!
 //! ```
 //! use sparker::prelude::*;
-//! use sparker::tuner::{JobShape, Selector};
+//! use sparker_tuner::{JobShape, Selector};
 //!
 //! let cluster = LocalCluster::local(4, 1);
 //! let data = cluster.parallelize((1..=1000u64).collect(), 8);
@@ -122,9 +123,8 @@
 //! | [`sparker_engine`] | RDDs, driver/executors, tree & split aggregation, IMM |
 //! | [`sparker_ml`] | LR / SVM / LDA with the `AggregationMode` switch |
 //! | [`sparker_data`] | RNG, libsvm, synthetic Table 2 datasets |
-//! | [`sparker_tuner`] | calibrated cost model + collective algorithm selector |
 //! | `sparker-sched` | FIFO admission and epoch namespaces for concurrent jobs |
-//! | `sparker-sim` | discrete-event simulator for paper-scale figures |
+//! | `sparker-tuner` | the model (profiles, DES, cost model, selector); not a dependency |
 
 pub use sparker_collectives as collectives;
 pub use sparker_data as data;
@@ -132,7 +132,6 @@ pub use sparker_engine as engine;
 pub use sparker_ml as ml;
 pub use sparker_net as net;
 pub use sparker_obs as obs;
-pub use sparker_tuner as tuner;
 
 /// Ready-made SAI callbacks for dense `f64` aggregators (the shape every
 /// paper workload uses — Figure 7's `Array[Double]` pairs).
@@ -177,6 +176,7 @@ pub mod sparse {
 /// Everything a typical user needs in scope.
 pub mod prelude {
     pub use sparker_collectives::gather::Segments;
+    pub use sparker_collectives::Algo;
     pub use sparker_collectives::segment::{slice_bounds, SumSegment, U64SumSegment};
     pub use sparker_engine::cluster::LocalCluster;
     pub use sparker_engine::config::ClusterSpec;
@@ -190,10 +190,9 @@ pub mod prelude {
     pub use sparker_ml::point::LabeledPoint;
     pub use sparker_ml::svm::LinearSvm;
     pub use sparker_net::codec::{F64Array, Payload};
-    pub use sparker_net::profile::{NetProfile, TransportKind};
+    pub use sparker_net::transport::TransportKind;
     pub use sparker_net::topology::RingOrder;
     pub use sparker_sparse::{DenseOrSparse, SparseAccum, SparseSegment};
-    pub use sparker_tuner::Algo;
 }
 
 #[cfg(test)]

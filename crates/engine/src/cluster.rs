@@ -26,9 +26,8 @@ use sparker_net::sync::{channel, Mutex, Receiver, Sender};
 
 use sparker_net::error::NetError;
 use sparker_net::fault::FaultyTransport;
-use sparker_net::profile::TransportKind;
 use sparker_net::topology::{round_robin_layout, ExecutorId, ExecutorInfo, RingTopology};
-use sparker_net::transport::{MeshTransport, NetStatsSnapshot, Transport};
+use sparker_net::transport::{MeshTransport, NetStatsSnapshot, Transport, TransportKind};
 
 use sparker_collectives::comm::RingComm;
 

@@ -4,7 +4,7 @@
 //! node count, executors per node, cores per executor, plus the PDR
 //! settings and the stage/collective retry budgets. [`ClusterSpec::local`]
 //! is the one constructor; the builders reshape it. The paper's two
-//! clusters at full scale are the simulator's (`sparker_sim::cluster`).
+//! clusters at full scale are the simulator's (`sparker_tuner::cluster`).
 
 use std::sync::Arc;
 use std::time::Duration;

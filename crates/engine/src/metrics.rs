@@ -176,6 +176,6 @@ mod tests {
     fn single_job_rows_emit_job_id_zero() {
         let m = AggMetrics::new(AggStrategy::Tree);
         let row = m.csv_row();
-        assert_eq!(row.split(',').last(), Some("0"));
+        assert_eq!(row.split(',').next_back(), Some("0"));
     }
 }

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use sparker_collectives::gather::Gather;
 use sparker_collectives::ring::produce_from;
-use sparker_collectives::RingComm;
+use sparker_collectives::{segment_count, Algo, RingComm};
 use sparker_net::codec::{Decoder, Encoder, F64Array, Payload};
 use sparker_net::error::{NetError, NetResult};
 use sparker_net::tcp::rendezvous::{self, ControlConn, Coordinator, Joined};
@@ -68,9 +68,8 @@ use sparker_net::transport::Transport;
 use sparker_net::{pool, ByteBuf};
 use sparker_obs::metrics::{self, Counter, MetricValue};
 use sparker_sparse::DenseOrSparse;
-use sparker_tuner::Algo;
 
-use crate::ops::reduce::{reduce_scatter, reduce_scatter_dense, segment_count};
+use crate::ops::reduce::{reduce_scatter, reduce_scatter_dense};
 use crate::task::{EngineError, EngineResult};
 
 /// Exit code of an executor killed by `die_rank` fault injection, so the
@@ -763,12 +762,23 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
             format!("rank {rank} is not in view {} {:?}", spec.view.generation, members),
         );
     };
-    if spec.assigned.len() != n || spec.parallelism > joined.channels {
+    // A ring needs at least one channel and distinct members; a decoded
+    // spec that breaks either fails typed instead of reaching the ring's
+    // asserts.
+    let mut distinct = members.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    if spec.assigned.len() != n
+        || spec.parallelism == 0
+        || spec.parallelism > joined.channels
+        || distinct.len() != members.len()
+    {
         return job_err(
             joined,
             spec,
             format!(
-                "spec shape mismatch: {} assignments for {n} ranks, P={} over {} channels",
+                "spec shape mismatch: {} assignments for {n} ranks, P={} over {} channels, \
+                 view members {members:?}",
                 spec.assigned.len(),
                 spec.parallelism,
                 joined.channels
@@ -1412,11 +1422,9 @@ mod tests {
         assert_eq!(bits(&o.value), bits(&oracle(&spec)));
     }
 
-    /// Runs `spec` on rank 0 of two ranks joined over loopback TCP, after
-    /// rank 1 has sent only `bad`, the first frame rank 0 reduces, whose
-    /// segment has 33 values where fewer or more are local, as a frame of
-    /// another block would; the job must fail with a typed `JobErr`.
-    fn wrong_length_frame_fails_the_job(mut spec: JobSpec, bad: impl FnOnce(&RingComm)) {
+    /// Two ranks joined over loopback TCP with one channel, in rank order,
+    /// and the driver's control connections that keep them joined.
+    fn join_two() -> (Vec<Joined>, Vec<ControlConn>) {
         let mut coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
         let addr = coordinator.local_addr().unwrap().to_string();
         let joins: Vec<_> = (0..2)
@@ -1425,10 +1433,18 @@ mod tests {
                 std::thread::spawn(move || rendezvous::join(&addr, Duration::from_secs(20)).unwrap())
             })
             .collect();
-        let _controls = coordinator.wait_for(2, 1, Duration::from_secs(20)).unwrap();
+        let controls = coordinator.wait_for(2, 1, Duration::from_secs(20)).unwrap();
         let mut joined: Vec<Joined> = joins.into_iter().map(|h| h.join().unwrap()).collect();
         joined.sort_by_key(|j| j.rank);
+        (joined, controls)
+    }
 
+    /// Runs `spec` on rank 0 of two ranks joined over loopback TCP, after
+    /// rank 1 has sent only `bad`, the first frame rank 0 reduces, whose
+    /// segment has 33 values where fewer or more are local, as a frame of
+    /// another block would; the job must fail with a typed `JobErr`.
+    fn wrong_length_frame_fails_the_job(mut spec: JobSpec, bad: impl FnOnce(&RingComm)) {
+        let (joined, _controls) = join_two();
         spec.parallelism = 1;
         spec.assigned = vec![vec![0], vec![1]];
         let peer = RingComm::new(joined[1].transport.clone(), Arc::new(job_ring(&[0, 1], &spec)), 1)
@@ -1470,6 +1486,29 @@ mod tests {
         wrong_length_frame_fails_the_job(spec, |peer| {
             peer.send_frame(0, 0, peer.frame_of(&bad)).unwrap()
         });
+    }
+
+    /// A decoded spec with no channels, or with a view that repeats a
+    /// member, cannot form a ring; the executor must answer a typed
+    /// `JobErr` instead of panicking in `RingTopology::new`.
+    #[test]
+    fn malformed_job_shape_fails_the_job_typed() {
+        let (joined, _controls) = join_two();
+        let mut spec = JobSpec::dense(64, 0x5EA, 64, 2);
+        spec.parallelism = 1;
+        spec.assigned = vec![vec![0], vec![1]];
+        let mut no_channels = spec.clone();
+        no_channels.parallelism = 0;
+        let mut repeated_member = spec;
+        repeated_member.view = MembershipView { generation: 0, members: vec![0, 1, 0] };
+        for bad in [no_channels, repeated_member] {
+            match run_job(&joined[0], &bad) {
+                ExecMsg::JobErr { error, .. } => {
+                    assert!(error.contains("spec shape mismatch"), "{error}")
+                }
+                other => panic!("a malformed shape must fail the job typed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

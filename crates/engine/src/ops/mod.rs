@@ -6,7 +6,7 @@
 //!   In-Memory Merge in the compute stage.
 //! * [`split_aggregate`] — Sparker's contribution: IMM + ring reduce-scatter
 //!   over the PDR + gather/concat at the driver.
-//! * [`reduce`] — the one dispatch of [`sparker_tuner::Algo`] to a
+//! * [`reduce`] — the one dispatch of [`sparker_collectives::Algo`] to a
 //!   reduce-scatter, shared by split aggregation and the multi-process
 //!   executor.
 

@@ -12,38 +12,17 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use sparker_collectives::halving::recursive_halving_reduce_scatter_by;
-use sparker_collectives::hierarchical::{hierarchical_reduce_scatter_by, node_topology_of};
+use sparker_collectives::hierarchical::hierarchical_reduce_scatter_by;
 use sparker_collectives::lanes::run_lanes;
 use sparker_collectives::ring::{
     ring_reduce_scatter_dense, ring_reduce_scatter_produced_by, OwnedSegment,
 };
 use sparker_collectives::segment::{merge_segments, slice_bounds, SumSegment};
-use sparker_collectives::RingComm;
+use sparker_collectives::{segment_count, Algo, RingComm};
 use sparker_net::codec::Payload;
 use sparker_net::error::{NetError, NetResult};
-use sparker_net::topology::RingTopology;
-use sparker_tuner::Algo;
 
 use crate::metrics::AggStrategy;
-
-/// Number of segments `algo` splits every aggregator into on `ring`, which
-/// is also the index space the gather reassembles:
-/// * the ring family `P·N·C` (the tree's fallback vectors use the same);
-/// * halving `P·N` rounded up to a multiple of the largest power of two
-///   `≤ N`, so every halving round splits evenly;
-/// * hierarchical `P·L` over the `L` node groups (leaders own every
-///   segment, non-leaders none).
-pub fn segment_count(algo: Algo, ring: &RingTopology) -> usize {
-    let (p, n) = (ring.parallelism(), ring.size().max(1));
-    match algo {
-        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => p * n * algo.chunks(),
-        Algo::Halving => {
-            let p2 = 1usize << n.ilog2();
-            (p * n).div_ceil(p2) * p2
-        }
-        Algo::Hierarchical => p * node_topology_of(ring).num_nodes(),
-    }
-}
 
 /// Runs `algo`'s reduce-scatter over `comm`: segment `g` of
 /// [`segment_count`] is `produce(g)`, and segments meeting at a rank are

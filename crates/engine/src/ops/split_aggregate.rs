@@ -46,15 +46,13 @@ use sparker_net::topology::ExecutorId;
 use sparker_collectives::gather::{Gather, Segments};
 use sparker_collectives::ring::OwnedSegment;
 use sparker_collectives::segment::{merge_segments, slice_bounds, split_dense};
-use sparker_collectives::RingComm;
-
-use sparker_tuner::Algo;
+use sparker_collectives::{segment_count, Algo, RingComm};
 
 use crate::cluster::{ClusterInner, LocalCluster, RecoveryPolicy};
 use crate::metrics::AggMetrics;
 use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
-use crate::ops::reduce::{reduce_scatter, reduce_scatter_dense, segment_count, strategy_of};
+use crate::ops::reduce::{reduce_scatter, reduce_scatter_dense, strategy_of};
 use crate::ops::tree_aggregate::{reduce_to_driver, tree_scale};
 use crate::rdd::{Data, RddRef, TaskContext};
 use crate::task::{EngineError, EngineResult, TaskFailure};

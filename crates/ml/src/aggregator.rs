@@ -221,7 +221,7 @@ mod tests {
         let ex = SparseExample { label: 1.0, indices: vec![0, 2, 4], values: vec![1.0, 2.0, -1.0] };
         let acc = fold_logistic_sparse(zeros_sparse(5), &ex, &w);
         // Dense reference.
-        let margin: f64 = 0.1 * 1.0 + 0.3 * 2.0 + 0.5 * -1.0;
+        let margin: f64 = 0.1 * 1.0 + 0.3 * 2.0 - 0.5;
         let scale = -1.0 / (1.0 + margin.exp());
         let mut want = vec![0.0; 5];
         for (&i, &v) in ex.indices.iter().zip(&ex.values) {

@@ -99,7 +99,7 @@ impl NetFaultPlan {
     // --- read-side queries -------------------------------------------------
     //
     // [`FaultyTransport`] replays plans against a live transport; the DES
-    // (`sparker_sim::elastic`) replays the *same plans* against simulated
+    // (`sparker_tuner::elastic`) replays the *same plans* against simulated
     // op-graphs. These queries expose the plan's verdicts without giving the
     // replayer mutable access, so both consumers stay in lock-step on what a
     // given (link, seq) coordinate means.

@@ -19,12 +19,6 @@
 //! * [`sync`] — std-only locks (poison-recovering, see the module's
 //!   convention note) and the unbounded MPMC channel the transports and
 //!   executor work queues run on.
-//! * [`profile`] — network profiles: latency/bandwidth of intra-node and
-//!   inter-node links, single-stream (per-channel) caps, NIC line rate, and
-//!   per-transport software overheads. Presets reproduce the paper's two
-//!   clusters (`BIC`: 8× 56-core nodes on 100 Gbps IPoIB, `AWS`: 10×
-//!   96-core m5d.24xlarge on 25 Gbps Ethernet). The simulator and the tuner
-//!   read them; no transport waits on them.
 //! * [`transport`] — the [`transport::Transport`] trait plus the in-process
 //!   mesh the threaded engine's executors talk over: one FIFO channel per
 //!   directed `(from, to, channel)` stream, with traffic counters and
@@ -62,7 +56,6 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod pool;
-pub mod profile;
 pub mod sync;
 pub mod tcp;
 pub mod topology;
@@ -73,7 +66,6 @@ pub use codec::{Decoder, Encoder, Payload};
 pub use error::NetError;
 pub use fault::{FaultyTransport, NetFaultPlan};
 pub use pool::{FramePool, PoolStats};
-pub use profile::{LinkProfile, NetProfile, TransportKind};
 pub use tcp::TcpTransport;
 pub use topology::{ExecutorId, ExecutorInfo, LinkClass, NodeGroup, NodeTopology, RingTopology};
-pub use transport::{MeshTransport, Transport};
+pub use transport::{MeshTransport, Transport, TransportKind};

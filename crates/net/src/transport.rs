@@ -5,8 +5,8 @@
 //! `(from, to, channel)` stream. A send enqueues and returns (asynchronous
 //! sends, like ZeroMQ); a receive blocks until the stream's next frame
 //! arrives. Nothing is delayed: the mesh's cost is what the threads and
-//! channels really cost. The paper's network constants live in
-//! [`crate::profile`] and are read by the simulator and the tuner only.
+//! channels really cost. The paper's network constants live in the model
+//! crate (`sparker-tuner`), which no runtime crate depends on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -20,8 +20,23 @@ use crate::bytebuf::ByteBuf;
 use crate::sync::{channel, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{NetError, NetResult};
-use crate::profile::TransportKind;
 use crate::topology::{ExecutorId, ExecutorInfo};
+
+/// Which communication implementation a channel models.
+///
+/// The paper compares three (Figure 12). The in-process mesh uses the kind
+/// to name its trace spans; the model crate gives each its software
+/// overhead and single-stream efficiency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TransportKind {
+    /// Sparker's purpose-built communicator (JeroMQ-based in the paper).
+    ScalableComm,
+    /// Message passing emulated over Spark's BlockManager KV store:
+    /// control-plane round trips and result polling dominate.
+    BlockManager,
+    /// MPI as the near-optimal reference (OSU micro-benchmarks).
+    MpiRef,
+}
 
 /// A point-to-point, multi-channel message transport between executors.
 ///

@@ -218,7 +218,7 @@ mod tests {
         c.add(3);
         c.inc();
         assert_eq!(c.get(), 4);
-        assert_eq!(Arc::ptr_eq(&c, &counter("test.counter_roundtrip")), true);
+        assert!(Arc::ptr_eq(&c, &counter("test.counter_roundtrip")));
 
         let g = gauge("test.gauge_roundtrip");
         g.set(-5);

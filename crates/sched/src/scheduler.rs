@@ -122,6 +122,10 @@ impl<B: Backend> Scheduler<B> {
     /// Panics if `capacity + lanes + 1 >= NS_COUNT` — live jobs (pending +
     /// in-flight) must always fit in the namespace space with room to
     /// allocate, so admission can never fail on namespaces.
+    #[allow(
+        clippy::boxed_local,
+        reason = "the frozen benchmark calls `Scheduler::new(backend, Box::new(Fifo), cfg)`"
+    )]
     pub fn new(backend: B, _order: Box<Fifo>, cfg: SchedConfig) -> Self {
         let lanes = backend.lanes();
         assert!(lanes >= 1, "backend must expose at least one lane");

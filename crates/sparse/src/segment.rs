@@ -32,9 +32,11 @@ pub const DEFAULT_DENSITY_THRESHOLD: f64 = 0.5;
 /// A threshold that never densifies — the forced-sparse ablation arm.
 pub const NEVER_DENSIFY: f64 = 2.0;
 
-fn wire_counters() -> &'static (Arc<Counter>, Arc<Counter>, Arc<Counter>, Arc<Gauge>) {
-    static HANDLES: OnceLock<(Arc<Counter>, Arc<Counter>, Arc<Counter>, Arc<Gauge>)> =
-        OnceLock::new();
+/// Wire bytes, dense-equivalent bytes, segment count, density gauge.
+type WireCounters = (Arc<Counter>, Arc<Counter>, Arc<Counter>, Arc<Gauge>);
+
+fn wire_counters() -> &'static WireCounters {
+    static HANDLES: OnceLock<WireCounters> = OnceLock::new();
     HANDLES.get_or_init(|| {
         (
             sparker_obs::metrics::counter("sparse.wire_bytes"),

@@ -76,7 +76,7 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Self { cases: 64, seed: 0x5eed_0f_c0ffee_01, max_shrink_trials: 2000 }
+        Self { cases: 64, seed: 0x005e_ed0f_c0ff_ee01, max_shrink_trials: 2000 }
     }
 }
 

@@ -14,11 +14,11 @@
 //!
 //! The returned [`AggSimResult`] carries the paper's compute/reduce split.
 
-use sparker_net::profile::TransportKind;
+use sparker_net::TransportKind;
 
 use crate::algosim::{build_ring, keep};
 use crate::cluster::SimCluster;
-use crate::des::{DesParams, OpGraph, OpId, DRIVER};
+use crate::des::{OpGraph, OpId, DRIVER};
 
 /// Aggregation strategy to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,18 +55,6 @@ impl AggSimResult {
     pub fn total(&self) -> f64 {
         self.compute + self.reduce
     }
-}
-
-pub(crate) fn des_params_for(
-    cluster: &SimCluster,
-    kind: TransportKind,
-    topology_aware: bool,
-) -> DesParams {
-    let mut p = cluster.des_params(topology_aware);
-    let sw = kind.software_overhead().as_secs_f64();
-    p.latency += sw;
-    p.intra_latency += sw;
-    p
 }
 
 /// Builds the compute stage: `partitions` tasks round-robin over executors,
@@ -133,7 +121,7 @@ pub fn simulate_aggregation(
     match strategy {
         Strategy::Tree | Strategy::TreeImm => {
             let imm = strategy == Strategy::TreeImm;
-            let params = des_params_for(cluster, TransportKind::MpiRef, true);
+            let params = cluster.des_params(TransportKind::MpiRef, true);
             let mut g = OpGraph::new();
             let (per_exec, barrier) =
                 build_compute_stage(&mut g, cluster, partitions, compute_secs, agg_bytes, imm);
@@ -193,7 +181,7 @@ pub fn simulate_aggregation(
         Strategy::Split { parallelism, topology_aware }
         | Strategy::SplitAllReduce { parallelism, topology_aware } => {
             let allreduce = matches!(strategy, Strategy::SplitAllReduce { .. });
-            let params = des_params_for(cluster, TransportKind::ScalableComm, topology_aware);
+            let params = cluster.des_params(TransportKind::ScalableComm, topology_aware);
             let mut g = OpGraph::new();
             // Split aggregation always computes with IMM.
             let (per_exec, barrier) =
@@ -280,25 +268,28 @@ pub fn simulate_aggregation(
     }
 }
 
-/// Simulates just the reduce-scatter primitive (Figures 14–15): `executors`
-/// ranks, one `msg_bytes` aggregator each, pre-split, no gather.
+/// Simulates just the ring reduce-scatter (Figures 14–15): `executors`
+/// ranks, one `msg_bytes` aggregator each, pre-split, no gather. With
+/// `chunks > 1` each segment is cut into pieces that ride the same stream,
+/// so one piece merges while the next is on the wire.
 pub fn simulate_reduce_scatter(
     cluster: &SimCluster,
     msg_bytes: f64,
     parallelism: usize,
+    chunks: usize,
     topology_aware: bool,
 ) -> f64 {
     let e = cluster.executors();
     if e <= 1 {
         return 0.0;
     }
-    let params = des_params_for(cluster, TransportKind::ScalableComm, topology_aware);
+    let params = cluster.des_params(TransportKind::ScalableComm, topology_aware);
     let p = parallelism.max(1);
-    let seg_bytes = msg_bytes / (p * e) as f64;
+    let seg_bytes = msg_bytes / (p * e * chunks) as f64;
     let all: Vec<usize> = (0..e).collect();
     let mut g = OpGraph::new();
     let merge_t = seg_bytes / cluster.merge_bandwidth;
-    let finals = build_ring(&mut g, &all, p, 1, seg_bytes, merge_t, |_, _| None, keep);
+    let finals = build_ring(&mut g, &all, p, chunks, seg_bytes, merge_t, |_, _| None, keep);
     let end = g.barrier(finals);
     let r = g.run(&params);
     r.finish[end]
@@ -409,8 +400,8 @@ mod tests {
     #[test]
     fn parallelism_speeds_up_reduce_scatter() {
         let c = SimCluster::bic(); // 48 executors, 8 nodes (paper Fig 14)
-        let t1 = simulate_reduce_scatter(&c, 256.0 * MB, 1, true);
-        let t8 = simulate_reduce_scatter(&c, 256.0 * MB, 8, true);
+        let t1 = simulate_reduce_scatter(&c, 256.0 * MB, 1, 1, true);
+        let t8 = simulate_reduce_scatter(&c, 256.0 * MB, 8, 1, true);
         let speedup = t1 / t8;
         assert!((2.0..4.5).contains(&speedup), "paper: 3.06x; simulated {speedup:.2}x");
     }
@@ -418,8 +409,8 @@ mod tests {
     #[test]
     fn topology_awareness_speeds_up_reduce_scatter() {
         let c = SimCluster::bic();
-        let aware = simulate_reduce_scatter(&c, 256.0 * MB, 4, true);
-        let unaware = simulate_reduce_scatter(&c, 256.0 * MB, 4, false);
+        let aware = simulate_reduce_scatter(&c, 256.0 * MB, 4, 1, true);
+        let unaware = simulate_reduce_scatter(&c, 256.0 * MB, 4, 1, false);
         let speedup = unaware / aware;
         // Paper: 2.76x. The store-and-forward NIC model over-penalizes the
         // unaware ring somewhat (real TCP flows interleave), so accept a
@@ -431,16 +422,16 @@ mod tests {
     fn small_message_reduce_scatter_is_latency_bound() {
         // 256KB: time grows ~linearly with executor count (paper Fig 15).
         // The paper's sweep spreads executors over the fixed 8-node cluster.
-        let t6 = simulate_reduce_scatter(&SimCluster::bic().with_total_executors(6), 256.0 * 1024.0, 4, true);
-        let t48 = simulate_reduce_scatter(&SimCluster::bic(), 256.0 * 1024.0, 4, true);
+        let t6 = simulate_reduce_scatter(&SimCluster::bic().with_total_executors(6), 256.0 * 1024.0, 4, 1, true);
+        let t48 = simulate_reduce_scatter(&SimCluster::bic(), 256.0 * 1024.0, 4, 1, true);
         let ratio = t48 / t6;
         assert!((3.0..12.0).contains(&ratio), "paper: 5.3x; simulated {ratio:.2}x");
     }
 
     #[test]
     fn large_message_reduce_scatter_is_nearly_flat() {
-        let t6 = simulate_reduce_scatter(&SimCluster::bic().with_total_executors(6), 256.0 * MB, 4, true);
-        let t48 = simulate_reduce_scatter(&SimCluster::bic(), 256.0 * MB, 4, true);
+        let t6 = simulate_reduce_scatter(&SimCluster::bic().with_total_executors(6), 256.0 * MB, 4, 1, true);
+        let t48 = simulate_reduce_scatter(&SimCluster::bic(), 256.0 * MB, 4, 1, true);
         let ratio = t48 / t6;
         assert!(ratio < 2.2, "paper: 1.27x; simulated {ratio:.2}x");
     }
@@ -516,6 +507,6 @@ mod tests {
             0.05,
         );
         assert!(r.compute > 0.0 && r.reduce >= 0.0);
-        assert_eq!(simulate_reduce_scatter(&c, MB, 4, true), 0.0);
+        assert_eq!(simulate_reduce_scatter(&c, MB, 4, 1, true), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! DES ground truth for the tuner's algorithm menu.
 //!
-//! Builds the op-graph of every candidate in [`sparker_tuner::Algo`] — the
+//! Builds the op-graph of every candidate in [`Algo`] — the
 //! same step structure the threaded collectives execute — and runs it
 //! through the DES. The tuner's alpha-beta model (DESIGN.md §5j) is a
 //! closed-form approximation of exactly these graphs, so this module is
@@ -14,11 +14,12 @@
 //! algorithm and cancels out of the ranking (the same argument
 //! [`CostModel::predict`] makes).
 
-use sparker_net::profile::TransportKind;
-use sparker_tuner::{Algo, CostModel};
+use sparker_collectives::Algo;
+use sparker_net::TransportKind;
 
-use crate::aggsim::des_params_for;
+use crate::aggsim::simulate_reduce_scatter;
 use crate::cluster::SimCluster;
+use crate::cost::CostModel;
 use crate::des::{DesParams, OpGraph, OpId};
 
 /// Simulates one reduce-scatter of `msg_bytes` per executor under `algo`,
@@ -34,18 +35,13 @@ pub fn simulate_algo(
     if e <= 1 {
         return 0.0;
     }
-    let params = des_params_for(cluster, TransportKind::ScalableComm, true);
+    let params = cluster.des_params(TransportKind::ScalableComm, true);
     let p = parallelism.max(1);
     let all: Vec<usize> = (0..e).collect();
     let mut g = OpGraph::new();
     let finals = match algo {
         Algo::FlatRing | Algo::ChunkedRing(_) => {
-            // Pipelining: each segment is cut into `chunks` pieces that ride
-            // the same stream, so one piece merges while the next is on the
-            // wire.
-            let piece = msg_bytes / (p * e * algo.chunks()) as f64;
-            let merge_t = piece / cluster.merge_bandwidth;
-            build_ring(&mut g, &all, p, algo.chunks(), piece, merge_t, |_, _| None, keep)
+            return simulate_reduce_scatter(cluster, msg_bytes, parallelism, algo.chunks(), true);
         }
         Algo::Halving => build_halving(&mut g, cluster, msg_bytes, p),
         Algo::Tree => build_tree(&mut g, cluster, &all, msg_bytes).into_iter().collect(),
@@ -57,7 +53,7 @@ pub fn simulate_algo(
 }
 
 /// Simulated seconds for every candidate, in canonical order — the DES
-/// counterpart of [`sparker_tuner::Selector::rank`].
+/// counterpart of [`crate::Selector::rank`].
 pub fn simulate_rank(
     cluster: &SimCluster,
     msg_bytes: f64,
@@ -67,13 +63,6 @@ pub fn simulate_rank(
         .into_iter()
         .map(|a| (a, simulate_algo(cluster, a, msg_bytes, parallelism)))
         .collect()
-}
-
-/// The cost model the DES ground truth is judged against: same network
-/// profile, same merge bandwidth — the calibration [`CostModel::from_profile`]
-/// would produce on this cluster.
-pub fn model_for(cluster: &SimCluster, margin_permille: u32) -> CostModel {
-    CostModel::from_profile(&cluster.profile, cluster.merge_bandwidth, margin_permille)
 }
 
 /// The calibrated selector tolerance, as a multiplicative factor, for one
@@ -269,7 +258,7 @@ fn build_hierarchical(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparker_tuner::{JobShape, Selector};
+    use crate::{JobShape, Selector};
 
     const KB: f64 = 1024.0;
     const MB: f64 = 1024.0 * 1024.0;
@@ -295,7 +284,7 @@ mod tests {
         let c = SimCluster::aws();
         assert_eq!(c.executors(), 120);
         assert_eq!(c.total_cores(), 960);
-        let model = model_for(&c, 150);
+        let model = CostModel::from_profile(&c.profile, c.merge_bandwidth, 150);
         let sel = Selector::new(model);
         let p = 4;
         for bytes in [KB, 4.0 * KB, 64.0 * KB, 256.0 * KB, MB, 4.0 * MB] {
@@ -321,7 +310,7 @@ mod tests {
     #[test]
     fn selector_within_margin_on_bic_cluster() {
         let c = SimCluster::bic();
-        let model = model_for(&c, 150);
+        let model = CostModel::from_profile(&c.profile, c.merge_bandwidth, 150);
         let sel = Selector::new(model);
         let p = 4;
         for bytes in [4.0 * KB, 64.0 * KB, 256.0 * KB, MB, 4.0 * MB] {

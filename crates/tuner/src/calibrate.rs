@@ -78,7 +78,7 @@ where
 
 /// Fits link parameters from raw `(bytes, seconds)` samples per class —
 /// the span-free entry point used when the samples come from somewhere
-/// other than a live traced run, e.g. the DES: `sparker_sim` replays
+/// other than a live traced run, e.g. the DES: [`crate::eval`] replays
 /// point-to-point transfers through its event engine and feeds the
 /// simulated timings here, so the paper-parity selector is calibrated
 /// from *DES traces* exactly the way the live selector is calibrated

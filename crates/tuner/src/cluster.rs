@@ -1,8 +1,9 @@
 //! Simulated cluster configurations (Table 1).
 
-use sparker_net::profile::NetProfile;
+use sparker_net::TransportKind;
 
 use crate::des::DesParams;
+use crate::profile::{software_overhead, NetProfile};
 
 /// A full simulation model of one cluster.
 #[derive(Debug, Clone)]
@@ -118,9 +119,10 @@ impl SimCluster {
         }
     }
 
-    /// Distills into DES resource parameters, applying `parallelism`-channel
-    /// stream bandwidth and topology-aware (or not) executor placement.
-    pub fn des_params(&self, topology_aware: bool) -> DesParams {
+    /// Distills into DES resource parameters for transport `kind` (its
+    /// software overhead rides on every hop's latency), with topology-aware
+    /// (or not) executor placement.
+    pub fn des_params(&self, kind: TransportKind, topology_aware: bool) -> DesParams {
         let e = self.executors();
         // Topology-aware ring order = executors packed per node (adjacent
         // ranks share nodes); unaware = round-robin (adjacent ranks on
@@ -135,6 +137,7 @@ impl SimCluster {
                 }
             })
             .collect();
+        let sw = software_overhead(kind).as_secs_f64();
         DesParams {
             executors: e,
             cores_per_executor: self.cores_per_executor,
@@ -143,8 +146,8 @@ impl SimCluster {
             stream_bandwidth: self.profile.per_channel_bandwidth,
             nic_bandwidth: self.profile.nic_bandwidth,
             intra_bandwidth: self.profile.intra_node.bandwidth,
-            latency: self.profile.inter_node.latency.as_secs_f64(),
-            intra_latency: self.profile.intra_node.latency.as_secs_f64(),
+            latency: self.profile.inter_node.latency.as_secs_f64() + sw,
+            intra_latency: self.profile.intra_node.latency.as_secs_f64() + sw,
         }
     }
 }
@@ -181,8 +184,8 @@ mod tests {
     #[test]
     fn topology_awareness_changes_placement() {
         let c = SimCluster::bic().with_nodes(2);
-        let aware = c.des_params(true);
-        let unaware = c.des_params(false);
+        let aware = c.des_params(TransportKind::ScalableComm, true);
+        let unaware = c.des_params(TransportKind::ScalableComm, false);
         // Aware: first 6 executors on node 0; unaware: alternating.
         assert!(aware.node_of_executor[..6].iter().all(|&n| n == 0));
         assert_eq!(unaware.node_of_executor[0], 0);

@@ -6,93 +6,12 @@
 //! inter-node (the NIC) — plus the per-byte merge cost, so five scalars
 //! predict every algorithm in the family well enough to *rank* them, which
 //! is all a selector needs. The scalars are either defaults, derived from
-//! a [`sparker_net::NetProfile`], or fitted offline from obs-recorded step
+//! a [`NetProfile`], or fitted offline from obs-recorded step
 //! spans (see [`crate::calibrate`]).
 
-use sparker_net::codec::{Decoder, Encoder, Payload};
-use sparker_net::error::{NetError, NetResult};
-use sparker_net::profile::NetProfile;
+use sparker_collectives::Algo;
 
-/// The algorithm menu the selector ranks. One entry per reduction path the
-/// engine can actually run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algo {
-    /// Flat unpipelined ring reduce-scatter over all executors.
-    FlatRing,
-    /// Flat ring with `C` pipeline chunks per segment, `C in 2..=8`.
-    ChunkedRing(u8),
-    /// Recursive halving (Rabenseifner) reduce-scatter.
-    Halving,
-    /// Binomial tree over whole aggregators (the non-splitting baseline,
-    /// and the engine's degradation target).
-    Tree,
-    /// Two-level: intra-node fold to node leaders, ring over leaders.
-    Hierarchical,
-}
-
-impl Algo {
-    /// Stable metric/label name (chunk count elided — it is a parameter of
-    /// the ring, not a different algorithm).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::FlatRing => "ring",
-            Algo::ChunkedRing(_) => "chunked_ring",
-            Algo::Halving => "halving",
-            Algo::Tree => "tree",
-            Algo::Hierarchical => "hier",
-        }
-    }
-
-    /// The full candidate set, in canonical (tie-break) order.
-    pub fn candidates() -> Vec<Algo> {
-        let mut v = vec![Algo::FlatRing];
-        v.extend((2..=8).map(Algo::ChunkedRing));
-        v.push(Algo::Halving);
-        v.push(Algo::Tree);
-        v.push(Algo::Hierarchical);
-        v
-    }
-
-    /// Pipeline chunk count this choice implies.
-    pub fn chunks(&self) -> usize {
-        match self {
-            Algo::ChunkedRing(c) => *c as usize,
-            _ => 1,
-        }
-    }
-}
-
-/// The one wire form of an algorithm choice: a tag byte, plus the chunk
-/// count for [`Algo::ChunkedRing`]. An unknown tag is a typed codec error.
-impl Payload for Algo {
-    fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            Algo::FlatRing => enc.put_u8(0),
-            Algo::ChunkedRing(c) => {
-                enc.put_u8(1);
-                enc.put_u8(*c);
-            }
-            Algo::Halving => enc.put_u8(2),
-            Algo::Tree => enc.put_u8(3),
-            Algo::Hierarchical => enc.put_u8(4),
-        }
-    }
-
-    fn decode_from(dec: &mut Decoder) -> NetResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(Algo::FlatRing),
-            1 => Ok(Algo::ChunkedRing(dec.get_u8()?)),
-            2 => Ok(Algo::Halving),
-            3 => Ok(Algo::Tree),
-            4 => Ok(Algo::Hierarchical),
-            tag => Err(NetError::Codec(format!("unknown reduction algorithm tag {tag}"))),
-        }
-    }
-
-    fn size_hint(&self) -> usize {
-        1 + usize::from(matches!(self, Algo::ChunkedRing(_)))
-    }
-}
+use crate::profile::NetProfile;
 
 /// One link class: `alpha + bytes · beta` seconds per transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,12 +20,6 @@ pub struct LinkParams {
     pub alpha_s: f64,
     /// Inverse bandwidth, seconds per byte.
     pub beta_s_per_byte: f64,
-}
-
-impl LinkParams {
-    pub fn transfer_secs(&self, bytes: f64) -> f64 {
-        self.alpha_s + bytes * self.beta_s_per_byte
-    }
 }
 
 /// The shape of one aggregation job, as far as the cost model cares.

@@ -30,10 +30,10 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use sparker_net::fault::NetFaultPlan;
-use sparker_net::profile::TransportKind;
 use sparker_net::topology::ExecutorId;
+use sparker_net::TransportKind;
 
-use crate::aggsim::{des_params_for, simulate_aggregation, Strategy};
+use crate::aggsim::{simulate_aggregation, Strategy};
 use crate::algosim::{build_ring, build_tree};
 use crate::cluster::SimCluster;
 use crate::des::{OpGraph, OpId};
@@ -176,7 +176,7 @@ fn run_ring_attempt(
     plan: &NetFaultPlan,
     timings: &ElasticTimings,
 ) -> (f64, Option<f64>) {
-    let params = des_params_for(cluster, TransportKind::ScalableComm, true);
+    let params = cluster.des_params(TransportKind::ScalableComm, true);
     let mut g = OpGraph::new();
     let (finals, faults) = ring_with_plan(&mut g, cluster, members, msg_bytes, p, plan, timings);
     let end = g.barrier(finals);
@@ -191,7 +191,7 @@ fn run_ring_attempt(
 /// Whole-aggregator binomial tree over `members` — the naive fallback a
 /// non-elastic engine would take after losing a ring member.
 fn tree_fallback_secs(cluster: &SimCluster, members: &[usize], msg_bytes: f64) -> f64 {
-    let params = des_params_for(cluster, TransportKind::ScalableComm, true);
+    let params = cluster.des_params(TransportKind::ScalableComm, true);
     let mut g = OpGraph::new();
     match build_tree(&mut g, cluster, members, msg_bytes) {
         Some(root) => g.run(&params).finish[root],

@@ -11,7 +11,7 @@
 //!   ground truth under a model calibrated *from DES traces*;
 //! * **Fig 17** — geo-mean end-to-end LR/SVM/LDA speedup;
 //! * **Fig 12/13** — point-to-point latency and throughput of the three
-//!   transports, from the [`crate::p2p`] closed forms on the BIC profile;
+//!   transports, from the [`crate::profile`] closed forms on the BIC profile;
 //! * **elastic scenarios** the paper never ran ([`crate::elastic`]):
 //!   executor leave with survivor ring re-formation, join at a job
 //!   boundary, SIGSTOP-style straggler, flapping link, lost frame with
@@ -33,21 +33,21 @@ use std::cell::RefCell;
 use std::fmt;
 use std::time::Duration;
 
+use sparker_collectives::Algo;
 use sparker_obs::export::{figures_json, FigureSeries};
 use sparker_obs::metrics;
-use sparker_tuner::{calibrate_from_samples, Algo, CostModel, JobShape, Selector};
 
-use crate::aggsim::{
-    des_params_for, mpi_reduce_scatter, simulate_aggregation, simulate_reduce_scatter, Strategy,
-};
-use crate::algosim::{ground_truth_margin, model_for, simulate_algo, simulate_rank};
+use crate::aggsim::{mpi_reduce_scatter, simulate_aggregation, simulate_reduce_scatter, Strategy};
+use crate::algosim::{ground_truth_margin, simulate_algo, simulate_rank};
+use crate::calibrate::calibrate_from_samples;
 use crate::cluster::SimCluster;
+use crate::cost::{CostModel, JobShape};
 use crate::elastic::{
     simulate_dropped_frame, simulate_executor_join, simulate_executor_leave, simulate_flapping_link,
     simulate_straggler, ElasticTimings,
 };
 use crate::mlrun::{geo_mean, simulate_training, TrainingBreakdown};
-use crate::p2p;
+use crate::select::Selector;
 use crate::workloads::{all_workloads, by_name, Workload};
 
 const KB: f64 = 1024.0;
@@ -297,7 +297,7 @@ fn splitmix(state: u64) -> u64 {
 /// simulated `(bytes, secs)` samples — the same fit the live stack runs
 /// over `collective.step` spans, fed from the simulator instead.
 pub fn des_calibrated_model(cluster: &SimCluster, margin_permille: u32) -> CostModel {
-    let params = des_params_for(cluster, sparker_net::profile::TransportKind::ScalableComm, true);
+    let params = cluster.des_params(sparker_net::TransportKind::ScalableComm, true);
     let e = cluster.executors();
     // Under topology-aware placement executors 0 and 1 share a node (when
     // the node holds more than one) and 0 and e-1 never do.
@@ -316,7 +316,7 @@ pub fn des_calibrated_model(cluster: &SimCluster, margin_permille: u32) -> CostM
     // On a multi-node cluster the two sample sets exercise the two link
     // classes; keep merge throughput + margin from the profile model.
     let cal = calibrate_from_samples(&intra, &inter);
-    cal.apply(&model_for(cluster, margin_permille))
+    cal.apply(&CostModel::from_profile(&cluster.profile, cluster.merge_bandwidth, margin_permille))
 }
 
 struct Sweep {
@@ -699,6 +699,10 @@ pub fn run_paper_eval(cfg: &EvalConfig) -> EvalReport {
     report
 }
 
+/// Receives one figure series: figure id, series name, x label, y label,
+/// points.
+type SeriesSink<'a> = dyn FnMut(&str, &str, &str, &str, Vec<(f64, f64)>) + 'a;
+
 /// The paper's remaining evaluation curves, replayed without a bound of
 /// their own: EXPERIMENTS.md quotes them next to the paper's numbers.
 /// `c8` is the BIC-class cluster at the top of the node sweep; `one_node` /
@@ -709,7 +713,7 @@ fn replay_series(
     split4: Strategy,
     one_node: &[TrainingBreakdown],
     max_nodes: &[TrainingBreakdown],
-    series: &mut dyn FnMut(&str, &str, &str, &str, Vec<(f64, f64)>),
+    series: &mut SeriesSink<'_>,
 ) {
     let by_index = |ys: Vec<f64>| ys.into_iter().enumerate().map(|(i, y)| (i as f64, y)).collect();
 
@@ -734,7 +738,7 @@ fn replay_series(
     for (name, aware) in [("topology_aware", true), ("id_ordered", false)] {
         let points = [1usize, 2, 4, 8]
             .iter()
-            .map(|&p| (p as f64, simulate_reduce_scatter(c8, 256.0 * MB, p, aware)))
+            .map(|&p| (p as f64, simulate_reduce_scatter(c8, 256.0 * MB, p, 1, aware)))
             .collect();
         series("fig14_parallelism", name, "parallelism", "seconds", points);
     }
@@ -748,7 +752,7 @@ fn replay_series(
                 .map(|&e| (e as f64, f(&sw.bic.clone().with_total_executors(e))))
                 .collect()
         };
-        let sc = sweep(&|c| simulate_reduce_scatter(c, bytes, 4, true));
+        let sc = sweep(&|c| simulate_reduce_scatter(c, bytes, 4, 1, true));
         series("fig15_rs_scalability", &format!("sc_{size}"), "executors", "seconds", sc);
         let mpi = sweep(&|c| mpi_reduce_scatter(c, bytes));
         series("fig15_rs_scalability", &format!("mpi_{size}"), "executors", "seconds", mpi);
@@ -831,9 +835,9 @@ fn replay_series(
     // Fig 12 / Fig 13: the three transports point to point on BIC. These
     // replay the paper-calibrated constants in closed form, so they are the
     // same at every scale.
-    use sparker_net::profile::TransportKind::{BlockManager, MpiRef, ScalableComm};
+    use sparker_net::TransportKind::{BlockManager, MpiRef, ScalableComm};
     for (name, kind) in [("mpi", MpiRef), ("sc", ScalableComm), ("bm", BlockManager)] {
-        let us = vec![(8.0, p2p::latency(&sw.bic, kind) * 1e6)];
+        let us = vec![(8.0, sw.bic.profile.one_way_latency(kind).as_secs_f64() * 1e6)];
         series("fig12_p2p_latency", name, "message_bytes", "one_way_us", us);
     }
     let sizes = [10, 13, 16, 19, 21, 23, 25, 28].map(|exp| 2f64.powi(exp));
@@ -845,7 +849,7 @@ fn replay_series(
     ] {
         let points = sizes
             .iter()
-            .map(|&b| (b / KB, p2p::throughput(&sw.bic, kind, b, channels) / MB))
+            .map(|&b| (b / KB, sw.bic.profile.throughput(kind, b, channels) / MB))
             .collect();
         series("fig13_p2p_throughput", name, "message_kib", "mb_per_s", points);
     }

@@ -7,7 +7,9 @@
 //! its caller passes in `SplitAggOpts::algo`; a caller that wants the
 //! model's pick passes `select(&shape).algo`.
 
-use crate::cost::{Algo, CostModel, JobShape};
+use sparker_collectives::Algo;
+
+use crate::cost::{CostModel, JobShape};
 
 /// What the selector decided for one job.
 #[derive(Debug, Clone, Copy, PartialEq)]

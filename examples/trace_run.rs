@@ -17,7 +17,7 @@
 //! Exits non-zero if anything is missing.
 
 use sparker::prelude::*;
-use sparker::tuner::{JobShape, Selector};
+use sparker_tuner::{JobShape, Selector};
 use sparker_obs::{export, json, trace, Layer};
 
 fn main() {

@@ -1,6 +1,6 @@
 //! The paper-parity evaluation sweep (PR 10's `BENCH_10.json`).
 //!
-//! Drives [`sparker_sim::eval::run_paper_eval`] — one deterministic
+//! Drives [`sparker_tuner::eval::run_paper_eval`] — one deterministic
 //! DES-driven run that regenerates every headline experiment of the paper
 //! at paper scale (120 executors / 960 cores) plus the elastic extensions,
 //! and asserts each claim as a named bound. See DESIGN.md §5k for the
@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use sparker_bench::{print_header, Table};
 use sparker_obs::metrics;
-use sparker_sim::eval::{run_paper_eval, EvalConfig, EvalScale};
+use sparker_tuner::eval::{run_paper_eval, EvalConfig, EvalScale};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -148,7 +148,7 @@ fn traced_flat_ring_steps_calibrate_both_link_classes() {
     // Classify hops through the same topology-aware ring the harness built.
     let ring = RingTopology::new(round_robin_layout(nodes, epn, 1), RingOrder::TopologyAware, p);
     let topo = node_topology_of(&ring);
-    let cal = sparker::tuner::calibrate_from_spans(&spans, |rank, peer| {
+    let cal = sparker_tuner::calibrate_from_spans(&spans, |rank, peer| {
         let id = |r: u64| ring.executor_at(r as usize).id;
         Some(topo.link_class(id(rank), id(peer)))
     });

@@ -3,7 +3,7 @@
 //! the bound checks are live — a deliberately mistuned configuration must
 //! degrade into a *typed* violation, not a panic or a hang.
 
-use sparker_sim::eval::{run_paper_eval, BoundOp, EvalConfig, EvalScale};
+use sparker_tuner::eval::{run_paper_eval, BoundOp, EvalConfig, EvalScale};
 use sparker_tuner::{CostModel, LinkParams};
 
 /// (a) Two runs with the same seed produce byte-identical
@@ -68,7 +68,7 @@ fn seeds_vary_scenarios_without_breaking_bounds() {
 /// magnitude makes the selector prefer round-minimizing algorithms (the
 /// whole-aggregator tree) where the DES ground truth says the ring family
 /// wins, so `selector_within_margin` must come back as a typed
-/// [`sparker_sim::eval::BoundViolation`] — the report still renders, no
+/// [`sparker_tuner::eval::BoundViolation`] — the report still renders, no
 /// panic, no hang.
 #[test]
 fn inflated_alpha_fires_a_typed_bound_violation() {

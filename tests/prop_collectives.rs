@@ -25,10 +25,10 @@ use sparker::collectives::ring::{
 };
 use sparker::collectives::segment::{merge_segments, split_dense, Segment};
 use sparker::collectives::testing::{run_on_ring, run_ring_cluster, RingClusterSpec};
-use sparker::collectives::RingComm;
+use sparker::collectives::{segment_count, RingComm};
 use sparker::net::topology::{round_robin_layout, RingTopology};
 use sparker::net::transport::MeshTransport;
-use sparker::engine::ops::reduce::{reduce_scatter, segment_count};
+use sparker::engine::ops::reduce::reduce_scatter;
 use sparker::prelude::*;
 
 fn cfg() -> Config {

@@ -87,7 +87,7 @@ fn chunked_reassembly_roundtrips_any_frame_train() {
     check(&cfg(), |src| {
         let pool = FramePool::new();
         let frames: Vec<(u32, u32, Vec<u8>)> =
-            src.vec_of(1..5, |s| arb_frame(s));
+            src.vec_of(1..5, arb_frame);
         let mut wire = Vec::new();
         for (from, channel, payload) in &frames {
             let f = encode_pooled(&pool, *from, *channel, payload)
@@ -118,7 +118,7 @@ fn socketpair_roundtrips_with_partial_writes() {
         let mut rx = rx;
 
         let pool = FramePool::new();
-        let frames: Vec<(u32, u32, Vec<u8>)> = src.vec_of(1..4, |s| arb_frame(s));
+        let frames: Vec<(u32, u32, Vec<u8>)> = src.vec_of(1..4, arb_frame);
 
         // Half the cases use the blocking writer; the other half hand-feed
         // the encoded bytes in odd-sized bursts so the reader must reassemble
@@ -255,7 +255,7 @@ fn malformed_beats_fail_typed() {
 
         // Any length other than BEAT_LEN is a typed codec error: truncations
         // and over-long payloads alike.
-        let cut = src.usize_in(0..BEAT_LEN as usize);
+        let cut = src.usize_in(0..BEAT_LEN);
         tk_assert!(
             matches!(Beat::decode(&wire[..cut]), Err(NetError::Codec(_))),
             "truncated beat must fail typed"

@@ -15,11 +15,11 @@
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
 use sparker::collectives::hierarchical::hierarchical_reduce_scatter;
+use sparker::collectives::segment_count;
 use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
-use sparker::engine::ops::reduce::segment_count;
 use sparker::net::topology::{round_robin_layout, RingOrder, RingTopology};
 use sparker::prelude::*;
-use sparker_tuner::{Algo, CostModel, JobShape, Selector};
+use sparker_tuner::{CostModel, JobShape, Selector};
 
 fn cfg() -> Config {
     Config::with_cases(12)

@@ -126,7 +126,7 @@ fn lda_word_counts_match_dense_exactly() {
     let cluster = LocalCluster::local(3, 2);
     let corpus = |p: usize| CorpusGen::new(7, VOCAB, 6, 40).partition(p, 6, DOCS);
 
-    let data = cluster.generate(6, move |p| corpus(p));
+    let data = cluster.generate(6, corpus);
     let (dense, _) = data
         .split_aggregate(
             F64Array(vec![0.0; VOCAB]),
@@ -144,7 +144,7 @@ fn lda_word_counts_match_dense_exactly() {
         )
         .unwrap();
 
-    let data = cluster.generate(6, move |p| corpus(p));
+    let data = cluster.generate(6, corpus);
     let (sparse, _) = data
         .split_aggregate(
             sparker::sparse::zeros(VOCAB),
@@ -180,7 +180,7 @@ fn sparse_wire_bytes_are_at_least_5x_below_dense_at_1_percent_density() {
             .collect()
     };
 
-    let data = cluster.generate(6, move |p| gen(p));
+    let data = cluster.generate(6, gen);
     let (dv, dm) = data
         .split_aggregate(
             F64Array(vec![0.0; DIM]),
@@ -199,7 +199,7 @@ fn sparse_wire_bytes_are_at_least_5x_below_dense_at_1_percent_density() {
         .unwrap();
 
     for adaptive in [false, true] {
-        let data = cluster.generate(6, move |p| gen(p));
+        let data = cluster.generate(6, gen);
         let split = if adaptive { sparker::sparse::split } else { sparker::sparse::split_sparse };
         let (sv, sm) = data
             .split_aggregate(

@@ -8,8 +8,9 @@
 #           launch_cluster smoke, the chaos_cluster kill-plan smoke and
 #           the paper-parity eval smoke), the workspace rustdoc build with
 #           warnings denied (broken intra-doc links fail it), clippy over all
-#           targets (deny-level lints fail it), plus the BENCH_10.json guard
-#           (tools/bench_trend.sh)
+#           targets with warnings denied, a check that no runtime crate
+#           depends on the model crate (sparker-tuner), plus the BENCH_10.json
+#           guard (tools/bench_trend.sh)
 #   tier 2  chaos + property suites, each under an explicit wall-clock
 #           bound (a timeout means a fault path regressed into a hang);
 #           the paper_eval tests here include the full-scale sweep that
@@ -121,9 +122,25 @@ trap emit_summary EXIT
 # --- tier 1: hermetic build + tests, warnings denied ---------------------
 RUSTFLAGS="-D warnings" run 1 "check_hermetic" tools/check_hermetic.sh
 RUSTDOCFLAGS="-D warnings" run 1 "rustdoc" cargo doc --workspace --no-deps --offline
-# Clippy over every target: deny-level lints fail the step, warn-level ones
-# are printed and left for their own changes.
-run 1 "clippy"             cargo clippy --workspace --all-targets --offline
+# Clippy over every target, warnings denied: a lint is fixed or allowed in
+# place with a reason.
+run 1 "clippy"             cargo clippy --workspace --all-targets --offline -- -D warnings
+# The runtime never depends on the model crate: no runtime crate's normal
+# dependency tree may contain sparker-tuner.
+runtime_free_of_model() {
+  local crate tree hits status=0
+  for crate in sparker-net sparker-collectives sparker-sparse sparker-engine \
+               sparker-sched sparker-ml sparker; do
+    tree=$(cargo tree --offline -e normal --prefix none -p "$crate") || return 1
+    hits=$(grep -c '^sparker-tuner ' <<<"$tree")
+    if [ "$hits" != 0 ]; then
+      echo "$crate depends on sparker-tuner ($hits hits)" >&2
+      status=1
+    fi
+  done
+  return $status
+}
+run 1 "runtime_deps"       runtime_free_of_model
 run 1 "bench_trend"        tools/bench_trend.sh
 
 # --- tier 2: chaos + property suites under timeouts ----------------------
