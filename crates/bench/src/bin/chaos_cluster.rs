@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use sparker::collectives::Algo;
 use sparker_bench::print_header;
 use sparker_engine::multiproc::{
     oracle, run_executor_with, JobOutcome, JobSpec, MultiProcDriver, KILLED_EXIT_CODE,
@@ -49,7 +50,6 @@ use sparker_engine::multiproc::{
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
 use sparker_obs::metrics::{self, MetricValue};
-use sparker_collectives::Algo;
 
 const CHANNELS: usize = 2;
 /// Watchdog exit code: the run *hung* (distinct from assertion failures).

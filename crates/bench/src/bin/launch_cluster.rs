@@ -40,13 +40,13 @@
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use sparker::collectives::Algo;
 use sparker_bench::{print_header, Table};
 use sparker_engine::multiproc::{
     oracle, run_executor_with, JobOutcome, JobSpec, MultiProcDriver, KILLED_EXIT_CODE,
 };
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
-use sparker_collectives::Algo;
 
 const CHANNELS: usize = 2;
 

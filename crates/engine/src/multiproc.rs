@@ -762,9 +762,9 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
             format!("rank {rank} is not in view {} {:?}", spec.view.generation, members),
         );
     };
-    // A ring needs at least one channel and distinct members; a decoded
-    // spec that breaks either fails typed instead of reaching the ring's
-    // asserts.
+    // A ring needs at least one channel and distinct members below `n`; a
+    // decoded spec that breaks any of these fails typed instead of reaching
+    // the ring's asserts or sizing its rank table by a stray id.
     let mut distinct = members.clone();
     distinct.sort_unstable();
     distinct.dedup();
@@ -772,6 +772,7 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
         || spec.parallelism == 0
         || spec.parallelism > joined.channels
         || distinct.len() != members.len()
+        || members.iter().any(|&m| m as usize >= n)
     {
         return job_err(
             joined,
@@ -1499,9 +1500,11 @@ mod tests {
         spec.assigned = vec![vec![0], vec![1]];
         let mut no_channels = spec.clone();
         no_channels.parallelism = 0;
-        let mut repeated_member = spec;
+        let mut repeated_member = spec.clone();
         repeated_member.view = MembershipView { generation: 0, members: vec![0, 1, 0] };
-        for bad in [no_channels, repeated_member] {
+        let mut stray_member = spec;
+        stray_member.view = MembershipView { generation: 0, members: vec![0, u32::MAX] };
+        for bad in [no_channels, repeated_member, stray_member] {
             match run_job(&joined[0], &bad) {
                 ExecMsg::JobErr { error, .. } => {
                     assert!(error.contains("spec shape mismatch"), "{error}")

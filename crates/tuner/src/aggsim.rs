@@ -195,7 +195,6 @@ pub fn simulate_aggregation(
             let seg_bytes = agg_bytes / (p * e) as f64;
             // Parallel split on P cores.
             let split_t = (agg_bytes / p as f64) / cluster.merge_bandwidth;
-            #[allow(clippy::needless_range_loop)]
             let splits: Vec<Vec<OpId>> = (0..e)
                 .map(|exec| {
                     (0..p)
@@ -316,6 +315,7 @@ mod tests {
     use super::*;
 
     const MB: f64 = 1024.0 * 1024.0;
+    const SPLIT: Strategy = Strategy::Split { parallelism: 4, topology_aware: true };
 
     fn bic(nodes: usize) -> SimCluster {
         SimCluster::bic().with_nodes(nodes)
@@ -326,13 +326,7 @@ mod tests {
         let c = bic(8);
         let bytes = 256.0 * MB;
         let tree = simulate_aggregation(&c, Strategy::Tree, bytes, 192, 0.1);
-        let split = simulate_aggregation(
-            &c,
-            Strategy::Split { parallelism: 4, topology_aware: true },
-            bytes,
-            192,
-            0.1,
-        );
+        let split = simulate_aggregation(&c, SPLIT, bytes, 192, 0.1);
         let speedup = tree.total() / split.total();
         assert!(
             speedup > 3.0,
@@ -347,13 +341,7 @@ mod tests {
         let c = bic(8);
         let bytes = 1024.0;
         let tree = simulate_aggregation(&c, Strategy::Tree, bytes, 192, 0.01).total();
-        let split = simulate_aggregation(
-            &c,
-            Strategy::Split { parallelism: 4, topology_aware: true },
-            bytes,
-            192,
-            0.01,
-        )
+        let split = simulate_aggregation(&c, SPLIT, bytes, 192, 0.01)
         .total();
         let ratio = tree / split;
         assert!((0.3..3.0).contains(&ratio), "1KB messages should be a wash: {ratio}");
@@ -364,22 +352,8 @@ mod tests {
         let bytes = 256.0 * MB;
         let tree_1 = simulate_aggregation(&bic(1), Strategy::Tree, bytes, 24, 0.1).reduce;
         let tree_8 = simulate_aggregation(&bic(8), Strategy::Tree, bytes, 192, 0.1).reduce;
-        let split_1 = simulate_aggregation(
-            &bic(1),
-            Strategy::Split { parallelism: 4, topology_aware: true },
-            bytes,
-            24,
-            0.1,
-        )
-        .reduce;
-        let split_8 = simulate_aggregation(
-            &bic(8),
-            Strategy::Split { parallelism: 4, topology_aware: true },
-            bytes,
-            192,
-            0.1,
-        )
-        .reduce;
+        let split_1 = simulate_aggregation(&bic(1), SPLIT, bytes, 24, 0.1).reduce;
+        let split_8 = simulate_aggregation(&bic(8), SPLIT, bytes, 192, 0.1).reduce;
         assert!(tree_8 > tree_1 * 1.2, "tree reduce must grow: {tree_1} -> {tree_8}");
         assert!(
             split_8 < split_1 * 1.6,
@@ -448,13 +422,7 @@ mod tests {
     fn allreduce_strategy_pays_the_allgather_but_stays_ring_class() {
         let c = bic(8);
         let bytes = 256.0 * MB;
-        let split = simulate_aggregation(
-            &c,
-            Strategy::Split { parallelism: 4, topology_aware: true },
-            bytes,
-            192,
-            0.1,
-        );
+        let split = simulate_aggregation(&c, SPLIT, bytes, 192, 0.1);
         let allred = simulate_aggregation(
             &c,
             Strategy::SplitAllReduce { parallelism: 4, topology_aware: true },
@@ -499,13 +467,7 @@ mod tests {
     #[test]
     fn single_executor_degenerates_gracefully() {
         let c = SimCluster::bic().with_nodes(1).with_executors(1, 4);
-        let r = simulate_aggregation(
-            &c,
-            Strategy::Split { parallelism: 4, topology_aware: true },
-            MB,
-            4,
-            0.05,
-        );
+        let r = simulate_aggregation(&c, SPLIT, MB, 4, 0.05);
         assert!(r.compute > 0.0 && r.reduce >= 0.0);
         assert_eq!(simulate_reduce_scatter(&c, MB, 4, 1, true), 0.0);
     }

@@ -35,14 +35,15 @@ pub fn simulate_algo(
     if e <= 1 {
         return 0.0;
     }
+    if let Algo::FlatRing | Algo::ChunkedRing(_) = algo {
+        return simulate_reduce_scatter(cluster, msg_bytes, parallelism, algo.chunks(), true);
+    }
     let params = cluster.des_params(TransportKind::ScalableComm, true);
     let p = parallelism.max(1);
     let all: Vec<usize> = (0..e).collect();
     let mut g = OpGraph::new();
     let finals = match algo {
-        Algo::FlatRing | Algo::ChunkedRing(_) => {
-            return simulate_reduce_scatter(cluster, msg_bytes, parallelism, algo.chunks(), true);
-        }
+        Algo::FlatRing | Algo::ChunkedRing(_) => unreachable!("ring arms returned above"),
         Algo::Halving => build_halving(&mut g, cluster, msg_bytes, p),
         Algo::Tree => build_tree(&mut g, cluster, &all, msg_bytes).into_iter().collect(),
         Algo::Hierarchical => build_hierarchical(&mut g, cluster, &params, msg_bytes, p),
@@ -275,22 +276,16 @@ mod tests {
         times.iter().find(|(a, _)| *a == algo).unwrap().1
     }
 
-    /// The tentpole's ground truth, at the paper's AWS scale (120 executors
-    /// / 960 cores): for every shape in the sweep, the tuner's pick is
-    /// never worse than the best static choice by more than the calibrated
-    /// margin.
-    #[test]
-    fn selector_within_margin_of_best_static_at_paper_scale() {
-        let c = SimCluster::aws();
-        assert_eq!(c.executors(), 120);
-        assert_eq!(c.total_cores(), 960);
+    /// The tuner's pick for every size in `sizes` on cluster `c` is never
+    /// worse than the best static choice by more than the calibrated margin.
+    fn assert_selector_within_margin(c: &SimCluster, sizes: &[f64]) {
         let model = CostModel::from_profile(&c.profile, c.merge_bandwidth, 150);
         let sel = Selector::new(model);
         let p = 4;
-        for bytes in [KB, 4.0 * KB, 64.0 * KB, 256.0 * KB, MB, 4.0 * MB] {
+        for &bytes in sizes {
             let shape = JobShape::dense(bytes as u64, c.executors(), c.nodes, p);
             let d = sel.select(&shape);
-            let times = simulate_rank(&c, bytes, p);
+            let times = simulate_rank(c, bytes, p);
             let (best_algo, best) = best_static(&times);
             let chosen = time_of(&times, d.algo);
             let margin = ground_truth_margin(&model, bytes);
@@ -304,30 +299,23 @@ mod tests {
         }
     }
 
+    /// The tentpole's ground truth, at the paper's AWS scale (120 executors
+    /// / 960 cores).
+    #[test]
+    fn selector_within_margin_of_best_static_at_paper_scale() {
+        let c = SimCluster::aws();
+        assert_eq!(c.executors(), 120);
+        assert_eq!(c.total_cores(), 960);
+        assert_selector_within_margin(&c, &[KB, 4.0 * KB, 64.0 * KB, 256.0 * KB, MB, 4.0 * MB]);
+    }
+
     /// Same contract on the BIC shape (48 executors / 8 nodes) so the
     /// margin holds on both Table 1 clusters, not just the one it was
     /// eyeballed on.
     #[test]
     fn selector_within_margin_on_bic_cluster() {
-        let c = SimCluster::bic();
-        let model = CostModel::from_profile(&c.profile, c.merge_bandwidth, 150);
-        let sel = Selector::new(model);
-        let p = 4;
-        for bytes in [4.0 * KB, 64.0 * KB, 256.0 * KB, MB, 4.0 * MB] {
-            let shape = JobShape::dense(bytes as u64, c.executors(), c.nodes, p);
-            let d = sel.select(&shape);
-            let times = simulate_rank(&c, bytes, p);
-            let (best_algo, best) = best_static(&times);
-            let chosen = time_of(&times, d.algo);
-            let margin = ground_truth_margin(&model, bytes);
-            assert!(
-                chosen <= best * margin,
-                "{} B: selected {:?} = {chosen:.4}s, best static {best_algo:?} = {best:.4}s \
-                 (margin {margin:.2}); table: {times:?}",
-                bytes as u64,
-                d.algo,
-            );
-        }
+        let sizes = [4.0 * KB, 64.0 * KB, 256.0 * KB, MB, 4.0 * MB];
+        assert_selector_within_margin(&SimCluster::bic(), &sizes);
     }
 
     /// The DES agrees with the model's headline claim: two-level beats the

@@ -32,6 +32,13 @@ pub struct LinkProfile {
     pub bandwidth: f64,
 }
 
+impl LinkProfile {
+    /// Full one-way message time: latency plus streaming time.
+    pub fn transfer_time(&self, bytes: usize) -> Duration {
+        self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth)
+    }
+}
+
 /// Extra one-way software latency `kind` adds on top of the wire.
 ///
 /// The paper compares three transports (Figure 12); they differ only in
@@ -150,6 +157,13 @@ impl NetProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transfer_time_combines_latency_and_bandwidth() {
+        let l = LinkProfile { latency: Duration::from_micros(10), bandwidth: 1e6 };
+        let t = l.transfer_time(500_000);
+        assert!((t.as_secs_f64() - 0.50001).abs() < 1e-9, "{t:?}");
+    }
 
     #[test]
     fn latency_hierarchy_matches_figure_12() {

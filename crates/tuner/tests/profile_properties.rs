@@ -37,3 +37,16 @@ fn latency_ordering_holds_on_both_clusters() {
         assert!(sc < bm, "SC < BM: {p:?}");
     }
 }
+
+#[test]
+fn transfer_time_is_monotone_in_bytes() {
+    check(&cfg(), |src| {
+        let a = src.usize_in(0..1_000_000);
+        let b = src.usize_in(0..1_000_000);
+        let p = NetProfile::bic();
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        tk_assert!(p.inter_node.transfer_time(lo) <= p.inter_node.transfer_time(hi));
+        tk_assert!(p.intra_node.transfer_time(lo) <= p.intra_node.transfer_time(hi));
+        Ok(())
+    });
+}
